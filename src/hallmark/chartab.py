@@ -23,7 +23,10 @@ as far as a verdict.
 Block partitions follow the classical central-character route: chi and
 psi share a p-block exactly when the reductions of omega_chi(K) and
 omega_psi(K) agree modulo a fixed prime ideal over p for every class K.
-The ideal is pinned by CycReducer, so partitions are reproducible.
+The ideal is pinned by CycReducer (the kernel of its fixed map onto
+F_{p^d}), so reduced values are reproducible.  The partition does not
+depend on that choice: any two ideals over p differ by a Galois
+automorphism, and p-blocks are Galois-stable.
 """
 
 from __future__ import annotations

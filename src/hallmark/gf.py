@@ -10,12 +10,18 @@ without pulling in an external library.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 from math import gcd
 
 from .errors import PreconditionError
 
 _WORD = 8  # bytes per packed coefficient
+if array("Q").itemsize != _WORD:
+    raise ImportError("packed arithmetic needs 8-byte array('Q') items")
+# array("Q") uses native byte order; packed integers are little-endian
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def trim(coeffs) -> tuple:
@@ -51,17 +57,23 @@ def mul(a: tuple, b: tuple, p: int) -> tuple:
     # below one 64-bit word so packed digits never carry.
     if min(len(a), len(b)) * (p - 1) * (p - 1) >= 1 << (8 * _WORD):
         raise PreconditionError("polynomial product too large for packed multiply")
-    ia = int.from_bytes(b"".join(c.to_bytes(_WORD, "little") for c in a), "little")
-    ib = int.from_bytes(b"".join(c.to_bytes(_WORD, "little") for c in b), "little")
-    n = len(a) + len(b) - 1
-    buf = (ia * ib).to_bytes(n * _WORD, "little")
-    return trim(
-        int.from_bytes(buf[i * _WORD : (i + 1) * _WORD], "little") % p for i in range(n)
-    )
+    return _unpack(_pack(a) * _pack(b), len(a) + len(b) - 1, p)
 
 
 def _pack(cs) -> int:
-    return int.from_bytes(b"".join(c.to_bytes(_WORD, "little") for c in cs), "little")
+    """Coefficients in [0, 2**64) as one integer, 64 bits apiece, constant term lowest."""
+    words = array("Q", cs)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def _unpack(x: int, n: int, p: int) -> tuple:
+    """The n packed words of x, each reduced mod p, as a trimmed polynomial."""
+    words = array("Q", x.to_bytes(n * _WORD, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return trim([w % p for w in words])
 
 
 def reduction_rows(f: tuple, p: int) -> list:
@@ -95,10 +107,7 @@ def mul_mod(a: tuple, b: tuple, f: tuple, p: int, rows: list) -> tuple:
     for i in range(deg, len(prod)):
         if prod[i]:
             acc += prod[i] * rows[i - deg]
-    buf = acc.to_bytes(deg * _WORD, "little")
-    return trim(
-        int.from_bytes(buf[i * _WORD : (i + 1) * _WORD], "little") % p for i in range(deg)
-    )
+    return _unpack(acc, deg, p)
 
 
 def divmod_poly(a: tuple, b: tuple, p: int) -> tuple:

@@ -4,22 +4,31 @@ For a conductor N and a prime p, write N = p^a * m with p not dividing
 m.  Any ring map from Z[zeta_N] onto a field of characteristic p kills
 zeta's p-power part and sends zeta_N to a root of the m-th cyclotomic
 polynomial mod p, which lives in F_{p^d} for d the order of p mod m.
-CycReducer realizes one such map concretely: zeta_N^e |-> t^(e mod m)
-in F_p[t]/(f), where f is the first irreducible factor of the m-th
-cyclotomic polynomial in coefficient order.  Fixing f this way pins the
-same map on every run, so reduced values are comparable across calls
-and across processes.
+CycReducer realizes one such map concretely: the field is
+F_p[t]/(least_irreducible(p, d)), and zeta_N^e |-> u^(e mod m), where u
+is the first element of exact order m in _root_of_order's base-p scan
+of that field.  This pins the same map on every run, so reduced values
+are comparable across calls and across processes.  Which root u is
+chosen does not matter for block partitions: the maps for different
+roots differ by a Galois automorphism, and p-blocks are Galois-stable.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
 from .cyclotomic import Cyc
 from .errors import PreconditionError
-from .gf import FField, add, divmod_poly, least_irreducible, mul, multiplicative_order, trim
+from .gf import (
+    FField,
+    _prime_factors,
+    add,
+    divmod_poly,
+    least_irreducible,
+    mul,
+    multiplicative_order,
+    trim,
+)
 
-__all__ = ["CycReducer", "cyclotomic_mod", "irreducible_factors"]
+__all__ = ["CycReducer", "cyclotomic_mod"]
 
 
 def _divisors(n: int) -> list:
@@ -71,17 +80,7 @@ def _root_of_order(field: FField, m: int) -> tuple:
     group order itself is never factored.
     """
     cofactor = (field.order - 1) // m
-    prime_divs = []
-    k = m
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            prime_divs.append(d)
-            while k % d == 0:
-                k //= d
-        d += 1
-    if k > 1:
-        prime_divs.append(k)
+    prime_divs = _prime_factors(m)
     for code in range(2, field.order):
         digits, rest = [], code
         while rest:
@@ -90,60 +89,17 @@ def _root_of_order(field: FField, m: int) -> tuple:
         b = field.pow(tuple(digits), cofactor)
         if b != (1,) and all(field.pow(b, m // ell) != (1,) for ell in prime_divs):
             return b
-    raise PreconditionError("no element of the requested order")  # m = 1 handled above
-
-
-def irreducible_factors(m: int, p: int) -> list:
-    """All monic irreducible factors of the m-th cyclotomic polynomial mod p.
-
-    Each factor is a little-endian coefficient tuple of degree
-    ord(p mod m); the list is sorted by coefficient tuple.  Requires p
-    coprime to m (no repeated roots, all factors distinct).
-    """
-    if m == 1:
-        return [(p - 1, 1)]  # x - 1
-    if gcd(m, p) != 1:
-        raise PreconditionError("cyclotomic factor listing needs p coprime to m")
-    d = multiplicative_order(p, m)
-    ambient = FField(p, least_irreducible(p, d))
-    u = _root_of_order(ambient, m)
-    upow = [(1,)]
-    for _ in range(m - 1):
-        upow.append(ambient.mul(upow[-1], u))
-    # orbit representatives of the primitive exponents under j -> j*p
-    seen = bytearray(m)
-    factors = []
-    for j in range(1, m):
-        if seen[j] or gcd(j, m) != 1:
-            continue
-        orbit = []
-        k = j
-        while not seen[k]:
-            seen[k] = 1
-            orbit.append(k)
-            k = k * p % m
-        # minimal polynomial of u^j: product of (x - u^k) over the orbit
-        poly = [(1,)]
-        for k in orbit:
-            neg_root = tuple(-c % p for c in upow[k])
-            nxt = [()] * (len(poly) + 1)
-            for i, c in enumerate(poly):
-                nxt[i + 1] = add(nxt[i + 1], c, p)
-                nxt[i] = add(nxt[i], ambient.mul(neg_root, c), p)
-            poly = nxt
-        if any(len(c) > 1 for c in poly):
-            raise PreconditionError("cyclotomic factor has a coefficient outside F_p")
-        factors.append(tuple(c[0] if c else 0 for c in poly))
-    factors.sort()
-    return factors
+    raise PreconditionError("no element of the requested order")  # m = 1 has no witness
 
 
 class CycReducer:
     """Ring map Z[zeta_N] -> F_{p^d} fixed by the conductor and the prime.
 
-    reduce() accepts plain ints and Cyc values whose conductor divides N;
-    images are little-endian coefficient tuples in F_p[t]/(modulus), so
-    they hash and compare directly.
+    The modulus is least_irreducible(p, d) for d the order of p mod m, and
+    zeta_m goes to the first element of exact order m in _root_of_order's
+    scan (to 1 when m = 1).  reduce() accepts plain ints and Cyc values
+    whose conductor divides N; images are little-endian coefficient tuples
+    in F_p[t]/(modulus), so they hash and compare directly.
     """
 
     __slots__ = ("conductor", "p", "m", "field", "modulus", "_powers")
@@ -151,23 +107,20 @@ class CycReducer:
     def __init__(self, conductor: int, p: int):
         if conductor < 1:
             raise PreconditionError("conductor must be positive")
+        if p < 2 or _prime_factors(p) != [p]:
+            raise PreconditionError("%r is not a prime" % (p,))
         self.conductor = conductor
         self.p = p
         m = conductor
         while m % p == 0:
             m //= p
         self.m = m
-        self.modulus = irreducible_factors(m, p)[0]
+        self.modulus = least_irreducible(p, multiplicative_order(p, m))
         self.field = FField(p, self.modulus)
-        # field.mul needs reduced residues; for a degree-one modulus t + c
-        # the generator t is itself reducible, to the constant -c
-        if len(self.modulus) == 2:
-            gen = trim(((-self.modulus[0]) % p,))
-        else:
-            gen = (0, 1)
+        root = (1,) if m == 1 else _root_of_order(self.field, m)
         powers = [(1,)]
         for _ in range(m - 1):
-            powers.append(self.field.mul(powers[-1], gen))
+            powers.append(self.field.mul(powers[-1], root))
         self._powers = powers
 
     def reduce(self, value) -> tuple:

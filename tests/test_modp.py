@@ -1,11 +1,12 @@
 """Prime-field reduction of cyclotomic integers.
 
 cyclotomic_mod is checked against the integer-coefficient oracle from
-test_cyclotomic (Moebius product here, plain division there), factor
-lists against counting and multiplication, and CycReducer against the
-ring axioms it exists to satisfy.
+test_cyclotomic (Moebius product here, plain division there), CycReducer
+against the ring axioms it exists to satisfy and against cyclotomic_mod,
+and the packed multiplication in gf against schoolbook arithmetic.
 """
 
+from array import array
 from math import gcd
 
 import pytest
@@ -15,27 +16,21 @@ from hypothesis import strategies as st
 from hallmark.cyclotomic import Cyc
 from hallmark.errors import PreconditionError
 from hallmark.gf import (
+    _WORD,
     FField,
     IntField,
+    _pack,
+    _unpack,
     add,
     is_irreducible,
     least_irreducible,
-    mod_poly,
     mul,
     multiplicative_order,
     trim,
 )
-from hallmark.modp import CycReducer, cyclotomic_mod, irreducible_factors
+from hallmark.modp import CycReducer, cyclotomic_mod
 
 from test_cyclotomic import cyclotomic_poly, term_lists
-
-
-def phi(n):
-    count = 0
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            count += 1
-    return count
 
 
 class TestCyclotomicMod:
@@ -48,42 +43,6 @@ class TestCyclotomicMod:
     def test_rejects_bad_index(self):
         with pytest.raises(PreconditionError):
             cyclotomic_mod(0, 5)
-
-
-class TestIrreducibleFactors:
-    def test_structure(self):
-        for m, p in [(3, 2), (5, 2), (7, 2), (9, 2), (15, 2),
-                     (4, 3), (8, 3), (10, 3), (5, 7), (12, 5),
-                     (16, 5), (11, 3), (13, 5)]:
-            factors = irreducible_factors(m, p)
-            d = multiplicative_order(p, m)
-            assert len(factors) == phi(m) // d
-            assert factors == sorted(factors)
-            assert len(set(factors)) == len(factors)
-            product = (1,)
-            binom = tuple([p - 1] + [0] * (m - 1) + [1])  # x^m - 1
-            for f in factors:
-                assert len(f) == d + 1
-                assert f[-1] == 1
-                assert is_irreducible(f, p)
-                assert mod_poly(binom, f, p) == ()
-                product = mul(product, f, p)
-            assert product == cyclotomic_mod(m, p)
-
-    def test_hand_checked_factorizations(self):
-        # x^4 + 1 = (x^2 + 3x + 1)(x^2 + 4x + 1) mod 7; both discriminants
-        # are 5, a non-square mod 7
-        assert irreducible_factors(8, 7) == [(1, 3, 1), (1, 4, 1)]
-        # 2 has order 4 mod 5, so the fifth cyclotomic stays irreducible
-        assert irreducible_factors(5, 2) == [(1, 1, 1, 1, 1)]
-        assert irreducible_factors(1, 7) == [(6, 1)]
-        assert irreducible_factors(2, 7) == [(1, 1)]
-
-    def test_rejects_shared_factor(self):
-        with pytest.raises(PreconditionError):
-            irreducible_factors(6, 3)
-        with pytest.raises(PreconditionError):
-            irreducible_factors(8, 2)
 
 
 _REDUCERS = {}
@@ -147,10 +106,10 @@ class TestCycReducer:
         )
 
     def test_degree_one_modulus(self):
-        # conductor 6 at p = 3 leaves m = 2, whose cyclotomic factor
-        # t + 1 has degree one: the generator image is the constant 2
+        # conductor 6 at p = 3 leaves m = 2, and 3 has order 1 mod 2: the
+        # field is F_3 = F_3[t]/(t), and zeta_6 goes to the constant 2
         red = CycReducer(6, 3)
-        assert red.modulus == (1, 1)
+        assert red.modulus == least_irreducible(3, 1)
         assert red.reduce(Cyc.root(6)) == (2,)
         assert red.reduce(Cyc.root(6) * Cyc.root(6)) == (1,)
         assert red.reduce(Cyc.root(3)) == (1,)
@@ -161,9 +120,27 @@ class TestCycReducer:
         orbit = sum((Cyc.root(7, e) for e in range(7)), Cyc.zero(7))
         assert CycReducer(7, 2).reduce(orbit) == ()
 
+    def test_root_image_is_a_cyclotomic_root(self):
+        # the image of zeta_m is a root of the m-th cyclotomic polynomial
+        # mod p (Horner in the reducer's field) of exact order m
+        for n, p, m in [(2, 3, 2), (8, 7, 8), (15, 2, 15), (12, 5, 12), (7440, 3, 2480)]:
+            red = CycReducer(n, p)
+            assert red.m == m
+            image = red.reduce(Cyc.root(m))
+            value = ()
+            for c in reversed(cyclotomic_mod(m, p)):
+                value = add(red.field.mul(value, image), trim((c,)), p)
+            assert value == ()
+            assert red.field.element_order(image, m) == m
+
     def test_input_validation(self):
         with pytest.raises(PreconditionError):
             CycReducer(0, 3)
+        # unchecked, p = 1 never leaves the p-part loop, p = 0 divides by
+        # zero, and p = 4 builds arithmetic over Z/4, which is no field
+        for n, p in [(6, 1), (6, 0), (12, 4)]:
+            with pytest.raises(PreconditionError):
+                CycReducer(n, p)
         with pytest.raises(PreconditionError):
             reducer(6, 5).reduce(Cyc.root(4))
         with pytest.raises(PreconditionError):
@@ -228,3 +205,60 @@ class TestFieldBasics:
         assert field.mul(2, 2) == 3  # t^2 = t + 1 under the digit encoding
         assert field.multiplicative_generator() == 2
         assert IntField(5, 1).mul(3, 4) == 2
+
+
+def schoolbook_mul(a, b, p):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return trim(out)
+
+
+def long_division_rem(a, f, p):
+    # f monic
+    rem = list(a)
+    deg = len(f) - 1
+    for i in range(len(rem) - 1, deg - 1, -1):
+        q = rem[i]
+        for j, c in enumerate(f):
+            rem[i - deg + j] = (rem[i - deg + j] - q * c) % p
+    return trim(rem[:deg])
+
+
+@st.composite
+def packed_cases(draw):
+    p = draw(st.sampled_from([2, 3, 31, 65521]))
+    deg = draw(st.integers(1, 200))
+    coeff = st.integers(0, p - 1)
+    f = tuple(draw(st.lists(coeff, min_size=deg, max_size=deg))) + (1,)
+    a = trim(draw(st.lists(coeff, max_size=deg)))
+    b = trim(draw(st.lists(coeff, max_size=deg)))
+    return p, f, a, b
+
+
+class TestPackedArithmetic:
+    @given(packed_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_schoolbook(self, case):
+        p, f, a, b = case
+        assert mul(a, b, p) == schoolbook_mul(a, b, p)
+        # mul_mod needs a monic modulus, not an irreducible one
+        field = FField(p, f)
+        assert field.mul(a, b) == long_division_rem(schoolbook_mul(a, b, p), f, p)
+
+    def test_word_layout(self):
+        assert array("Q").itemsize == _WORD
+        assert _pack([1, 2]) == 1 + (2 << 64)
+        assert _unpack(1 + (2 << 64) + (7 << 128), 3, 5) == (1, 2, 2)
+
+    def test_guard_at_word_bound(self):
+        # (p-1)^2 < 2**64 for p = 2**32: one term fits a word, two do not
+        p = 1 << 32
+        assert mul((p - 1,), (p - 1,), p) == (1,)
+        with pytest.raises(PreconditionError):
+            mul((p - 1, p - 1), (p - 1, p - 1), p)
+        with pytest.raises(PreconditionError):
+            mul((1,), (1,), p + 1)
+        with pytest.raises(PreconditionError):
+            FField(p, (0, 0, 1))
