@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Dict, List, Optional, Tuple
+from math import gcd
+from typing import Callable, Dict, List, Tuple
 
 from . import gf
+from .arith import is_prime, multiplicative_order, prime_power
 from .config import DEGREE_CAP
 from .errors import CapacityError, MalformedInputError, PreconditionError
 from .perms import Permutation, PermutationGroup, build_group
@@ -25,35 +27,6 @@ _DATA_DIR = os.path.join(os.path.dirname(__file__), "data", "groups")
 _SYMMETRIC_RANGE = (1, 12)
 _PSL2_RANGE = (4, 32)
 _SEMI_AFFINE_POINT_CAP = 2**14
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_power(n: int) -> Optional[Tuple[int, int]]:
-    """(p, e) with n = p^e, or None."""
-    if n < 2:
-        return None
-    for p in range(2, n + 1):
-        if p * p > n:
-            return (n, 1)
-        if n % p:
-            continue
-        e = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            e += 1
-        return (p, e) if m == 1 else None
-    return None
 
 
 def cyclic(n: int) -> PermutationGroup:
@@ -117,9 +90,9 @@ def psl2(q: int) -> PermutationGroup:
     for x in 0..q-1 and [1 : 0] is point q.  Generators are the Moebius
     maps x -> x+1, x -> gx for g a generating square, and x -> -1/x.
     """
-    pp = _prime_power(q) if isinstance(q, int) else None
     lo, hi = _PSL2_RANGE
-    if pp is None or not lo <= q <= hi:
+    pp = prime_power(q) if isinstance(q, int) and lo <= q <= hi else None
+    if pp is None:
         raise MalformedInputError(
             "psl2(q) needs a prime power q with %d <= q <= %d, got %r" % (lo, hi, q)
         )
@@ -156,7 +129,7 @@ def semi_affine(q: int, p: int) -> PermutationGroup:
     """
     if not (isinstance(q, int) and isinstance(p, int)):
         raise MalformedInputError("semi_affine(q, p) needs integers, got %r, %r" % (q, p))
-    if not (_is_prime(q) and _is_prime(p) and q != p):
+    if not (is_prime(q) and is_prime(p) and q != p):
         raise MalformedInputError(
             "semi_affine(q, p) needs distinct primes, got q=%r p=%r" % (q, p)
         )
@@ -185,7 +158,7 @@ def frobenius(n: int, k: int) -> PermutationGroup:
         raise MalformedInputError("frobenius(n, k) needs integers n, k >= 2, got %r, %r" % (n, k))
     u = None
     for cand in range(2, n):
-        if _unit_order(cand, n) == k:
+        if gcd(cand, n) == 1 and multiplicative_order(cand, n) == k:
             u = cand
             break
     if u is None:
@@ -193,25 +166,6 @@ def frobenius(n: int, k: int) -> PermutationGroup:
     translate = tuple((x + 1) % n for x in range(n))
     scale = tuple(x * u % n for x in range(n))
     return build_group(n, [translate, scale])
-
-
-def _unit_order(a: int, n: int) -> Optional[int]:
-    if _gcd(a, n) != 1:
-        return None
-    order = 1
-    x = a % n
-    while x != 1:
-        x = x * a % n
-        order += 1
-        if order > n:  # cannot happen for a unit
-            return None
-    return order
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def direct_product(g: PermutationGroup, h: PermutationGroup) -> PermutationGroup:
@@ -380,7 +334,7 @@ def build(name: str) -> PermutationGroup:
 
 
 def _psl2_order(q: int) -> int:
-    return q * (q * q - 1) // _gcd(2, q - 1)
+    return q * (q * q - 1) // gcd(2, q - 1)
 
 
 def _fill_registry() -> None:

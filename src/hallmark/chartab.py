@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .classdata import is_power_of, prime_factors
+from .arith import is_power_of, require_prime
 from .cyclotomic import Cyc
 from .errors import (
     PreconditionError,
@@ -109,8 +109,7 @@ class CharacterTable:
         self.trivial_index = trivial_index
 
     def p_element_classes(self, p: int) -> List[_Column]:
-        if p < 2 or prime_factors(p) != (p,):
-            raise PreconditionError("%r is not a prime" % (p,))
+        require_prime(p)
         return [c for c in self.classes if c.element_order > 1 and is_power_of(c.element_order, p)]
 
     def to_json(self) -> dict:
@@ -337,8 +336,7 @@ def block_partition(table: CharacterTable, p: int) -> BlockPartition:
     For p not dividing the order the notion is vacuous and everything
     lands in one flagged block.
     """
-    if p < 2 or prime_factors(p) != (p,):
-        raise PreconditionError("%r is not a prime" % (p,))
+    require_prime(p)
     k = len(table.rows)
     if table.order % p:
         return BlockPartition(p, [list(range(k))], 0, True)
@@ -390,8 +388,7 @@ def principal_block_clear(table: CharacterTable):
 def _relevant_primes(table: CharacterTable, pi: Sequence[int]) -> List[int]:
     primes = sorted(set(pi))
     for p in primes:
-        if p < 2 or prime_factors(p) != (p,):
-            raise PreconditionError("%r is not a prime" % (p,))
+        require_prime(p)
     return [p for p in primes if table.order % p == 0]
 
 

@@ -10,65 +10,13 @@ that is too large.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
+from .arith import is_power_of, require_prime
 from .config import Caps, default_caps
 from .errors import PreconditionError
 from .kernels import kernel
 from .perms import Permutation, PermutationGroup, Subgroup
-
-
-def prime_factors(n: int) -> Tuple[int, ...]:
-    """Distinct prime divisors of n in increasing order."""
-    if n < 1:
-        raise PreconditionError("prime_factors needs n >= 1, got %d" % n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
-def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n."""
-    out = 1
-    while n % p == 0:
-        n //= p
-        out *= p
-    return out
-
-
-def p_prime_part(n: int, p: int) -> int:
-    while n % p == 0:
-        n //= p
-    return n
-
-
-def pi_part(n: int, pi: Sequence[int]) -> int:
-    out = 1
-    for p in pi:
-        out *= p_part(n, p)
-    return out
-
-
-def pi_prime_part(n: int, pi: Sequence[int]) -> int:
-    for p in pi:
-        n = p_prime_part(n, p)
-    return n
-
-
-def is_power_of(n: int, p: int) -> bool:
-    if n < 1:
-        return False
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 class ClassInfo:
@@ -157,8 +105,7 @@ class ClassTable:
 
     def p_element_classes(self, p: int) -> Tuple[ClassInfo, ...]:
         """Classes of nontrivial elements whose order is a power of p."""
-        if p < 2 or prime_factors(p) != (p,):
-            raise PreconditionError("p must be a prime, got %r" % (p,))
+        require_prime(p)
         return tuple(
             ci
             for ci in self.classes

@@ -2,7 +2,8 @@
 
 Every bound that stops a computation from running away lives here, so the
 CLI, the test-suite and library callers tune the same knobs.  The element
-cap can also be set through the HALLMARK_CAP_ELEMENTS environment variable.
+cap can also be set through the HALLMARK_CAP_ELEMENTS environment variable,
+which must then be a positive integer.
 """
 
 from __future__ import annotations
@@ -10,8 +11,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .errors import MalformedInputError
+
 # Permutations above this degree are rejected at construction.
 DEGREE_CAP = 1024
+
+# Trial division (arith.prime_factors) tries no divisor above this.
+FACTOR_CAP = 2**20
 
 
 @dataclass(frozen=True)
@@ -30,6 +36,14 @@ class Caps:
 
 def default_caps() -> Caps:
     raw = os.environ.get("HALLMARK_CAP_ELEMENTS")
-    if raw:
-        return Caps(elements=int(raw))
-    return Caps()
+    if not raw:
+        return Caps()
+    try:
+        elements = int(raw)
+    except ValueError:
+        elements = 0
+    if elements < 1:
+        raise MalformedInputError(
+            "HALLMARK_CAP_ELEMENTS must be a positive integer, got %r" % raw
+        )
+    return Caps(elements=elements)

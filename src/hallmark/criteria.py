@@ -11,10 +11,11 @@ degrades the answer to undetermined instead of guessing.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import subgroups
-from .classdata import ClassTable, p_part, prime_factors
+from .arith import p_part, prime_factors
+from .classdata import ClassTable
 from .config import Caps, default_caps
 from .errors import CapacityError, PreconditionError
 from .perms import PermutationGroup
@@ -108,7 +109,8 @@ class TheoremCheck:
         return "TheoremCheck(%s %s agree=%s)" % (self.theorem, self.params, self.agree)
 
 
-def _sub_witness(sub) -> dict:
+def sub_witness(sub) -> dict:
+    """A subgroup as report data: its order and generators in cycle notation."""
     return {
         "order": sub.order,
         "generators": [g.cycle_string() or "()" for g in sub.generators],
@@ -135,8 +137,8 @@ def check_theorem_a(
         if got:
             rhs = Verdict.yes(
                 "Sylow %d- and %d-subgroups commute elementwise" % (p, q),
-                p_sylow=_sub_witness(pair[0]),
-                q_sylow=_sub_witness(pair[1]),
+                p_sylow=sub_witness(pair[0]),
+                q_sylow=sub_witness(pair[1]),
             )
         else:
             rhs = Verdict.no("no commuting Sylow %d/%d pair exists" % (p, q))
@@ -158,7 +160,7 @@ def check_theorem_b(
         hall = subgroups.nilpotent_hall(group, primes, caps)
         if hall is not None:
             rhs = Verdict.yes(
-                "nilpotent Hall subgroup of order %d" % hall.order, hall=_sub_witness(hall)
+                "nilpotent Hall subgroup of order %d" % hall.order, hall=sub_witness(hall)
             )
         else:
             rhs = Verdict.no("no nilpotent Hall %s-subgroup exists" % (primes,))
@@ -205,7 +207,7 @@ def check_theorem_c(
         hall = subgroups.nilpotent_hall(group, primes, caps)
         if hall is not None and subgroups.is_abelian(hall):
             rhs = Verdict.yes(
-                "abelian Hall subgroup of order %d" % hall.order, hall=_sub_witness(hall)
+                "abelian Hall subgroup of order %d" % hall.order, hall=sub_witness(hall)
             )
         elif hall is not None:
             rhs = Verdict.no(
@@ -248,8 +250,8 @@ def check_sylow_normalization(
         if got:
             conclusion = Verdict.yes(
                 "a Sylow %d-subgroup normalizes a Sylow %d-subgroup" % (p, q),
-                p_sylow=_sub_witness(pair[0]),
-                q_sylow=_sub_witness(pair[1]),
+                p_sylow=sub_witness(pair[0]),
+                q_sylow=sub_witness(pair[1]),
             )
         else:
             conclusion = Verdict.no("no Sylow %d-subgroup normalizes a Sylow %d-subgroup" % (p, q))
@@ -300,8 +302,8 @@ def check_core_characterization(
         if got:
             lhs = Verdict.yes(
                 "a Sylow %d-subgroup normalizes a Sylow %d-subgroup" % (p, q),
-                p_sylow=_sub_witness(pair[0]),
-                q_sylow=_sub_witness(pair[1]),
+                p_sylow=sub_witness(pair[0]),
+                q_sylow=sub_witness(pair[1]),
             )
         else:
             lhs = Verdict.no("no Sylow %d-subgroup normalizes a Sylow %d-subgroup" % (p, q))
@@ -334,8 +336,8 @@ def check_odd_sizes_solvability(
                 conclusion = Verdict.yes(
                     "%d-solvable and a Sylow 2-subgroup normalizes a Sylow %d-subgroup"
                     % (q, q),
-                    p_sylow=_sub_witness(pair[0]),
-                    q_sylow=_sub_witness(pair[1]),
+                    p_sylow=sub_witness(pair[0]),
+                    q_sylow=sub_witness(pair[1]),
                 )
             else:
                 conclusion = Verdict.no(
@@ -359,6 +361,58 @@ def default_prime_sets(order: int) -> List[Tuple[int, ...]]:
     return out
 
 
+def _pairs(order: int) -> List[Tuple[int, ...]]:
+    return list(combinations(prime_factors(order), 2))
+
+
+def _ordered_pairs(order: int) -> List[Tuple[int, ...]]:
+    primes = prime_factors(order)
+    return [(p, q) for p in primes for q in primes if p != q]
+
+
+def _odd_primes(order: int) -> List[Tuple[int, ...]]:
+    return [(q,) for q in prime_factors(order) if q != 2]
+
+
+class Theorem(NamedTuple):
+    # Name of the check function in this module.  It is looked up when a
+    # check runs, so a wrapper installed on the module attribute is called.
+    check: str
+    # Primes one check takes, with the same in words; None for a prime set.
+    arity: Optional[int]
+    takes: str
+    # |G| -> the prime tuples check_group runs by default
+    defaults: Callable[[int], List[Tuple[int, ...]]]
+
+
+THEOREMS = {
+    "A": Theorem("check_theorem_a", 2, "exactly two primes", _pairs),
+    "B": Theorem("check_theorem_b", None, "a set of primes", default_prime_sets),
+    "C": Theorem("check_theorem_c", None, "a set of primes", default_prime_sets),
+    "t4.1": Theorem("check_sylow_normalization", 2, "exactly two primes", _ordered_pairs),
+    "t4.2": Theorem("check_core_characterization", 2, "exactly two primes", _ordered_pairs),
+    "t4.3": Theorem("check_odd_sizes_solvability", 1, "one odd prime", _odd_primes),
+}
+
+
+def check_one(
+    group: PermutationGroup,
+    theorem: str,
+    primes: Sequence[int],
+    caps: Optional[Caps] = None,
+    principal_block_clear=None,
+) -> TheoremCheck:
+    """One check of theorem on primes: a pair, one odd prime, or a prime
+    set, as THEOREMS[theorem].arity says.  Only theorem C reads the
+    principal-block hook."""
+    entry = THEOREMS[theorem]
+    check = globals()[entry.check]
+    args = (primes,) if entry.arity is None else tuple(primes)
+    if theorem == "C":
+        return check(group, *args, caps, principal_block_clear=principal_block_clear)
+    return check(group, *args, caps)
+
+
 def check_group(
     group: PermutationGroup,
     theorem: str,
@@ -367,31 +421,14 @@ def check_group(
     prime_sets: Optional[Sequence[Sequence[int]]] = None,
     principal_block_clear=None,
 ) -> List[TheoremCheck]:
-    """All default checks of one theorem for one group."""
-    caps = caps or default_caps()
-    order = group.order
-    primes = prime_factors(order)
-    checks: List[TheoremCheck] = []
-    if theorem == "A":
-        for p, q in pairs or combinations(primes, 2):
-            checks.append(check_theorem_a(group, p, q, caps))
-    elif theorem == "B":
-        for pi in prime_sets or default_prime_sets(order):
-            checks.append(check_theorem_b(group, pi, caps))
-    elif theorem == "C":
-        for pi in prime_sets or default_prime_sets(order):
-            checks.append(
-                check_theorem_c(group, pi, caps, principal_block_clear=principal_block_clear)
-            )
-    elif theorem == "t4.1":
-        for p, q in pairs or [(p, q) for p in primes for q in primes if p != q]:
-            checks.append(check_sylow_normalization(group, p, q, caps))
-    elif theorem == "t4.2":
-        for p, q in pairs or [(p, q) for p in primes for q in primes if p != q]:
-            checks.append(check_core_characterization(group, p, q, caps))
-    elif theorem == "t4.3":
-        for q in [q for q in primes if q != 2]:
-            checks.append(check_odd_sizes_solvability(group, q, caps))
-    else:
+    """All default checks of one theorem for one group.  pairs replaces the
+    defaults of the two-prime theorems, prime_sets those of B and C."""
+    if theorem not in THEOREMS:
         raise PreconditionError("unknown theorem %r" % (theorem,))
-    return checks
+    caps = caps or default_caps()
+    arity = THEOREMS[theorem].arity
+    chosen = pairs if arity == 2 else prime_sets if arity is None else None
+    return [
+        check_one(group, theorem, primes, caps, principal_block_clear)
+        for primes in chosen or THEOREMS[theorem].defaults(group.order)
+    ]

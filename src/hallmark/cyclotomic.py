@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Dict, Iterable, Tuple
 
-from .classdata import prime_factors
+from .arith import prime_factors
 from .errors import PreconditionError
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from math import gcd
 
+from .arith import prime_factors
 from .errors import PreconditionError
 
 _WORD = 8  # bytes per packed coefficient
@@ -146,49 +146,6 @@ def gcd_poly(a: tuple, b: tuple, p: int) -> tuple:
     return monic(a, p)
 
 
-def powmod(a: tuple, e: int, f: tuple, p: int) -> tuple:
-    """a**e reduced modulo f."""
-    if e < 0:
-        raise PreconditionError("negative exponent in polynomial power")
-    rows = reduction_rows(f, p)
-    result = (1,)
-    base = mod_poly(a, f, p)
-    while e:
-        if e & 1:
-            result = mul_mod(result, base, f, p, rows)
-        base = mul_mod(base, base, f, p, rows)
-        e >>= 1
-    return result
-
-
-def _prime_factors(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def multiplicative_order(a: int, n: int) -> int:
-    """Order of a in (Z/n)*; n = 1 gives 1."""
-    if n < 1 or (n > 1 and gcd(a, n) != 1):
-        raise PreconditionError("multiplicative order needs a unit modulo n")
-    if n == 1:
-        return 1
-    order = 1
-    x = a % n
-    while x != 1:
-        x = x * a % n
-        order += 1
-    return order
-
-
 def is_irreducible(f: tuple, p: int) -> bool:
     """Rabin's test for a monic polynomial over F_p."""
     n = len(f) - 1
@@ -196,11 +153,12 @@ def is_irreducible(f: tuple, p: int) -> bool:
         raise PreconditionError("irreducibility test requires a monic polynomial")
     if n == 1:
         return True
+    field = FField(p, f)
     x = (0, 1)
-    if powmod(x, p**n, f, p) != mod_poly(x, f, p):
+    if field.pow(x, p**n) != x:
         return False
-    for ell in _prime_factors(n):
-        h = sub(powmod(x, p ** (n // ell), f, p), x, p)
+    for ell in prime_factors(n):
+        h = sub(field.pow(x, p ** (n // ell)), x, p)
         if gcd_poly(h, f, p) != (1,):
             return False
     return True
@@ -298,7 +256,7 @@ class IntField:
     def multiplicative_generator(self) -> int:
         """Least element generating the multiplicative group."""
         n = self.order - 1
-        prime_divs = _prime_factors(n)
+        prime_divs = prime_factors(n)
         for a in range(2, self.order):
             if all(self.pow(a, n // ell) != 1 for ell in prime_divs):
                 return a
@@ -319,9 +277,6 @@ class FField:
     @property
     def order(self) -> int:
         return self.p**self.degree
-
-    def one(self) -> tuple:
-        return (1,)
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         return mul_mod(a, b, self.modulus, self.p, self._rows)
@@ -348,7 +303,7 @@ class FField:
         if self.pow(a, bound) != (1,):
             raise PreconditionError("element order does not divide the stated bound")
         order = bound
-        for ell in _prime_factors(bound):
+        for ell in prime_factors(bound):
             while order % ell == 0 and self.pow(a, order // ell) == (1,):
                 order //= ell
         return order

@@ -22,9 +22,14 @@ import time
 from itertools import combinations
 from math import prod
 
-from .classdata import p_part, prime_factors
+from .arith import (
+    multiplicative_order,
+    p_part,
+    prime_factors,
+    require_prime,
+    require_prime_power,
+)
 from .errors import MalformedInputError, PreconditionError
-from .gf import multiplicative_order
 
 __all__ = [
     "FAMILIES",
@@ -49,16 +54,6 @@ GRID_SCHEMA = "hallmark-lie-grid/1"
 GRID_REPORT_SCHEMA = "hallmark-lie-grid-report/1"
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
-
-
-def _require_prime(p: int, role: str) -> None:
-    if p < 2 or prime_factors(p) != (p,):
-        raise PreconditionError("%s must be prime, got %r" % (role, p))
-
-
-def _require_prime_power(q: int) -> None:
-    if q < 2 or len(prime_factors(q)) != 1:
-        raise PreconditionError("q must be a prime power >= 2, got %r" % (q,))
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -96,7 +91,7 @@ def group_order(family: str, n: int, q: int) -> int:
         )
     if not isinstance(n, int) or n < 1:
         raise MalformedInputError("rank must be a positive integer, got %r" % (n,))
-    _require_prime_power(q)
+    require_prime_power(q)
     return _order(family, n, q)
 
 
@@ -111,7 +106,7 @@ def _so_order(d: int, eps: int, q: int) -> int:
 
 def ord_mod(r: int, q: int) -> int:
     """Least k >= 1 with q^k = 1 mod r."""
-    _require_prime(r, "r")
+    require_prime(r, "r")
     if q % r == 0:
         raise PreconditionError("ord_mod needs r coprime to q, got r=%d q=%d" % (r, q))
     return multiplicative_order(q % r, r)
@@ -119,7 +114,7 @@ def ord_mod(r: int, q: int) -> int:
 
 def ord_mod_neg(r: int, q: int) -> int:
     """Least k >= 1 with (-q)^k = 1 mod r."""
-    _require_prime(r, "r")
+    require_prime(r, "r")
     if q % r == 0:
         raise PreconditionError(
             "ord_mod_neg needs r coprime to q, got r=%d q=%d" % (r, q)
@@ -235,7 +230,7 @@ def class_size_sl(n: int, q: int, r: int, case: str = "block") -> ClassSize:
     the identity, kappa = k * r^m with k = ord_r(q) and m maximal subject
     to k * r^m <= n; its class size is divisible by prod(q^j - 1, j < kappa).
     """
-    _require_prime_power(q)
+    require_prime_power(q)
     if n < 1:
         raise MalformedInputError("rank must be a positive integer, got %r" % (n,))
     k = ord_mod(r, q)
@@ -267,7 +262,7 @@ def class_size_su(n: int, q: int, r: int, case: str = "block") -> ClassSize:
     dimensions with kappa = k1 * r^m, m maximal with k * r^m <= n so the
     block fits.  Both carry divisor prod(q^j - (-1)^j) below the block.
     """
-    _require_prime_power(q)
+    require_prime_power(q)
     if n < 1:
         raise MalformedInputError("rank must be a positive integer, got %r" % (n,))
     k = ord_mod_neg(r, q)
@@ -315,7 +310,7 @@ def class_size_sp(n: int, q: int, r: int, case: str = "auto") -> ClassSize:
     kappa built from K = k/2.  "twisted-stack" repeats the twisted block
     a = floor(n/K) times, which needs a < r so no block index collapses.
     """
-    _require_prime_power(q)
+    require_prime_power(q)
     if n < 1:
         raise MalformedInputError("rank must be a positive integer, got %r" % (n,))
     k = ord_mod(r, q)
@@ -375,7 +370,7 @@ def class_size_so(d: int, eps: int, q: int, r: int, case: str = "auto") -> Class
     dimension exactly 2*kappa falls back to "split-drop", and dually SO^+
     to "twisted-drop").
     """
-    _require_prime_power(q)
+    require_prime_power(q)
     if d % 2 == 0:
         if eps not in (1, -1):
             raise MalformedInputError(
@@ -580,9 +575,9 @@ def verify_pair(family: str, n: int, q: int, r: int, s: int) -> dict:
         )
     if not isinstance(n, int) or n < 1:
         raise MalformedInputError("rank must be a positive integer, got %r" % (n,))
-    _require_prime_power(q)
+    require_prime_power(q)
     for p, role in ((r, "r"), (s, "s")):
-        _require_prime(p, role)
+        require_prime(p, role)
         if p == 2:
             raise PreconditionError("%s must be odd, got 2" % role)
         if q % p == 0:

@@ -15,18 +15,10 @@ roots differ by a Galois automorphism, and p-blocks are Galois-stable.
 
 from __future__ import annotations
 
+from .arith import multiplicative_order, prime_factors, require_prime
 from .cyclotomic import Cyc
 from .errors import PreconditionError
-from .gf import (
-    FField,
-    _prime_factors,
-    add,
-    divmod_poly,
-    least_irreducible,
-    mul,
-    multiplicative_order,
-    trim,
-)
+from .gf import FField, add, divmod_poly, least_irreducible, mul, trim
 
 __all__ = ["CycReducer", "cyclotomic_mod"]
 
@@ -37,18 +29,10 @@ def _divisors(n: int) -> list:
 
 
 def _mobius(n: int) -> int:
-    mu = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if n > 1:
-        mu = -mu
-    return mu
+    primes = prime_factors(n)
+    if any(n % (r * r) == 0 for r in primes):
+        return 0
+    return (-1) ** len(primes)
 
 
 def cyclotomic_mod(m: int, p: int) -> tuple:
@@ -80,7 +64,7 @@ def _root_of_order(field: FField, m: int) -> tuple:
     group order itself is never factored.
     """
     cofactor = (field.order - 1) // m
-    prime_divs = _prime_factors(m)
+    prime_divs = prime_factors(m)
     for code in range(2, field.order):
         digits, rest = [], code
         while rest:
@@ -107,8 +91,7 @@ class CycReducer:
     def __init__(self, conductor: int, p: int):
         if conductor < 1:
             raise PreconditionError("conductor must be positive")
-        if p < 2 or _prime_factors(p) != [p]:
-            raise PreconditionError("%r is not a prime" % (p,))
+        require_prime(p)
         self.conductor = conductor
         self.p = p
         m = conductor

@@ -10,7 +10,6 @@ outputs, byte for byte.
 
 from __future__ import annotations
 
-import threading
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -217,7 +216,6 @@ class PermutationGroup:
         self.order = 1
         for lvl in self._levels:
             self.order *= len(lvl.transversal)
-        self._lock = threading.Lock()
         self._rows: list | None = None
         self._cache: dict = {}
 
@@ -308,18 +306,17 @@ class PermutationGroup:
                 cap_name="elements",
                 cap_value=cap,
             )
-        with self._lock:
-            if self._rows is None:
-                gens = [kernel.pack(g.images) for g in self.generators]
-                rows = kernel.close_group(gens, self.degree, cap)
-                if rows is None:
-                    raise CapacityError(
-                        f"enumeration exceeded the element cap {cap}",
-                        cap_name="elements",
-                        cap_value=cap,
-                    )
-                self._rows = rows
-            return self._rows
+        if self._rows is None:
+            gens = [kernel.pack(g.images) for g in self.generators]
+            rows = kernel.close_group(gens, self.degree, cap)
+            if rows is None:
+                raise CapacityError(
+                    f"enumeration exceeded the element cap {cap}",
+                    cap_name="elements",
+                    cap_value=cap,
+                )
+            self._rows = rows
+        return self._rows
 
     def elements(self, cap: int | None = None) -> list:
         """All elements as Permutation objects, in lexicographic order."""
@@ -420,7 +417,7 @@ class PermutationGroup:
 class Subgroup:
     """A subgroup of a parent group, with its own stabilizer chain."""
 
-    __slots__ = ("parent", "group", "_row_cache")
+    __slots__ = ("parent", "group")
 
     def __init__(self, parent: PermutationGroup, generators: Iterable, *, _group=None):
         gens = []
@@ -432,7 +429,6 @@ class Subgroup:
             gens.append(g)
         self.parent = parent
         self.group = _group if _group is not None else PermutationGroup(parent.degree, gens)
-        self._row_cache: list | None = None
 
     @property
     def generators(self) -> tuple:
@@ -453,12 +449,7 @@ class Subgroup:
         return self.group.is_member(g)
 
     def element_rows(self, cap: int | None = None) -> list:
-        if self._row_cache is None:
-            self._row_cache = self.group.element_rows(cap)
-        return self._row_cache
-
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        return all(self.group.is_member(g) for g in other.group.generators)
+        return self.group.element_rows(cap)
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, degree={self.degree})"

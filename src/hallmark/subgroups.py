@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .classdata import ClassTable, is_power_of, p_part, pi_part, prime_factors
+from .arith import is_power_of, is_prime, p_part, pi_part, prime_factors, require_prime
+from .classdata import ClassTable
 from .config import Caps, default_caps
 from .errors import CapacityError, PreconditionError
 from .kernels import kernel
@@ -63,11 +64,6 @@ def _minimal_gen_rows(rows: Sequence[bytes], degree: int) -> List[bytes]:
             if len(have) == len(rows):
                 break
     return gens
-
-
-def _require_prime(p) -> None:
-    if not isinstance(p, int) or p < 2 or prime_factors(p) != (p,):
-        raise PreconditionError("expected a prime, got %r" % (p,))
 
 
 def centralizer(group, target, caps: Optional[Caps] = None) -> Subgroup:
@@ -133,7 +129,7 @@ def _sylow_rows(degree: int, scope_rows: List[bytes], p: int, caps: Caps) -> Lis
 def sylow(group, p: int, caps: Optional[Caps] = None) -> Subgroup:
     """A Sylow p-subgroup, as a subgroup of the host group."""
     caps = caps or default_caps()
-    _require_prime(p)
+    require_prime(p)
     host, rows = _host_and_rows(group, caps)
     syl = _sylow_rows(host.degree, rows, p, caps)
     return _subgroup_from_rows(host, _minimal_gen_rows(syl, host.degree))
@@ -220,8 +216,8 @@ def exists_commuting_sylow_pair(
     (conjugate any commuting pair so its p-half becomes P).
     """
     caps = caps or default_caps()
-    _require_prime(p)
-    _require_prime(q)
+    require_prime(p)
+    require_prime(q, "q")
     if p == q:
         raise PreconditionError("primes must be distinct, got %d twice" % p)
     P = sylow(group, p, caps)
@@ -241,8 +237,8 @@ def exists_normalizing_sylow_pair(
     normalizer of Q contains a full Sylow p-subgroup of the group.
     """
     caps = caps or default_caps()
-    _require_prime(p)
-    _require_prime(q)
+    require_prime(p)
+    require_prime(q, "q")
     if p == q:
         raise PreconditionError("primes must be distinct, got %d twice" % p)
     Q = sylow(group, q, caps)
@@ -283,7 +279,7 @@ def is_simple(group: PermutationGroup, caps: Optional[Caps] = None) -> bool:
     caps = caps or default_caps()
     if group.order == 1:
         return False
-    if prime_factors(group.order) == (group.order,):
+    if is_prime(group.order):
         return True
     table = ClassTable(group, caps)
     for ci in table.classes:
@@ -324,7 +320,7 @@ def is_solvable(group: PermutationGroup) -> bool:
 def is_p_solvable(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> bool:
     """Every composition factor is a p-group or a p'-group."""
     caps = caps or default_caps()
-    _require_prime(p)
+    require_prime(p)
     order = group.order
     if order % p or is_power_of(order, p):
         return True
@@ -349,7 +345,7 @@ def op_prime_core(group: PermutationGroup, p: int, caps: Optional[Caps] = None) 
     of it together with everything absorbed so far stays free of p.
     """
     caps = caps or default_caps()
-    _require_prime(p)
+    require_prime(p)
     table = ClassTable(group, caps)
     core = Subgroup(group, [])
     for ci in table.classes:
@@ -385,7 +381,7 @@ class HallSearch:
 def _check_pi(group_order: int, pi: Sequence[int]) -> Tuple[int, ...]:
     seen = []
     for p in pi:
-        _require_prime(p)
+        require_prime(p)
         if p in seen:
             raise PreconditionError("prime set repeats %d" % p)
         seen.append(p)

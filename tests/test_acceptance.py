@@ -14,7 +14,8 @@ import time
 import pytest
 
 from hallmark import catalog, chartab, criteria, lieorders, subgroups
-from hallmark.classdata import ClassTable, is_power_of, p_part, prime_factors
+from hallmark.arith import is_power_of, p_part, prime_factors
+from hallmark.classdata import ClassTable
 from hallmark.cli import TABLE_BACKED, _shipped_table_path
 from hallmark.config import default_caps
 

@@ -16,7 +16,8 @@ import pytest
 
 import hallmark
 from hallmark import catalog, chartab, criteria
-from hallmark.classdata import ClassTable, p_part, prime_factors
+from hallmark.arith import p_part, prime_factors
+from hallmark.classdata import ClassTable
 from hallmark.errors import (
     PreconditionError,
     TableCorruptError,

@@ -1,62 +1,12 @@
-"""Conjugacy class tables against naive partitioning, plus integer helpers."""
+"""Conjugacy class tables against naive partitioning."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import oracles
 from hallmark import catalog
-from hallmark.classdata import (
-    ClassTable,
-    is_power_of,
-    p_part,
-    p_prime_part,
-    pi_part,
-    pi_prime_part,
-    prime_factors,
-)
+from hallmark.classdata import ClassTable
 from hallmark.config import Caps
 from hallmark.errors import CapacityError, PreconditionError
-
-positive = st.integers(min_value=1, max_value=10 ** 9)
-small_primes = st.sampled_from([2, 3, 5, 7, 11, 13])
-
-
-class TestIntegerHelpers:
-    @given(positive)
-    def test_prime_factors_are_prime_divisors(self, n):
-        factors = prime_factors(n)
-        assert list(factors) == sorted(set(factors))
-        rest = n
-        for p in factors:
-            assert n % p == 0
-            assert all(p % d for d in range(2, min(p, 1000)))
-            while rest % p == 0:
-                rest //= p
-        assert rest == 1
-
-    @given(positive, small_primes)
-    def test_p_part_splits_n(self, n, p):
-        a, b = p_part(n, p), p_prime_part(n, p)
-        assert a * b == n
-        assert b % p != 0
-        assert is_power_of(a, p) or a == 1
-
-    @given(positive, st.sets(small_primes, min_size=1, max_size=3))
-    def test_pi_part_splits_n(self, n, pi):
-        pi = sorted(pi)
-        a, b = pi_part(n, pi), pi_prime_part(n, pi)
-        assert a * b == n
-        assert all(b % p for p in pi)
-        assert set(prime_factors(a)) <= set(pi)
-
-    def test_is_power_of(self):
-        assert is_power_of(8, 2)
-        assert is_power_of(3, 3)
-        assert is_power_of(1, 2)  # p^0
-        assert not is_power_of(12, 2)
-        assert not is_power_of(0, 2)
-
 
 def naive_class_data(group):
     elems = oracles.close([p.images for p in group.generators], group.degree)

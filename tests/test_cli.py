@@ -196,6 +196,38 @@ class TestCheckCommand:
         assert "invalid choice" in capsys.readouterr().err
 
 
+class TestBounds:
+    BIG = "2305843009213693951"  # 2**61 - 1, a prime far above the factor cap
+
+    @pytest.mark.parametrize("argv", [
+        ["ct-blocks", "catalog:a5", "-p", BIG],
+        ["check", "--theorem", "B", "--group", "catalog:a5", "--pi", "2," + BIG],
+        ["hall", "catalog:a5", "--pi", "3," + BIG],
+        ["lie-verify", "--family", "GL", "--n", "2", "--q", "2", "--r", "3", "--s", BIG],
+        ["lie-verify", "--family", "GL", "--n", "2", "--q", BIG, "--r", "3", "--s", "5"],
+    ])
+    def test_huge_prime_hits_the_factor_cap(self, capsys, argv):
+        code, rep, err = run(capsys, *argv)
+        assert code == 3
+        assert rep is None
+        assert "capacity:" in err and "factor cap" in err
+
+    def test_large_prime_below_the_cap_finishes(self, capsys):
+        # 2 has order about 5.5e11 modulo s
+        code, rep, _ = run(capsys, "lie-verify", "--family", "GL", "--n", "2", "--q", "2",
+                           "--r", "3", "--s", "1099511627689", "--no-timings")
+        assert code == 0
+        assert rep["pair"]["consistent"] is True
+
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_bad_element_cap_variable_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("HALLMARK_CAP_ELEMENTS", value)
+        code, rep, err = run(capsys, "classes", "catalog:a5")
+        assert code == 2
+        assert rep is None
+        assert "HALLMARK_CAP_ELEMENTS" in err
+
+
 class TestTableCommands:
     def test_ct_analyze_abelian_hall(self, capsys):
         code, rep, _ = run(capsys, "ct-analyze", "catalog:psl2_31",

@@ -13,7 +13,8 @@ from itertools import combinations
 import pytest
 
 from hallmark import catalog, criteria
-from hallmark.classdata import ClassTable, prime_factors
+from hallmark.arith import prime_factors
+from hallmark.classdata import ClassTable
 from hallmark.config import default_caps
 from hallmark.errors import PreconditionError
 from hallmark.verdicts import Verdict, agreement

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hallmark.arith import multiplicative_order
 from hallmark.cyclotomic import Cyc
 from hallmark.errors import PreconditionError
 from hallmark.gf import (
@@ -25,7 +26,6 @@ from hallmark.gf import (
     is_irreducible,
     least_irreducible,
     mul,
-    multiplicative_order,
     trim,
 )
 from hallmark.modp import CycReducer, cyclotomic_mod

@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from hallmark import catalog, subgroups
-from hallmark.classdata import p_part, pi_part, prime_factors
+from hallmark.arith import p_part, pi_part, prime_factors
 from hallmark.config import Caps
 from hallmark.errors import CapacityError, PreconditionError
 
