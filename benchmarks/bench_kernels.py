@@ -1,10 +1,10 @@
 """Time the pure-Python kernels against the compiled extension.
 
-Loads both backends side by side, runs each on identical inputs, checks
-the outputs agree, and prints a small table.  The workload is the hot
-path of every group-side oracle: closing a permutation group from its
-generators, partitioning it into conjugacy classes, and filtering for a
-centralizer.
+Loads both backends side by side, runs each on the same group (each packs
+the generators into its own row encoding), checks the unpacked outputs
+agree, and prints a small table.  The workload is the hot path of every
+group-side oracle: closing a permutation group from its generators,
+partitioning it into conjugacy classes, and filtering for a centralizer.
 
     python3 benchmarks/bench_kernels.py [--group psl2_31] [--repeat 3]
 """
@@ -35,33 +35,26 @@ def best_of(repeat, fn, *args):
 
 def run(name, group, repeat):
     degree = group.degree
-    gens = [_kernel_py.pack(g.images) for g in group.generators]
     cap = group.order + 1
     stages = []
 
-    rows = None
     for backend_name, backend in (("pure", _kernel_py), ("compiled", _kernel_cy)):
         if backend is None:
             continue
-        t_close, out_rows = best_of(repeat, backend.close_group, gens, degree, cap)
-        t_part, cids = best_of(repeat, backend.conjugacy_partition, out_rows, gens)
-        t_cent, cent = best_of(
-            repeat, backend.centralizer_filter, out_rows, gens[:1]
-        )
-        stages.append((backend_name, t_close, t_part, t_cent, out_rows, cids, cent))
-        rows = out_rows
+        gens = [backend.pack(g.images) for g in group.generators]
+        t_close, rows = best_of(repeat, backend.close_group, gens, degree, cap)
+        t_part, cids = best_of(repeat, backend.conjugacy_partition, rows, gens)
+        t_cent, cent = best_of(repeat, backend.centralizer_filter, rows, gens[:1])
+        outputs = ([backend.unpack(r) for r in rows], cids, [backend.unpack(r) for r in cent])
+        stages.append((backend_name, t_close, t_part, t_cent, outputs))
 
     print("group %s: order %d, degree %d, %d generators" % (
         name, group.order, degree, len(group.generators)))
     print("%-9s %12s %12s %12s" % ("backend", "close_group", "classes", "centralizer"))
-    for backend_name, t_close, t_part, t_cent, _, _, _ in stages:
+    for backend_name, t_close, t_part, t_cent, _ in stages:
         print("%-9s %11.3fs %11.3fs %11.3fs" % (backend_name, t_close, t_part, t_cent))
     if len(stages) == 2:
-        agree = (
-            stages[0][4] == stages[1][4]
-            and stages[0][5] == stages[1][5]
-            and stages[0][6] == stages[1][6]
-        )
+        agree = stages[0][4] == stages[1][4]
         print("outputs agree: %s" % agree)
         if not agree:
             return 1

@@ -3,11 +3,11 @@ import os
 from setuptools import Extension, setup
 
 # The compiled kernel is an optimisation, never a requirement: when Cython is
-# unavailable (or HALLMARK_PURE_BUILD is set) the package installs without it
-# and falls back to the pure-Python kernels at import time.
+# unavailable the package installs without it and falls back to the
+# pure-Python kernels at import time.
 ext_modules = []
 pyx = os.path.join("src", "hallmark", "_kernel_cy.pyx")
-if not os.environ.get("HALLMARK_PURE_BUILD") and os.path.exists(pyx):
+if os.path.exists(pyx):
     try:
         from Cython.Build import cythonize
 

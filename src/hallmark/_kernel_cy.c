@@ -2439,7 +2439,7 @@ int __pyx_module_is_main_hallmark___kernel_cy = 0;
 /* #### Code section: global_var ### */
 static PyObject *__pyx_builtin_enumerate;
 /* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_enumeration_kernels_Mir[] = "Compiled enumeration kernels.\n\nMirrors _kernel_py function for function; see that module for the row\nformat.  Rows stay ordinary bytes objects so closure sets and coset\ndictionaries hash and compare them natively; only the image loops and\nthe commuting test drop to C.\n";
+static const char __pyx_k_Compiled_enumeration_kernels_Mir[] = "Compiled enumeration kernels.\n\nMirrors _kernel_py function for function on its own row format: two\nbig-endian bytes per point, so rows of equal degree sort like the image\ntuples _kernel_py uses.  Rows are bytes objects, which hash and compare\nnatively; only the image loops and the commuting test drop to C.\n";
 /* #### Code section: decls ### */
 static PyObject *__pyx_pf_8hallmark_10_kernel_cy_pack(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_images); /* proto */
 static PyObject *__pyx_pf_8hallmark_10_kernel_cy_2unpack(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_row); /* proto */

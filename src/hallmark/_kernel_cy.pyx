@@ -1,10 +1,10 @@
 # cython: language_level=3, boundscheck=False, wraparound=False
 """Compiled enumeration kernels.
 
-Mirrors _kernel_py function for function; see that module for the row
-format.  Rows stay ordinary bytes objects so closure sets and coset
-dictionaries hash and compare them natively; only the image loops and
-the commuting test drop to C.
+Mirrors _kernel_py function for function on its own row format: two
+big-endian bytes per point, so rows of equal degree sort like the image
+tuples _kernel_py uses.  Rows are bytes objects, which hash and compare
+natively; only the image loops and the commuting test drop to C.
 """
 
 from math import lcm

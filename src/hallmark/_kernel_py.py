@@ -1,74 +1,63 @@
 """Pure-Python enumeration kernels.
 
-A permutation is packed as a bytes row: two big-endian bytes per point, so
-rows of equal degree compare lexicographically exactly like their image
-tuples.  Everything that walks a full element list (closure, conjugacy
-partition, centralizer and normalizer scans) works on these rows; the
-compiled kernel in _kernel_cy mirrors this module function for function.
+A row is a permutation's image tuple, the same tuple that
+`Permutation.images` and the stabilizer chain hold, so `pack` and
+`unpack` only make sure of a tuple.  Everything that walks a full element
+list (closure, conjugacy partition, centralizer and normalizer scans)
+works on these rows.  The compiled kernel in _kernel_cy offers the same
+functions on its own row encoding; both agree after `unpack`, and rows of
+equal degree sort the same way in both.
 """
 
 from __future__ import annotations
 
 from math import lcm
+from operator import itemgetter
 
 BACKEND = "pure"
 
 
-def pack(images) -> bytes:
-    out = bytearray(2 * len(images))
-    k = 0
-    for v in images:
-        out[k] = v >> 8
-        out[k + 1] = v & 0xFF
-        k += 2
-    return bytes(out)
+def pack(images) -> tuple:
+    return tuple(images)
 
 
-def unpack(row: bytes) -> tuple:
-    return tuple((row[k] << 8) | row[k + 1] for k in range(0, len(row), 2))
+unpack = pack
 
 
-def identity_row(degree: int) -> bytes:
-    return pack(range(degree))
+def identity_row(degree: int) -> tuple:
+    return tuple(range(degree))
 
 
-def compose(a: bytes, b: bytes) -> bytes:
+def compose(a: tuple, b: tuple) -> tuple:
     """Row of `apply a, then b`."""
-    out = bytearray(len(a))
-    for k in range(0, len(a), 2):
-        j = ((a[k] << 8) | a[k + 1]) << 1
-        out[k] = b[j]
-        out[k + 1] = b[j + 1]
-    return bytes(out)
+    if len(a) < 2:  # itemgetter of one index returns a bare item, of none fails
+        return b
+    return itemgetter(*a)(b)
 
 
-def inverse(a: bytes) -> bytes:
-    out = bytearray(len(a))
-    for k in range(0, len(a), 2):
-        j = ((a[k] << 8) | a[k + 1]) << 1
-        p = k >> 1
-        out[j] = p >> 8
-        out[j + 1] = p & 0xFF
-    return bytes(out)
+def inverse(a: tuple) -> tuple:
+    out = [0] * len(a)
+    for i, j in enumerate(a):
+        out[j] = i
+    return tuple(out)
 
 
-def conjugate(a: bytes, g: bytes) -> bytes:
+def conjugate(a: tuple, g: tuple) -> tuple:
     """Row of g^-1 * a * g (apply g^-1, then a, then g)."""
     return compose(compose(inverse(g), a), g)
 
 
-def order_of(a: bytes) -> int:
-    n = len(a) >> 1
-    seen = bytearray(n)
+def order_of(a: tuple) -> int:
+    seen = bytearray(len(a))
     result = 1
-    for start in range(n):
+    for start in range(len(a)):
         if seen[start]:
             continue
         length = 0
         p = start
         while not seen[p]:
             seen[p] = 1
-            p = (a[2 * p] << 8) | a[2 * p + 1]
+            p = a[p]
             length += 1
         result = lcm(result, length)
     return result
@@ -145,7 +134,7 @@ def normalizer_filter(rows, sub_gens, sub_set) -> list:
     return out
 
 
-def coset_min(n_rows, g: bytes) -> bytes:
+def coset_min(n_rows, g: tuple) -> tuple:
     """Lexicographically least element of the coset N*g."""
     best = None
     for n in n_rows:

@@ -32,6 +32,7 @@ automorphism, and p-blocks are Galois-stable.
 from __future__ import annotations
 
 import json
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arith import is_power_of, require_prime
@@ -340,7 +341,9 @@ def block_partition(table: CharacterTable, p: int) -> BlockPartition:
     k = len(table.rows)
     if table.order % p:
         return BlockPartition(p, [list(range(k))], 0, True)
-    reducer = CycReducer(table.exponent, p)
+    # The values' root orders all divide the declared exponent, and their lcm
+    # may be far smaller: it alone decides the field the reducer builds.
+    reducer = CycReducer(lcm(*(v.n for row in table.rows for v in row)), p)
     signature_to_block: Dict[tuple, int] = {}
     blocks: List[List[int]] = []
     for chi in range(k):

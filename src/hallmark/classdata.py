@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 from .arith import is_power_of, require_prime
 from .config import Caps, default_caps
 from .errors import PreconditionError
-from .kernels import kernel
+from .kernels import Row, kernel
 from .perms import Permutation, PermutationGroup, Subgroup
 
 
@@ -24,15 +24,15 @@ class ClassInfo:
 
     __slots__ = ("index", "rep_row", "size", "element_order", "centralizer_order")
 
-    def __init__(self, index: int, rep_row: bytes, size: int, element_order: int, centralizer_order: int):
+    def __init__(self, index: int, rep_row: Row, size: int, element_order: int, centralizer_order: int):
         self.index = index
         self.rep_row = rep_row
         self.size = size
         self.element_order = element_order
         self.centralizer_order = centralizer_order
 
-    def representative(self, degree: int) -> Permutation:
-        return Permutation(kernel.unpack(self.rep_row)[:degree])
+    def representative(self) -> Permutation:
+        return Permutation(kernel.unpack(self.rep_row))
 
     def __repr__(self) -> str:
         return "ClassInfo(index=%d, order=%d, size=%d)" % (
@@ -57,7 +57,7 @@ class ClassTable:
         cids = kernel.conjugacy_partition(rows, gen_rows)
         nclasses = max(cids) + 1 if cids else 0
         sizes = [0] * nclasses
-        reps: List[Optional[bytes]] = [None] * nclasses
+        reps: List[Optional[Row]] = [None] * nclasses
         for row, cid in zip(rows, cids):
             sizes[cid] += 1
             if reps[cid] is None:

@@ -52,8 +52,8 @@ def _load_group(source: str, extended: bool):
         entry = catalog.get_entry(name)
         if "sporadic-stretch" in entry.tags and not extended:
             raise CapacityError(
-                "catalog entry %s is gated behind --extended (seconds with "
-                "the compiled kernel, minutes with the pure one)" % name,
+                "catalog entry %s is gated behind --extended (about 5 s with "
+                "the compiled kernel, 30 s with the pure one)" % name,
                 cap_name="extended",
                 cap_value=0,
             )
@@ -157,10 +157,9 @@ def _cmd_classes(args) -> int:
     name, group = _load_group(args.group, args.extended)
     caps = _caps_for(args)
     table = ClassTable(group, caps)
-    degree = group.degree
     classes = [
         {
-            "rep": ci.representative(degree).cycle_string() or "()",
+            "rep": ci.representative().cycle_string() or "()",
             "size": ci.size,
             "element_order": ci.element_order,
             "centralizer_order": ci.centralizer_order,

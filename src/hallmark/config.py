@@ -19,6 +19,9 @@ DEGREE_CAP = 1024
 # Trial division (arith.prime_factors) tries no divisor above this.
 FACTOR_CAP = 2**20
 
+# modp.CycReducer builds no field F_{p^d} with d above this.
+FIELD_DEGREE_CAP = 100
+
 
 @dataclass(frozen=True)
 class Caps:

@@ -16,8 +16,9 @@ roots differ by a Galois automorphism, and p-blocks are Galois-stable.
 from __future__ import annotations
 
 from .arith import multiplicative_order, prime_factors, require_prime
+from .config import FIELD_DEGREE_CAP
 from .cyclotomic import Cyc
-from .errors import PreconditionError
+from .errors import CapacityError, PreconditionError
 from .gf import FField, add, divmod_poly, least_irreducible, mul, trim
 
 __all__ = ["CycReducer", "cyclotomic_mod"]
@@ -79,9 +80,10 @@ def _root_of_order(field: FField, m: int) -> tuple:
 class CycReducer:
     """Ring map Z[zeta_N] -> F_{p^d} fixed by the conductor and the prime.
 
-    The modulus is least_irreducible(p, d) for d the order of p mod m, and
-    zeta_m goes to the first element of exact order m in _root_of_order's
-    scan (to 1 when m = 1).  reduce() accepts plain ints and Cyc values
+    The modulus is least_irreducible(p, d) for d the order of p mod m (a
+    CapacityError when d exceeds config.FIELD_DEGREE_CAP), and zeta_m goes
+    to the first element of exact order m in _root_of_order's scan (to 1
+    when m = 1).  reduce() accepts plain ints and Cyc values
     whose conductor divides N; images are little-endian coefficient tuples
     in F_p[t]/(modulus), so they hash and compare directly.
     """
@@ -98,7 +100,15 @@ class CycReducer:
         while m % p == 0:
             m //= p
         self.m = m
-        self.modulus = least_irreducible(p, multiplicative_order(p, m))
+        degree = multiplicative_order(p, m)
+        if degree > FIELD_DEGREE_CAP:
+            raise CapacityError(
+                "roots of unity of order %d mod %d need a field of degree %d, above the "
+                "field degree cap %d" % (m, p, degree, FIELD_DEGREE_CAP),
+                cap_name="field_degree",
+                cap_value=FIELD_DEGREE_CAP,
+            )
+        self.modulus = least_irreducible(p, degree)
         self.field = FField(p, self.modulus)
         root = (1,) if m == 1 else _root_of_order(self.field, m)
         powers = [(1,)]

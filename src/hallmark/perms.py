@@ -10,24 +10,12 @@ outputs, byte for byte.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Iterable, Sequence
 
+from ._kernel_py import compose, inverse, order_of
 from .config import DEGREE_CAP, default_caps
 from .errors import CapacityError, MalformedInputError, PreconditionError
-from .kernels import kernel
-
-
-def _compose(a: tuple, b: tuple) -> tuple:
-    """Image tuple of `apply a, then b`."""
-    return tuple(b[i] for i in a)
-
-
-def _inverse(a: tuple) -> tuple:
-    out = [0] * len(a)
-    for i, j in enumerate(a):
-        out[j] = i
-    return tuple(out)
+from .kernels import Row, kernel
 
 
 class Permutation:
@@ -90,13 +78,13 @@ class Permutation:
         if self.degree != other.degree:
             raise MalformedInputError("cannot compose permutations of different degrees")
         p = Permutation.__new__(Permutation)
-        p.images = _compose(self.images, other.images)
+        p.images = compose(self.images, other.images)
         p._hash = hash(p.images)
         return p
 
     def inverse(self) -> "Permutation":
         p = Permutation.__new__(Permutation)
-        p.images = _inverse(self.images)
+        p.images = inverse(self.images)
         p._hash = hash(p.images)
         return p
 
@@ -120,10 +108,7 @@ class Permutation:
         return g.inverse() * self * g
 
     def order(self) -> int:
-        result = 1
-        for cyc in self.cycles():
-            result = lcm(result, len(cyc))
-        return result
+        return order_of(self.images)
 
     def cycles(self) -> list:
         """Nontrivial cycles, each starting at its least point, sorted."""
@@ -182,7 +167,7 @@ def _rebuild_orbit(level: _Level, degree: int) -> None:
         for s in level.gens:
             gamma = s[beta]
             if gamma not in level.transversal:
-                level.transversal[gamma] = _compose(u, s)
+                level.transversal[gamma] = compose(u, s)
                 queue.append(gamma)
 
 
@@ -217,7 +202,6 @@ class PermutationGroup:
         for lvl in self._levels:
             self.order *= len(lvl.transversal)
         self._rows: list | None = None
-        self._cache: dict = {}
 
     # -- stabilizer chain ------------------------------------------------
 
@@ -229,7 +213,7 @@ class PermutationGroup:
             u = lvl.transversal.get(beta)
             if u is None:
                 return g, i
-            g = _compose(g, _inverse(u))
+            g = compose(g, inverse(u))
         return g, len(self._levels)
 
     def _insert_strong(self, g: tuple) -> None:
@@ -265,7 +249,7 @@ class PermutationGroup:
                     u = lvl.transversal[beta]
                     for s in lvl.gens:
                         gamma = s[beta]
-                        sg = _compose(_compose(u, s), _inverse(lvl.transversal[gamma]))
+                        sg = compose(compose(u, s), inverse(lvl.transversal[gamma]))
                         if sg == ident:
                             continue
                         r, j = self._sift_tuple(sg, i + 1)
@@ -297,7 +281,7 @@ class PermutationGroup:
         return self.is_member(g)
 
     def element_rows(self, cap: int | None = None) -> list:
-        """All elements as sorted packed rows.  Cached after first call."""
+        """All elements as sorted kernel rows.  Cached after first call."""
         if cap is None:
             cap = default_caps().elements
         if self.order > cap:
@@ -322,7 +306,7 @@ class PermutationGroup:
         """All elements as Permutation objects, in lexicographic order."""
         return [self._perm_from_row(r) for r in self.element_rows(cap)]
 
-    def _perm_from_row(self, row: bytes) -> Permutation:
+    def _perm_from_row(self, row: Row) -> Permutation:
         p = Permutation.__new__(Permutation)
         p.images = kernel.unpack(row)
         p._hash = hash(p.images)

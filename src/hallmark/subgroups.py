@@ -23,21 +23,20 @@ from .arith import is_power_of, is_prime, p_part, pi_part, prime_factors, requir
 from .classdata import ClassTable
 from .config import Caps, default_caps
 from .errors import CapacityError, PreconditionError
-from .kernels import kernel
+from .kernels import Row, kernel
 from .perms import Permutation, PermutationGroup, Subgroup
 
 
-def _gen_rows(sub) -> List[bytes]:
+def _gen_rows(sub) -> List[Row]:
     return [kernel.pack(p.images) for p in sub.generators]
 
 
-def _subgroup_from_rows(parent: PermutationGroup, rows: Sequence[bytes]) -> Subgroup:
-    degree = parent.degree
-    gens = [Permutation(kernel.unpack(r)[:degree]) for r in rows]
+def _subgroup_from_rows(parent: PermutationGroup, rows: Sequence[Row]) -> Subgroup:
+    gens = [Permutation(kernel.unpack(r)) for r in rows]
     return Subgroup(parent, gens)
 
 
-def _host_and_rows(group, caps: Caps) -> Tuple[PermutationGroup, List[bytes]]:
+def _host_and_rows(group, caps: Caps) -> Tuple[PermutationGroup, List[Row]]:
     if isinstance(group, Subgroup):
         return group.group, group.element_rows(caps.elements)
     if isinstance(group, PermutationGroup):
@@ -45,17 +44,17 @@ def _host_and_rows(group, caps: Caps) -> Tuple[PermutationGroup, List[bytes]]:
     raise PreconditionError("expected a permutation group or subgroup")
 
 
-def _close_rows(gen_rows: Sequence[bytes], degree: int, cap: int) -> List[bytes]:
+def _close_rows(gen_rows: Sequence[Row], degree: int, cap: int) -> List[Row]:
     closed = kernel.close_group(list(gen_rows), degree, cap)
     if closed is None:
         raise PreconditionError("closure exceeded expected subgroup size")
     return closed
 
 
-def _minimal_gen_rows(rows: Sequence[bytes], degree: int) -> List[bytes]:
+def _minimal_gen_rows(rows: Sequence[Row], degree: int) -> List[Row]:
     """A small generating set for the subgroup given by its closed row set."""
     ident = kernel.identity_row(degree)
-    gens: List[bytes] = []
+    gens: List[Row] = []
     have = {ident}
     for row in rows:
         if row not in have:
@@ -88,7 +87,7 @@ def normalizer(group, sub: Subgroup, caps: Optional[Caps] = None) -> Subgroup:
     return _subgroup_from_rows(host, _minimal_gen_rows(kept, host.degree))
 
 
-def _sylow_rows(degree: int, scope_rows: List[bytes], p: int, caps: Caps) -> List[bytes]:
+def _sylow_rows(degree: int, scope_rows: List[Row], p: int, caps: Caps) -> List[Row]:
     """Rows of a Sylow p-subgroup of the group given by scope_rows.
 
     Deterministic climb: start from the least element of maximal p-power
@@ -263,13 +262,12 @@ def minimal_normal_subgroup(
         return None
     table = table or ClassTable(group, caps)
     best: Optional[Subgroup] = None
-    degree = group.degree
     for ci in table.classes:
         if ci.element_order == 1:
             continue
         if best is not None and best.order <= ci.size + 1:
             continue
-        closure = group.normal_closure([ci.representative(degree)])
+        closure = group.normal_closure([ci.representative()])
         if best is None or closure.order < best.order:
             best = closure
     return best
@@ -285,7 +283,7 @@ def is_simple(group: PermutationGroup, caps: Optional[Caps] = None) -> bool:
     for ci in table.classes:
         if ci.element_order == 1:
             continue
-        if group.normal_closure([ci.representative(group.degree)]).order != group.order:
+        if group.normal_closure([ci.representative()]).order != group.order:
             return False
     return True
 
@@ -351,7 +349,7 @@ def op_prime_core(group: PermutationGroup, p: int, caps: Optional[Caps] = None) 
     for ci in table.classes:
         if ci.element_order == 1 or ci.element_order % p == 0:
             continue
-        rep = ci.representative(group.degree)
+        rep = ci.representative()
         if rep in core:
             continue
         candidate = group.normal_closure(list(core.generators) + [rep])
@@ -406,7 +404,7 @@ def nilpotent_hall(
     if not primes:
         return Subgroup(group, [])
     scope_rows = group.element_rows(caps.elements)
-    collected_gens: List[bytes] = []
+    collected_gens: List[Row] = []
     for p in primes:
         if p_part(len(scope_rows), p) != p_part(group.order, p):
             return None
@@ -483,7 +481,7 @@ def _anchored_search(
     degree = group.degree
     budget = [caps.hall_candidates]
 
-    def extend(rows: List[bytes], remaining: Tuple[int, ...]) -> Optional[List[bytes]]:
+    def extend(rows: List[Row], remaining: Tuple[int, ...]) -> Optional[List[Row]]:
         if not remaining:
             return rows if len(rows) == target else None
         p = remaining[0]
@@ -513,13 +511,13 @@ def _anchored_search(
 
 
 def _budgeted_closure(
-    rows: Sequence[bytes],
-    extra_gens: Sequence[bytes],
+    rows: Sequence[Row],
+    extra_gens: Sequence[Row],
     degree: int,
     cap: int,
     budget: List[int],
     budget_cap: int,
-) -> Optional[List[bytes]]:
+) -> Optional[List[Row]]:
     """Closure of rows plus extra generators; None if it grows past cap.
 
     Every newly added element costs one unit of budget; exhausting it

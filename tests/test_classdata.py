@@ -32,7 +32,7 @@ class TestClassTable:
         for ci in table.classes:
             assert group.order % ci.size == 0
             assert ci.centralizer_order * ci.size == group.order
-            rep = ci.representative(group.degree)
+            rep = ci.representative()
             assert rep.order() == ci.element_order
             assert table.class_of(rep) is ci
 

@@ -7,6 +7,7 @@ catalog is part of the package, so the numbers are deterministic.
 """
 
 import json
+import os
 
 import pytest
 
@@ -218,6 +219,31 @@ class TestBounds:
                            "--r", "3", "--s", "1099511627689", "--no-timings")
         assert code == 0
         assert rep["pair"]["consistent"] is True
+
+    @staticmethod
+    def _a5_table(tmp_path, exponent, trivial_at_class_1):
+        with open(os.path.join(cli._TABLES_DIR, "a5.json")) as fh:
+            doc = json.load(fh)
+        doc["exponent"] = exponent
+        doc["irreducibles"][0][1] = trivial_at_class_1
+        path = tmp_path / "a5_copy.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_declared_exponent_does_not_size_the_field(self, capsys, tmp_path):
+        # 30270 = 30 * 1009: roots of order 1009 would need F_{2^504}
+        path = self._a5_table(tmp_path, 30270, 1)
+        code, rep, _ = run(capsys, "ct-blocks", path, "-p", "2", "--no-timings")
+        assert code == 0
+        assert rep["partition"]["blocks"] == [[0, 1, 2, 4], [3]]
+
+    def test_value_root_order_hits_the_field_degree_cap(self, capsys, tmp_path):
+        # the value 1, written in Q(zeta_1009), still asks for F_{2^504}
+        path = self._a5_table(tmp_path, 30270, {"n": 1009, "terms": [[1, 0]]})
+        code, rep, err = run(capsys, "ct-blocks", path, "-p", "2", "--no-timings")
+        assert code == 3
+        assert rep is None
+        assert "capacity:" in err and "field degree cap" in err
 
     @pytest.mark.parametrize("value", ["abc", "-5"])
     def test_bad_element_cap_variable_is_usage_error(self, capsys, monkeypatch, value):

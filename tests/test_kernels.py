@@ -1,4 +1,10 @@
-"""Pure and compiled kernels must be interchangeable."""
+"""The enumeration kernels against the oracles, and the backends against each other.
+
+Each backend keeps its own row encoding, so every test packs with the
+backend's own `pack` and compares what `unpack` gives back.  The oracle
+tests run on every backend that imports, so the pure kernel is always
+tested; the parity tests need the compiled extension.
+"""
 
 import pytest
 from hypothesis import given
@@ -8,81 +14,135 @@ import oracles
 from hallmark import _kernel_py
 from hallmark import catalog
 
-_kernel_cy = pytest.importorskip(
-    "hallmark._kernel_cy", reason="compiled extension not built"
-)
+try:
+    from hallmark import _kernel_cy
+except ImportError:
+    _kernel_cy = None
 
-BACKENDS = [_kernel_py, _kernel_cy]
+BACKENDS = [_kernel_py] + ([_kernel_cy] if _kernel_cy is not None else [])
+GROUPS = ["s4", "d6", "a5", "frob20", "psl2_7"]
 
-perm_images = st.integers(min_value=1, max_value=40).flatmap(
+needs_compiled = pytest.mark.skipif(_kernel_cy is None, reason="compiled extension not built")
+each_backend = pytest.mark.parametrize("k", BACKENDS, ids=lambda k: k.BACKEND)
+
+perm_images = st.integers(min_value=0, max_value=40).flatmap(
     lambda n: st.permutations(range(n))
 )
 
 
-def test_backend_tags():
+def _unpacked(k, rows):
+    return [k.unpack(r) for r in rows]
+
+
+# -- every backend against the oracles ------------------------------------
+
+
+def test_pure_backend_tag():
     assert _kernel_py.BACKEND == "pure"
-    assert _kernel_cy.BACKEND == "compiled"
 
 
-@given(perm_images)
-def test_pack_unpack_round_trip(images):
-    images = tuple(images)
-    for k in BACKENDS:
-        assert k.unpack(k.pack(images)) == images
-    assert _kernel_py.pack(images) == _kernel_cy.pack(images)
-
-
-@given(perm_images, st.randoms())
-def test_row_arithmetic_agrees(images, rng):
+@each_backend
+@given(images=perm_images, rng=st.randoms())
+def test_row_arithmetic_matches_oracle(k, images, rng):
     images = tuple(images)
     other = list(range(len(images)))
     rng.shuffle(other)
     other = tuple(other)
-    a_py = _kernel_py.pack(images)
-    b_py = _kernel_py.pack(other)
-    for k in BACKENDS:
-        assert k.unpack(k.compose(a_py, b_py)) == oracles.compose(images, other)
-        assert k.unpack(k.inverse(a_py)) == oracles.inverse(images)
-        assert k.order_of(a_py) == oracles.element_order(images)
-        assert k.unpack(k.conjugate(a_py, b_py)) == oracles.compose(
-            oracles.compose(oracles.inverse(other), images), other
+    a, b = k.pack(images), k.pack(other)
+    assert k.unpack(a) == images
+    assert k.unpack(k.identity_row(len(images))) == oracles.identity(len(images))
+    assert k.unpack(k.compose(a, b)) == oracles.compose(images, other)
+    assert k.unpack(k.inverse(a)) == oracles.inverse(images)
+    assert k.order_of(a) == oracles.element_order(images)
+    assert k.unpack(k.conjugate(a, b)) == oracles.compose(
+        oracles.compose(oracles.inverse(other), images), other
+    )
+
+
+@each_backend
+@pytest.mark.parametrize("name", GROUPS)
+def test_group_kernels_match_oracle(k, name):
+    group = catalog.build(name)
+    degree = group.degree
+    images = [g.images for g in group.generators]
+    gens = [k.pack(g) for g in images]
+    elems = oracles.close(images, degree)
+
+    rows = k.close_group(gens, degree, group.order + 1)
+    assert _unpacked(k, rows) == sorted(elems)
+
+    cids = k.conjugacy_partition(rows, gens)
+    first_seen = list(dict.fromkeys(cids))  # ids are numbered by least member
+    assert first_seen == list(range(len(first_seen)))
+    classes = {}
+    for row, c in zip(rows, cids):
+        classes.setdefault(c, set()).add(k.unpack(row))
+    assert sorted(map(sorted, classes.values())) == sorted(
+        map(sorted, oracles.conjugacy_classes(elems))
+    )
+    assert k.orders_list(rows) == [oracles.element_order(x) for x in sorted(elems)]
+
+    probe = images[0]
+    assert _unpacked(k, k.centralizer_filter(rows, gens[:1])) == sorted(
+        oracles.centralizer(elems, probe)
+    )
+
+    sub = oracles.close([probe], degree)
+    sub_rows = k.close_group(gens[:1], degree, group.order + 1)
+    assert _unpacked(k, k.normalizer_filter(rows, gens[:1], set(sub_rows))) == sorted(
+        g for g in elems
+        if oracles.compose(oracles.compose(oracles.inverse(g), probe), g) in sub
+    )
+    for g in images:
+        assert k.unpack(k.coset_min(sub_rows, k.pack(g))) == min(
+            oracles.compose(n, g) for n in sub
         )
 
 
-@pytest.mark.parametrize("name", ["s4", "d6", "a5", "frob20", "psl2_7"])
+@each_backend
+def test_close_group_cap(k):
+    group = catalog.build("s4")
+    gens = [k.pack(g.images) for g in group.generators]
+    assert k.close_group(gens, 4, 23) is None
+    assert len(k.close_group(gens, 4, 24)) == 24
+
+
+# -- the compiled backend against the pure one ----------------------------
+
+
+@needs_compiled
+def test_compiled_backend_tag():
+    assert _kernel_cy.BACKEND == "compiled"
+
+
+@needs_compiled
+@given(perm_images, st.randoms())
+def test_rows_sort_alike(images, rng):
+    images = tuple(images)
+    other = list(range(len(images)))
+    rng.shuffle(other)
+    other = tuple(other)
+    py = _kernel_py.pack(images) < _kernel_py.pack(other)
+    assert py == (_kernel_cy.pack(images) < _kernel_cy.pack(other))
+
+
+@needs_compiled
+@pytest.mark.parametrize("name", GROUPS)
 def test_group_kernels_agree(name):
     group = catalog.build(name)
     degree = group.degree
-    gens = [_kernel_py.pack(g.images) for g in group.generators]
     cap = group.order + 1
-
-    rows_py = _kernel_py.close_group(gens, degree, cap)
-    rows_cy = _kernel_cy.close_group(gens, degree, cap)
-    assert rows_py == rows_cy
-    assert len(rows_py) == group.order
-
-    assert _kernel_py.conjugacy_partition(rows_py, gens) == _kernel_cy.conjugacy_partition(
-        rows_cy, gens
-    )
-    assert _kernel_py.orders_list(rows_py) == _kernel_cy.orders_list(rows_cy)
-
-    probe = gens[:1]
-    assert _kernel_py.centralizer_filter(rows_py, probe) == _kernel_cy.centralizer_filter(
-        rows_cy, probe
-    )
-
-    sub_rows = _kernel_py.close_group(probe, degree, cap)
-    sub_set = set(sub_rows)
-    assert _kernel_py.normalizer_filter(
-        rows_py, probe, sub_set
-    ) == _kernel_cy.normalizer_filter(rows_cy, probe, sub_set)
-
-    for g in gens:
-        assert _kernel_py.coset_min(sub_rows, g) == _kernel_cy.coset_min(sub_rows, g)
-
-
-def test_close_group_cap_is_shared_behavior():
-    group = catalog.build("s4")
-    gens = [_kernel_py.pack(g.images) for g in group.generators]
-    assert _kernel_py.close_group(gens, 4, 23) is None
-    assert _kernel_cy.close_group(gens, 4, 23) is None
+    results = []
+    for k in (_kernel_py, _kernel_cy):
+        gens = [k.pack(g.images) for g in group.generators]
+        rows = k.close_group(gens, degree, cap)
+        sub_rows = k.close_group(gens[:1], degree, cap)
+        results.append((
+            _unpacked(k, rows),
+            k.conjugacy_partition(rows, gens),
+            k.orders_list(rows),
+            _unpacked(k, k.centralizer_filter(rows, gens[:1])),
+            _unpacked(k, k.normalizer_filter(rows, gens[:1], set(sub_rows))),
+            [k.unpack(k.coset_min(sub_rows, g)) for g in gens],
+        ))
+    assert results[0] == results[1]

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from hallmark.arith import multiplicative_order
 from hallmark.cyclotomic import Cyc
-from hallmark.errors import PreconditionError
+from hallmark.config import FIELD_DEGREE_CAP
+from hallmark.errors import CapacityError, PreconditionError
 from hallmark.gf import (
     _WORD,
     FField,
@@ -145,6 +146,12 @@ class TestCycReducer:
             reducer(6, 5).reduce(Cyc.root(4))
         with pytest.raises(PreconditionError):
             reducer(6, 5).reduce("zeta")
+
+    def test_field_degree_cap(self):
+        # 2 has order 210 mod 211; the cap stops the build before any field work
+        with pytest.raises(CapacityError) as info:
+            CycReducer(211, 2)
+        assert (info.value.cap_name, info.value.cap_value) == ("field_degree", FIELD_DEGREE_CAP)
 
 
 class TestMultiplicativeOrder:
