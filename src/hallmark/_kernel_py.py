@@ -42,11 +42,6 @@ def inverse(a: tuple) -> tuple:
     return tuple(out)
 
 
-def conjugate(a: tuple, g: tuple) -> tuple:
-    """Row of g^-1 * a * g (apply g^-1, then a, then g)."""
-    return compose(compose(inverse(g), a), g)
-
-
 def order_of(a: tuple) -> int:
     seen = bytearray(len(a))
     result = 1
@@ -61,10 +56,6 @@ def order_of(a: tuple) -> int:
             length += 1
         result = lcm(result, length)
     return result
-
-
-def orders_list(rows) -> list:
-    return [order_of(r) for r in rows]
 
 
 def close_group(gens, degree: int, cap: int):

@@ -5,7 +5,9 @@ order of its elements, and the centralizer order.  Classes are sorted by
 (element order, size, least member row), so indices are stable across
 runs and backends.  All construction goes through the element cap; the
 caller sees a CapacityError rather than an attempt to enumerate a group
-that is too large.
+that is too large.  class_table builds the table once per group and keeps
+it there, so every check on the group reads the same one; a later read
+under a smaller element cap still raises.
 """
 
 from __future__ import annotations
@@ -42,14 +44,19 @@ class ClassInfo:
         )
 
 
+def _as_group(group) -> PermutationGroup:
+    if isinstance(group, Subgroup):
+        group = group.group
+    if not isinstance(group, PermutationGroup):
+        raise PreconditionError("ClassTable needs a permutation group")
+    return group
+
+
 class ClassTable:
     """All conjugacy classes of a permutation group."""
 
     def __init__(self, group, caps: Optional[Caps] = None):
-        if isinstance(group, Subgroup):
-            group = group.group
-        if not isinstance(group, PermutationGroup):
-            raise PreconditionError("ClassTable needs a permutation group")
+        group = _as_group(group)
         caps = caps or default_caps()
         self.group = group
         rows = group.element_rows(caps.elements)
@@ -121,4 +128,8 @@ class ClassTable:
 
 
 def class_table(group, caps: Optional[Caps] = None) -> ClassTable:
-    return ClassTable(group, caps)
+    """The group's ClassTable, built on first use and kept on the group."""
+    group = _as_group(group)
+    caps = caps or default_caps()
+    group.element_rows(caps.elements)  # the cap check a fresh build makes
+    return group.memo("class_table", lambda: ClassTable(group, caps))

@@ -17,7 +17,7 @@ import time
 
 from . import __version__
 from . import catalog, chartab, criteria, lieorders, subgroups
-from .classdata import ClassTable
+from .classdata import class_table
 from .config import DEGREE_CAP, Caps, default_caps
 from .errors import CapacityError, MalformedInputError, PreconditionError
 
@@ -156,7 +156,7 @@ def _cmd_classes(args) -> int:
     started = time.monotonic()
     name, group = _load_group(args.group, args.extended)
     caps = _caps_for(args)
-    table = ClassTable(group, caps)
+    table = class_table(group, caps)
     classes = [
         {
             "rep": ci.representative().cycle_string() or "()",

@@ -15,7 +15,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import subgroups
 from .arith import p_part, prime_factors
-from .classdata import ClassTable
+from .classdata import ClassTable, class_table
 from .config import Caps, default_caps
 from .errors import CapacityError, PreconditionError
 from .perms import PermutationGroup
@@ -119,7 +119,7 @@ def sub_witness(sub) -> dict:
 
 def _table_for(group: PermutationGroup, caps: Caps) -> Tuple[Optional[ClassTable], Optional[Verdict]]:
     try:
-        return ClassTable(group, caps), None
+        return class_table(group, caps), None
     except CapacityError as exc:
         return None, Verdict.undetermined("class table unavailable: %s" % exc)
 

@@ -15,18 +15,13 @@ roots differ by a Galois automorphism, and p-blocks are Galois-stable.
 
 from __future__ import annotations
 
-from .arith import multiplicative_order, prime_factors, require_prime
+from .arith import divisors, multiplicative_order, prime_factors, require_prime
 from .config import FIELD_DEGREE_CAP
 from .cyclotomic import Cyc
 from .errors import CapacityError, PreconditionError
 from .gf import FField, add, divmod_poly, least_irreducible, mul, trim
 
 __all__ = ["CycReducer", "cyclotomic_mod"]
-
-
-def _divisors(n: int) -> list:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
 
 
 def _mobius(n: int) -> int:
@@ -41,7 +36,7 @@ def cyclotomic_mod(m: int, p: int) -> tuple:
     if m < 1:
         raise PreconditionError("cyclotomic index must be positive")
     num, den = (1,), (1,)
-    for d in _divisors(m):
+    for d in divisors(m):
         mu = _mobius(m // d)
         if mu == 0:
             continue
@@ -85,10 +80,12 @@ class CycReducer:
     to the first element of exact order m in _root_of_order's scan (to 1
     when m = 1).  reduce() accepts plain ints and Cyc values
     whose conductor divides N; images are little-endian coefficient tuples
-    in F_p[t]/(modulus), so they hash and compare directly.
+    in F_p[t]/(modulus), so they hash and compare directly.  Powers of the
+    root are computed when a value first asks for them, so m does not
+    bound the work.
     """
 
-    __slots__ = ("conductor", "p", "m", "field", "modulus", "_powers")
+    __slots__ = ("conductor", "p", "m", "field", "modulus", "_root", "_powers")
 
     def __init__(self, conductor: int, p: int):
         if conductor < 1:
@@ -110,11 +107,14 @@ class CycReducer:
             )
         self.modulus = least_irreducible(p, degree)
         self.field = FField(p, self.modulus)
-        root = (1,) if m == 1 else _root_of_order(self.field, m)
-        powers = [(1,)]
-        for _ in range(m - 1):
-            powers.append(self.field.mul(powers[-1], root))
-        self._powers = powers
+        self._root = (1,) if m == 1 else _root_of_order(self.field, m)
+        self._powers: dict = {}
+
+    def _power(self, k: int) -> tuple:
+        u = self._powers.get(k)
+        if u is None:
+            u = self._powers[k] = self.field.pow(self._root, k)
+        return u
 
     def reduce(self, value) -> tuple:
         if isinstance(value, int):
@@ -128,6 +128,6 @@ class CycReducer:
         stride = self.conductor // value.n
         out = ()
         for e, c in sorted(value.canonical().items()):
-            term = tuple(c * x % self.p for x in self._powers[e * stride % self.m])
+            term = tuple(c * x % self.p for x in self._power(e * stride % self.m))
             out = add(out, trim(term), self.p)
         return out

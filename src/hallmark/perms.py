@@ -4,8 +4,13 @@ Groups are given by generators acting on {0, ..., degree-1}.  A strong
 generating set relative to a fixed base is built once, with no
 randomisation (base points are the smallest non-fixed points), and
 membership, exact order, element enumeration, coset actions and normal
-closures are all derived from it.  Equal inputs always produce equal
-outputs, byte for byte.
+closures are all derived from it.  Each level keeps the inverse of every
+transversal element next to it, so sifting never inverts.  normal_closure
+extends one chain in place, one conjugate at a time, instead of building
+a new group per conjugate.  Facts that other modules derive from a group
+(class table, Sylow subgroups, solvability) are kept on it through
+PermutationGroup.memo, and live as long as the group does.  Equal inputs
+always produce equal outputs, byte for byte.
 """
 
 from __future__ import annotations
@@ -147,27 +152,32 @@ class Permutation:
 
 
 class _Level:
-    __slots__ = ("base", "gens", "transversal")
+    __slots__ = ("base", "gens", "transversal", "inverses")
 
     def __init__(self, base: int):
         self.base = base
         self.gens: list = []
         self.transversal: dict = {}
+        self.inverses: dict = {}
 
 
 def _rebuild_orbit(level: _Level, degree: int) -> None:
     ident = tuple(range(degree))
     level.transversal = {level.base: ident}
+    level.inverses = {level.base: ident}
+    gen_invs = [inverse(s) for s in level.gens]
     queue = [level.base]
     head = 0
     while head < len(queue):
         beta = queue[head]
         head += 1
         u = level.transversal[beta]
-        for s in level.gens:
+        u_inv = level.inverses[beta]
+        for s, s_inv in zip(level.gens, gen_invs):
             gamma = s[beta]
             if gamma not in level.transversal:
                 level.transversal[gamma] = compose(u, s)
+                level.inverses[gamma] = compose(s_inv, u_inv)
                 queue.append(gamma)
 
 
@@ -198,10 +208,18 @@ class PermutationGroup:
         self._levels: list[_Level] = []
         self._strong: list[tuple] = []
         self._build_chain()
-        self.order = 1
-        for lvl in self._levels:
-            self.order *= len(lvl.transversal)
         self._rows: list | None = None
+        self._facts: dict = {}
+
+    def memo(self, key, compute):
+        """The fact stored under key, from compute() on first use.
+
+        A fact that depends on caps must carry them in its key, or the
+        caller must repeat the cap check a fresh computation would make.
+        """
+        if key not in self._facts:
+            self._facts[key] = compute()
+        return self._facts[key]
 
     # -- stabilizer chain ------------------------------------------------
 
@@ -210,10 +228,10 @@ class PermutationGroup:
         for i in range(start, len(self._levels)):
             lvl = self._levels[i]
             beta = g[lvl.base]
-            u = lvl.transversal.get(beta)
-            if u is None:
+            u_inv = lvl.inverses.get(beta)
+            if u_inv is None:
                 return g, i
-            g = compose(g, inverse(u))
+            g = compose(g, u_inv)
         return g, len(self._levels)
 
     def _insert_strong(self, g: tuple) -> None:
@@ -235,11 +253,14 @@ class PermutationGroup:
             prefix.append(lvl.base)
 
     def _build_chain(self) -> None:
-        ident = tuple(range(self.degree))
         for g in self.generators:
             self._insert_strong(g.images)
         self._rebuild_levels(len(self._levels))
-        # Close under Schreier generators until every one sifts to identity.
+        self._schreier_close()
+
+    def _schreier_close(self) -> None:
+        """Add strong generators until every Schreier generator sifts to identity."""
+        ident = tuple(range(self.degree))
         changed = True
         while changed:
             changed = False
@@ -248,8 +269,7 @@ class PermutationGroup:
                 for beta in sorted(lvl.transversal):
                     u = lvl.transversal[beta]
                     for s in lvl.gens:
-                        gamma = s[beta]
-                        sg = compose(compose(u, s), inverse(lvl.transversal[gamma]))
+                        sg = compose(compose(u, s), lvl.inverses[s[beta]])
                         if sg == ident:
                             continue
                         r, j = self._sift_tuple(sg, i + 1)
@@ -257,6 +277,25 @@ class PermutationGroup:
                             self._insert_strong(r)
                             self._rebuild_levels(j)
                             changed = True
+        self.order = 1
+        for lvl in self._levels:
+            self.order *= len(lvl.transversal)
+
+    def _adjoin(self, g: Permutation) -> bool:
+        """Extend this group by g in place; False if g was already a member.
+
+        The residue of g's sift becomes a strong generator, the levels up
+        to where the sift stopped are rebuilt, and the Schreier loop runs
+        again.  Only for a group whose rows and facts nobody has read yet.
+        """
+        r, j = self._sift_tuple(g.images)
+        if r == tuple(range(self.degree)):
+            return False
+        self.generators += (g,)
+        self._insert_strong(r)
+        self._rebuild_levels(j)
+        self._schreier_close()
+        return True
 
     # -- queries ---------------------------------------------------------
 
@@ -327,18 +366,14 @@ class PermutationGroup:
                 raise PreconditionError("normal closure seed is not a group member")
             if not s.is_identity:
                 work.append(s)
-        closure_gens = list(work)
-        H = PermutationGroup(self.degree, closure_gens)
+        H = PermutationGroup(self.degree, work)
         i = 0
-        while i < len(closure_gens):
-            h = closure_gens[i]
+        while i < len(H.generators):
+            h = H.generators[i]
             for g in self.generators:
-                c = h.conjugate(g)
-                if not H.is_member(c):
-                    closure_gens.append(c)
-                    H = PermutationGroup(self.degree, closure_gens)
+                H._adjoin(h.conjugate(g))
             i += 1
-        return Subgroup(self, closure_gens, _group=H)
+        return Subgroup(self, (), _group=H)
 
     def coset_action_quotient(
         self, N: "Subgroup", cap: int | None = None

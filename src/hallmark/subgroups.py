@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arith import is_power_of, is_prime, p_part, pi_part, prime_factors, require_prime
-from .classdata import ClassTable
+from .classdata import ClassTable, class_table
 from .config import Caps, default_caps
 from .errors import CapacityError, PreconditionError
 from .kernels import Row, kernel
@@ -126,12 +126,23 @@ def _sylow_rows(degree: int, scope_rows: List[Row], p: int, caps: Caps) -> List[
 
 
 def sylow(group, p: int, caps: Optional[Caps] = None) -> Subgroup:
-    """A Sylow p-subgroup, as a subgroup of the host group."""
+    """A Sylow p-subgroup, as a subgroup of the host group; one per prime
+    and host, kept on the host."""
     caps = caps or default_caps()
     require_prime(p)
     host, rows = _host_and_rows(group, caps)
-    syl = _sylow_rows(host.degree, rows, p, caps)
-    return _subgroup_from_rows(host, _minimal_gen_rows(syl, host.degree))
+
+    def climb() -> Subgroup:
+        syl = _sylow_rows(host.degree, rows, p, caps)
+        return _subgroup_from_rows(host, _minimal_gen_rows(syl, host.degree))
+
+    return host.memo(("sylow", p), climb)
+
+
+def _sylow_and_normalizer(group, q: int, caps: Caps) -> Tuple[Subgroup, Subgroup]:
+    """sylow(group, q) and its normalizer, which is kept on the host."""
+    Q = sylow(group, q, caps)
+    return Q, Q.parent.memo(("sylow_normalizer", q), lambda: normalizer(group, Q, caps))
 
 
 def all_sylow(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> List[Subgroup]:
@@ -168,8 +179,7 @@ def all_sylow(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> L
 def sylow_count(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> int:
     """Number of Sylow p-subgroups, via the normalizer index."""
     caps = caps or default_caps()
-    s = sylow(group, p, caps)
-    n = normalizer(group, s, caps)
+    _, n = _sylow_and_normalizer(group, p, caps)
     return group.order // n.order
 
 
@@ -240,8 +250,7 @@ def exists_normalizing_sylow_pair(
     require_prime(q, "q")
     if p == q:
         raise PreconditionError("primes must be distinct, got %d twice" % p)
-    Q = sylow(group, q, caps)
-    norm = normalizer(group, Q, caps)
+    Q, norm = _sylow_and_normalizer(group, q, caps)
     if p_part(norm.order, p) != p_part(group.order, p):
         return False, None
     P = sylow(norm, p, caps)
@@ -260,7 +269,7 @@ def minimal_normal_subgroup(
     caps = caps or default_caps()
     if group.order == 1:
         return None
-    table = table or ClassTable(group, caps)
+    table = table or class_table(group, caps)
     best: Optional[Subgroup] = None
     for ci in table.classes:
         if ci.element_order == 1:
@@ -279,7 +288,7 @@ def is_simple(group: PermutationGroup, caps: Optional[Caps] = None) -> bool:
         return False
     if is_prime(group.order):
         return True
-    table = ClassTable(group, caps)
+    table = class_table(group, caps)
     for ci in table.classes:
         if ci.element_order == 1:
             continue
@@ -302,6 +311,11 @@ def derived_subgroup(group: PermutationGroup) -> Subgroup:
 
 
 def is_solvable(group: PermutationGroup) -> bool:
+    """Whether the derived series reaches 1; kept on the group."""
+    return group.memo("solvable", lambda: _is_solvable(group))
+
+
+def _is_solvable(group: PermutationGroup) -> bool:
     current = group
     order = current.order
     while order > 1:
@@ -310,15 +324,20 @@ def is_solvable(group: PermutationGroup) -> bool:
             return False
         if der.order == 1:
             return True
-        current = PermutationGroup(group.degree, der.generators)
+        current = der.group
         order = current.order
     return True
 
 
 def is_p_solvable(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> bool:
-    """Every composition factor is a p-group or a p'-group."""
+    """Every composition factor is a p-group or a p'-group.  Kept on the
+    group per p and caps, since the caps decide whether it raises."""
     caps = caps or default_caps()
     require_prime(p)
+    return group.memo(("p_solvable", p, caps), lambda: _is_p_solvable(group, p, caps))
+
+
+def _is_p_solvable(group: PermutationGroup, p: int, caps: Caps) -> bool:
     order = group.order
     if order % p or is_power_of(order, p):
         return True
@@ -328,8 +347,7 @@ def is_p_solvable(group: PermutationGroup, p: int, caps: Optional[Caps] = None) 
     if nsub is None or nsub.order == order:
         # simple, order divisible by p but not a p-power
         return False
-    inner = PermutationGroup(group.degree, nsub.generators)
-    if not is_p_solvable(inner, p, caps):
+    if not is_p_solvable(nsub.group, p, caps):
         return False
     quotient = group.coset_action_quotient(nsub, caps.quotient_degree)
     return is_p_solvable(quotient, p, caps)
@@ -340,11 +358,16 @@ def op_prime_core(group: PermutationGroup, p: int, caps: Optional[Caps] = None) 
 
     Greedy absorption over class representatives of p'-order is complete:
     a representative belongs to the core exactly when the normal closure
-    of it together with everything absorbed so far stays free of p.
+    of it together with everything absorbed so far stays free of p.  Kept
+    on the group per p and caps.
     """
     caps = caps or default_caps()
     require_prime(p)
-    table = ClassTable(group, caps)
+    return group.memo(("op_prime_core", p, caps), lambda: _op_prime_core(group, p, caps))
+
+
+def _op_prime_core(group: PermutationGroup, p: int, caps: Caps) -> Subgroup:
+    table = class_table(group, caps)
     core = Subgroup(group, [])
     for ci in table.classes:
         if ci.element_order == 1 or ci.element_order % p == 0:

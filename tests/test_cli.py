@@ -245,6 +245,16 @@ class TestBounds:
         assert rep is None
         assert "capacity:" in err and "field degree cap" in err
 
+    @pytest.mark.parametrize("bits", [20, 40])
+    def test_huge_root_order_below_the_field_degree_cap_finishes(self, capsys, tmp_path, bits):
+        # the value 1, written in Q(zeta_n) for n = 2^bits - 1: F_{2^bits} holds
+        # the roots, but there are n of them
+        n = 2**bits - 1
+        path = self._a5_table(tmp_path, 30 * n, {"n": n, "terms": [[1, 0]]})
+        code, rep, _ = run(capsys, "ct-blocks", path, "-p", "2", "--no-timings")
+        assert code == 0
+        assert rep["partition"]["blocks"] == [[0, 1, 2, 4], [3]]
+
     @pytest.mark.parametrize("value", ["abc", "-5"])
     def test_bad_element_cap_variable_is_usage_error(self, capsys, monkeypatch, value):
         monkeypatch.setenv("HALLMARK_CAP_ELEMENTS", value)

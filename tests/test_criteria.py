@@ -12,11 +12,11 @@ from itertools import combinations
 
 import pytest
 
-from hallmark import catalog, criteria
+from hallmark import catalog, classdata, criteria, subgroups
 from hallmark.arith import prime_factors
 from hallmark.classdata import ClassTable
-from hallmark.config import default_caps
-from hallmark.errors import PreconditionError
+from hallmark.config import Caps, default_caps
+from hallmark.errors import CapacityError, PreconditionError
 from hallmark.verdicts import Verdict, agreement
 
 _BUILT = {}
@@ -312,3 +312,59 @@ class TestCapacityDegradation:
         assert check.agree is None
         check = criteria.check_theorem_b(group("a5"), [2, 3], caps=tiny)
         assert check.agree is None
+
+
+class TestGroupFacts:
+    """Facts computed once per group object, and read back under any caps."""
+
+    @pytest.mark.parametrize("name", ["s4", "frob20", "a5", "psl2_7"])
+    def test_check_group_builds_one_class_table(self, monkeypatch, name):
+        built = []
+
+        class CountingTable(classdata.ClassTable):
+            def __init__(self, grp, caps=None):
+                built.append(grp)
+                super().__init__(grp, caps)
+
+        monkeypatch.setattr(classdata, "ClassTable", CountingTable)
+        fresh = catalog.build(name)
+        for theorem in criteria.THEOREMS:
+            criteria.check_group(fresh, theorem)
+        assert built == [fresh]
+
+    @pytest.mark.parametrize("name, small", [
+        ("s5", Caps(elements=100)),
+        ("a5xc7", Caps(quotient_degree=30)),
+        ("a5xc7", Caps(elements=60)),
+    ])
+    def test_smaller_caps_after_default_caps_match_a_fresh_group(self, name, small):
+        warm = catalog.build(name)
+        for theorem in criteria.THEOREMS:
+            criteria.check_group(warm, theorem)
+        after = [c.to_json() for t in criteria.THEOREMS
+                 for c in criteria.check_group(warm, t, small)]
+        fresh = [c.to_json() for t in criteria.THEOREMS
+                 for c in criteria.check_group(catalog.build(name), t, small)]
+        assert after == fresh
+        assert any(side["verdict"] == "undetermined"
+                   for c in after for side in (c["criterion"], c["witness"]))
+
+    def test_memo_reads_raise_the_fresh_cap_error(self):
+        warm = catalog.build("a5xc7")
+        classdata.class_table(warm)
+        subgroups.sylow(warm, 2)
+        subgroups.is_p_solvable(warm, 2)
+        subgroups.op_prime_core(warm, 3)
+        calls = [
+            lambda g: classdata.class_table(g, Caps(elements=100)),
+            lambda g: subgroups.sylow(g, 2, Caps(elements=100)),
+            lambda g: subgroups.is_p_solvable(g, 2, Caps(quotient_degree=30)),
+            lambda g: subgroups.op_prime_core(g, 3, Caps(elements=100)),
+        ]
+        for call in calls:
+            raised = []
+            for grp in (warm, catalog.build("a5xc7")):
+                with pytest.raises(CapacityError) as info:
+                    call(grp)
+                raised.append((info.value.cap_name, info.value.cap_value, str(info.value)))
+            assert raised[0] == raised[1]

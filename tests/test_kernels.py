@@ -54,9 +54,6 @@ def test_row_arithmetic_matches_oracle(k, images, rng):
     assert k.unpack(k.compose(a, b)) == oracles.compose(images, other)
     assert k.unpack(k.inverse(a)) == oracles.inverse(images)
     assert k.order_of(a) == oracles.element_order(images)
-    assert k.unpack(k.conjugate(a, b)) == oracles.compose(
-        oracles.compose(oracles.inverse(other), images), other
-    )
 
 
 @each_backend
@@ -80,7 +77,6 @@ def test_group_kernels_match_oracle(k, name):
     assert sorted(map(sorted, classes.values())) == sorted(
         map(sorted, oracles.conjugacy_classes(elems))
     )
-    assert k.orders_list(rows) == [oracles.element_order(x) for x in sorted(elems)]
 
     probe = images[0]
     assert _unpacked(k, k.centralizer_filter(rows, gens[:1])) == sorted(
@@ -140,7 +136,6 @@ def test_group_kernels_agree(name):
         results.append((
             _unpacked(k, rows),
             k.conjugacy_partition(rows, gens),
-            k.orders_list(rows),
             _unpacked(k, k.centralizer_filter(rows, gens[:1])),
             _unpacked(k, k.normalizer_filter(rows, gens[:1], set(sub_rows))),
             [k.unpack(k.coset_min(sub_rows, g)) for g in gens],

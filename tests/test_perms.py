@@ -143,3 +143,47 @@ class TestPermutationGroup:
         naive = oracles.close([tuple(a), tuple(b)], degree)
         assert group.order == len(naive)
         assert 5040 % group.order == 0
+
+
+def _oracle_normal_closure(group_gens, seeds, degree):
+    """Close the seeds, adding conjugates by the group generators until stable."""
+    gens = [s for s in seeds if s != oracles.identity(degree)]
+    closure = oracles.close(gens, degree)
+    i = 0
+    while i < len(gens):
+        for g in group_gens:
+            c = oracles.compose(oracles.compose(oracles.inverse(g), gens[i]), g)
+            if c not in closure:
+                gens.append(c)
+                closure = oracles.close(gens, degree)
+        i += 1
+    return closure
+
+
+group_and_seeds = st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.permutations(range(n)), min_size=1, max_size=3),
+        st.lists(st.integers(min_value=0), min_size=1, max_size=2),
+    )
+)
+
+
+@given(group_and_seeds)
+@settings(max_examples=60, deadline=None)
+def test_normal_closure_extends_its_chain_correctly(data):
+    gen_images, picks = data
+    degree = len(gen_images[0])
+    group = PermutationGroup(degree, [Permutation(g) for g in gen_images])
+    elements = sorted(oracles.close([tuple(g) for g in gen_images], degree))
+    seeds = [Permutation(elements[k % len(elements)]) for k in picks]
+
+    closure = group.normal_closure(seeds)
+    want = _oracle_normal_closure([tuple(g) for g in gen_images],
+                                  [s.images for s in seeds], degree)
+    assert closure.order == len(want)
+    assert [p.images for p in closure.group.elements()] == sorted(want)
+    fresh = PermutationGroup(degree, closure.generators)
+    assert fresh.order == closure.order
+    assert fresh.element_rows() == closure.element_rows()
+    for x in elements:
+        assert closure.is_member(Permutation(x)) == (x in want)
