@@ -20,7 +20,7 @@ from . import gf
 from .arith import is_prime, multiplicative_order, prime_power
 from .config import DEGREE_CAP
 from .errors import CapacityError, MalformedInputError, PreconditionError
-from .perms import Permutation, PermutationGroup, build_group
+from .perms import PermutationGroup
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data", "groups")
 
@@ -33,7 +33,7 @@ def cyclic(n: int) -> PermutationGroup:
     """Cyclic group of order n on n points."""
     if not isinstance(n, int) or n < 1:
         raise MalformedInputError("cyclic(n) needs an integer n >= 1, got %r" % (n,))
-    return build_group(n, [tuple((i + 1) % n for i in range(n))])
+    return PermutationGroup(n, [tuple((i + 1) % n for i in range(n))])
 
 
 def dihedral(n: int) -> PermutationGroup:
@@ -44,31 +44,31 @@ def dihedral(n: int) -> PermutationGroup:
         )
     rot = tuple((i + 1) % n for i in range(n))
     flip = tuple(-i % n for i in range(n))
-    return build_group(n, [rot, flip])
+    return PermutationGroup(n, [rot, flip])
 
 
 def symmetric(n: int) -> PermutationGroup:
     """Symmetric group on n points, 1 <= n <= 12."""
     _check_sym_range("symmetric", n)
     if n == 1:
-        return build_group(1, [])
+        return PermutationGroup(1, [])
     gens = [(1, 0) + tuple(range(2, n)), tuple((i + 1) % n for i in range(n))]
-    return build_group(n, gens)
+    return PermutationGroup(n, gens)
 
 
 def alternating(n: int) -> PermutationGroup:
     """Alternating group on n points, 1 <= n <= 12."""
     _check_sym_range("alternating", n)
     if n <= 2:
-        return build_group(n, [])
+        return PermutationGroup(n, [])
     if n == 3:
-        return build_group(3, [(1, 2, 0)])
+        return PermutationGroup(3, [(1, 2, 0)])
     three = (1, 2, 0) + tuple(range(3, n))
     if n % 2:
         big = tuple((i + 1) % n for i in range(n))
     else:
         big = (0,) + tuple(i % (n - 1) + 1 for i in range(1, n))
-    return build_group(n, [three, big])
+    return PermutationGroup(n, [three, big])
 
 
 def _check_sym_range(kind: str, n: int) -> None:
@@ -118,7 +118,7 @@ def psl2(q: int) -> PermutationGroup:
         moebius(gsq, 0, 0, one),
         moebius(0, field.neg(one), one, 0),
     ]
-    return build_group(q + 1, gens)
+    return PermutationGroup(q + 1, gens)
 
 
 def semi_affine(q: int, p: int) -> PermutationGroup:
@@ -145,7 +145,7 @@ def semi_affine(q: int, p: int) -> PermutationGroup:
     g = field.multiplicative_generator()
     scale = tuple(field.mul(g, x) for x in range(n))
     frob = tuple(field.frobenius(x) for x in range(n))
-    return build_group(n, [translate, scale, frob])
+    return PermutationGroup(n, [translate, scale, frob])
 
 
 def frobenius(n: int, k: int) -> PermutationGroup:
@@ -165,7 +165,7 @@ def frobenius(n: int, k: int) -> PermutationGroup:
         raise MalformedInputError("no unit of order %d modulo %d" % (k, n))
     translate = tuple((x + 1) % n for x in range(n))
     scale = tuple(x * u % n for x in range(n))
-    return build_group(n, [translate, scale])
+    return PermutationGroup(n, [translate, scale])
 
 
 def direct_product(g: PermutationGroup, h: PermutationGroup) -> PermutationGroup:
@@ -182,7 +182,7 @@ def direct_product(g: PermutationGroup, h: PermutationGroup) -> PermutationGroup
     gens = [p.images + rest for p in g.generators]
     head = tuple(range(dg))
     gens += [head + tuple(i + dg for i in p.images) for p in h.generators]
-    return build_group(degree, gens)
+    return PermutationGroup(degree, gens)
 
 
 def parse_group_json(obj: object, source: str = "<group>") -> Tuple[str, PermutationGroup]:
@@ -228,7 +228,7 @@ def parse_group_json(obj: object, source: str = "<group>") -> Tuple[str, Permuta
             seen[img - 1] = True
             images.append(img - 1)
         gens.append(tuple(images))
-    return name, build_group(degree, gens)
+    return name, PermutationGroup(degree, gens)
 
 
 def load_group_file(path: str) -> Tuple[str, PermutationGroup]:

@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .arith import is_power_of, require_prime
 from .cyclotomic import Cyc
 from .errors import (
-    PreconditionError,
     TableCorruptError,
     TableOrthogonalityError,
     TableSchemaError,
@@ -311,12 +310,6 @@ class BlockPartition:
         self.blocks = blocks
         self.principal_index = principal_index
         self.vacuous = vacuous
-
-    def block_of(self, chi: int) -> int:
-        for b, members in enumerate(self.blocks):
-            if chi in members:
-                return b
-        raise PreconditionError("irreducible %d not covered by the partition" % chi)
 
     def to_json(self, table: Optional[CharacterTable] = None) -> dict:
         out = {

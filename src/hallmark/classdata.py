@@ -5,9 +5,9 @@ order of its elements, and the centralizer order.  Classes are sorted by
 (element order, size, least member row), so indices are stable across
 runs and backends.  All construction goes through the element cap; the
 caller sees a CapacityError rather than an attempt to enumerate a group
-that is too large.  class_table builds the table once per group and keeps
-it there, so every check on the group reads the same one; a later read
-under a smaller element cap still raises.
+that is too large.  The first table built for a group, by class_table or
+by ClassTable directly, is kept on the group, so every check on it reads
+the same one; a later read under a smaller element cap still raises.
 """
 
 from __future__ import annotations
@@ -76,18 +76,13 @@ class ClassTable:
             size = sizes[cid]
             if order % size:
                 raise PreconditionError("class size %d does not divide order %d" % (size, order))
-            raw.append((kernel.order_of(rep), size, rep, cid))
-        raw.sort(key=lambda t: (t[0], t[1], t[2]))
+            raw.append((kernel.order_of(rep), size, rep))
+        raw.sort()
         self.classes: Tuple[ClassInfo, ...] = tuple(
             ClassInfo(i, rep, size, elt_order, order // size)
-            for i, (elt_order, size, rep, _) in enumerate(raw)
+            for i, (elt_order, size, rep) in enumerate(raw)
         )
-        remap = [0] * nclasses
-        for new_index, (_, _, _, cid) in enumerate(raw):
-            remap[cid] = new_index
-        self._rows = rows
-        self._cids = cids
-        self._remap = remap
+        group.memo("class_table", lambda: self)
 
     @property
     def order(self) -> int:
@@ -95,20 +90,6 @@ class ClassTable:
 
     def __len__(self) -> int:
         return len(self.classes)
-
-    def class_of(self, perm: Permutation) -> ClassInfo:
-        """The class containing perm; perm must belong to the group."""
-        row = kernel.pack(perm.images)
-        lo, hi = 0, len(self._rows)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._rows[mid] < row:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self._rows) or self._rows[lo] != row:
-            raise PreconditionError("element is not in the group")
-        return self.classes[self._remap[self._cids[lo]]]
 
     def p_element_classes(self, p: int) -> Tuple[ClassInfo, ...]:
         """Classes of nontrivial elements whose order is a power of p."""
@@ -118,13 +99,6 @@ class ClassTable:
             for ci in self.classes
             if ci.element_order > 1 and is_power_of(ci.element_order, p)
         )
-
-    def element_order_set(self) -> Tuple[int, ...]:
-        return tuple(sorted({ci.element_order for ci in self.classes}))
-
-    def size_check(self) -> bool:
-        """Class sizes sum to the group order."""
-        return sum(ci.size for ci in self.classes) == self.group.order
 
 
 def class_table(group, caps: Optional[Caps] = None) -> ClassTable:

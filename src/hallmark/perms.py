@@ -8,9 +8,10 @@ closures are all derived from it.  Each level keeps the inverse of every
 transversal element next to it, so sifting never inverts.  normal_closure
 extends one chain in place, one conjugate at a time, instead of building
 a new group per conjugate.  Facts that other modules derive from a group
-(class table, Sylow subgroups, solvability) are kept on it through
-PermutationGroup.memo, and live as long as the group does.  Equal inputs
-always produce equal outputs, byte for byte.
+(class table, Sylow subgroups with their normalizers and centralizers,
+solvability) are kept on it through PermutationGroup.memo, and live as
+long as the group does.  Equal inputs always produce equal outputs, byte
+for byte.
 """
 
 from __future__ import annotations
@@ -303,9 +304,6 @@ class PermutationGroup:
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
-    def base(self) -> list:
-        return [lvl.base for lvl in self._levels]
-
     def is_member(self, g: Permutation) -> bool:
         if not isinstance(g, Permutation):
             raise MalformedInputError("membership test requires a Permutation")
@@ -473,7 +471,3 @@ class Subgroup:
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, degree={self.degree})"
 
-
-def build_group(degree: int, generators: Iterable) -> PermutationGroup:
-    """Convenience constructor mirroring the group-file layout."""
-    return PermutationGroup(degree, generators)

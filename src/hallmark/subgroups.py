@@ -3,7 +3,10 @@
 Everything here trades cleverness for checkability: Sylow subgroups are
 grown by normalizer climbs, centralizers and normalizers are computed by
 filtering the full element list, and Hall subgroups come from three
-strategies whose soundness does not depend on each other:
+strategies whose soundness does not depend on each other.  sylow() makes
+the only climb, once per host group and prime, and keeps the Sylow
+subgroup on the host together with its normalizer and centralizer, so
+every Sylow-side fact below reads the same subgroup.  The strategies:
 
   0. pure arithmetic absence for simple groups (the group cannot act
      faithfully on the cosets of the putative subgroup);
@@ -87,7 +90,7 @@ def normalizer(group, sub: Subgroup, caps: Optional[Caps] = None) -> Subgroup:
     return _subgroup_from_rows(host, _minimal_gen_rows(kept, host.degree))
 
 
-def _sylow_rows(degree: int, scope_rows: List[Row], p: int, caps: Caps) -> List[Row]:
+def _sylow_rows(degree: int, scope_rows: List[Row], p: int) -> List[Row]:
     """Rows of a Sylow p-subgroup of the group given by scope_rows.
 
     Deterministic climb: start from the least element of maximal p-power
@@ -133,20 +136,23 @@ def sylow(group, p: int, caps: Optional[Caps] = None) -> Subgroup:
     host, rows = _host_and_rows(group, caps)
 
     def climb() -> Subgroup:
-        syl = _sylow_rows(host.degree, rows, p, caps)
+        syl = _sylow_rows(host.degree, rows, p)
         return _subgroup_from_rows(host, _minimal_gen_rows(syl, host.degree))
 
     return host.memo(("sylow", p), climb)
 
 
-def _sylow_and_normalizer(group, q: int, caps: Caps) -> Tuple[Subgroup, Subgroup]:
-    """sylow(group, q) and its normalizer, which is kept on the host."""
+def _sylow_and(kind: str, group, q: int, caps: Caps) -> Tuple[Subgroup, Subgroup]:
+    """sylow(group, q) and its "normalizer" or "centralizer" (kind), which
+    is kept on the host as ("sylow_" + kind, q)."""
     Q = sylow(group, q, caps)
-    return Q, Q.parent.memo(("sylow_normalizer", q), lambda: normalizer(group, Q, caps))
+    build = normalizer if kind == "normalizer" else centralizer
+    return Q, Q.parent.memo(("sylow_" + kind, q), lambda: build(group, Q, caps))
 
 
-def all_sylow(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> List[Subgroup]:
-    """Every Sylow p-subgroup, as the conjugation orbit of one of them."""
+def all_sylow(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> List[List[Row]]:
+    """Generator rows of every Sylow p-subgroup, from the conjugation orbit
+    of one of them."""
     caps = caps or default_caps()
     seed = sylow(group, p, caps)
     seed_rows = tuple(seed.element_rows(caps.elements))
@@ -169,17 +175,13 @@ def all_sylow(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> L
                     seen.add(conj)
                     nxt.append(conj)
         frontier = nxt
-    degree = group.degree
-    return [
-        _subgroup_from_rows(group, _minimal_gen_rows(list(rows), degree))
-        for rows in sorted(seen)
-    ]
+    return [_minimal_gen_rows(list(rows), group.degree) for rows in sorted(seen)]
 
 
 def sylow_count(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> int:
     """Number of Sylow p-subgroups, via the normalizer index."""
     caps = caps or default_caps()
-    _, n = _sylow_and_normalizer(group, p, caps)
+    _, n = _sylow_and("normalizer", group, p, caps)
     return group.order // n.order
 
 
@@ -195,24 +197,8 @@ def is_abelian(sub) -> bool:
 def is_nilpotent(sub, caps: Optional[Caps] = None) -> bool:
     """Nilpotent iff every Sylow subgroup is normal."""
     caps = caps or default_caps()
-    host, rows = _host_and_rows(sub, caps)
-    order = len(rows)
-    if order == 1:
-        return True
-    for p in prime_factors(order):
-        syl = _sylow_rows(host.degree, rows, p, caps)
-        gens = _minimal_gen_rows(syl, host.degree)
-        if len(kernel.normalizer_filter(rows, gens, set(syl))) != order:
-            return False
-    return True
-
-
-def commutes_elementwise(a: Subgroup, b: Subgroup) -> bool:
-    for x in a.generators:
-        for y in b.generators:
-            if x * y != y * x:
-                return False
-    return True
+    host, _ = _host_and_rows(sub, caps)
+    return all(sylow_count(host, p, caps) == 1 for p in prime_factors(host.order))
 
 
 def exists_commuting_sylow_pair(
@@ -229,8 +215,7 @@ def exists_commuting_sylow_pair(
     require_prime(q, "q")
     if p == q:
         raise PreconditionError("primes must be distinct, got %d twice" % p)
-    P = sylow(group, p, caps)
-    cent = centralizer(group, P, caps)
+    P, cent = _sylow_and("centralizer", group, p, caps)
     if p_part(cent.order, q) != p_part(group.order, q):
         return False, None
     Q = sylow(cent, q, caps)
@@ -250,7 +235,7 @@ def exists_normalizing_sylow_pair(
     require_prime(q, "q")
     if p == q:
         raise PreconditionError("primes must be distinct, got %d twice" % p)
-    Q, norm = _sylow_and_normalizer(group, q, caps)
+    Q, norm = _sylow_and("normalizer", group, q, caps)
     if p_part(norm.order, p) != p_part(group.order, p):
         return False, None
     P = sylow(norm, p, caps)
@@ -419,27 +404,26 @@ def nilpotent_hall(
     nilpotent Hall subgroup exists it is conjugate to one containing the
     chosen Sylow subgroup, so each centralizer retains full Sylow
     subgroups for the remaining primes; a stalled chain proves
-    nonexistence.
+    nonexistence.  Each link is sylow() of the current scope and its
+    centralizer, kept on the scope's group, so a later call walks the
+    same subgroups without climbing again.
     """
     caps = caps or default_caps()
     primes = _check_pi(group.order, pi)
-    degree = group.degree
     if not primes:
         return Subgroup(group, [])
-    scope_rows = group.element_rows(caps.elements)
+    scope = group
     collected_gens: List[Row] = []
     for p in primes:
-        if p_part(len(scope_rows), p) != p_part(group.order, p):
+        if p_part(scope.order, p) != p_part(group.order, p):
             return None
-        syl = _sylow_rows(degree, scope_rows, p, caps)
-        syl_gens = _minimal_gen_rows(syl, degree)
-        collected_gens.extend(syl_gens)
-        scope_rows = kernel.centralizer_filter(scope_rows, syl_gens)
+        P, scope = _sylow_and("centralizer", scope, p, caps)
+        collected_gens.extend(_gen_rows(P))
     target = pi_part(group.order, primes)
-    rows = _close_rows(collected_gens, degree, target + 1)
+    rows = _close_rows(collected_gens, group.degree, target + 1)
     if len(rows) != target:
         raise PreconditionError("centralizer chain assembled a wrong order")
-    return _subgroup_from_rows(group, _minimal_gen_rows(rows, degree))
+    return _subgroup_from_rows(group, _minimal_gen_rows(rows, group.degree))
 
 
 def hall_subgroup(
@@ -509,9 +493,7 @@ def _anchored_search(
             return rows if len(rows) == target else None
         p = remaining[0]
         for cand in lists[p]:
-            merged = _budgeted_closure(
-                rows, _gen_rows(cand), degree, target, budget, caps.hall_candidates
-            )
+            merged = _budgeted_closure(rows, cand, degree, target, budget, caps.hall_candidates)
             if merged is None or target % len(merged):
                 continue
             got = extend(merged, remaining[1:])

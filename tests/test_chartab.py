@@ -296,7 +296,6 @@ class TestBlockPartitions:
                     for chi in b:
                         alone = len(b) == 1
                         assert (p_part(t.degrees[chi], p) == full) == alone
-                assert part.block_of(t.trivial_index) == part.principal_index
 
     def test_vacuous_partition(self):
         part = chartab.block_partition(table("a5"), 7)
@@ -309,8 +308,6 @@ class TestBlockPartitions:
             chartab.block_partition(table("a5"), 6)
         with pytest.raises(PreconditionError):
             chartab.block_partition(table("a5"), 1)
-        with pytest.raises(PreconditionError):
-            chartab.block_partition(table("a5"), 2).block_of(9)
 
     def test_json_shape(self):
         part = chartab.block_partition(table("a5"), 5)

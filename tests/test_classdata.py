@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from hallmark import catalog
-from hallmark.classdata import ClassTable
+from hallmark.classdata import ClassTable, class_table
 from hallmark.config import Caps
 from hallmark.errors import CapacityError, PreconditionError
 
@@ -28,13 +28,12 @@ class TestClassTable:
     def test_internal_consistency(self, name):
         group = catalog.build(name)
         table = ClassTable(group)
-        assert table.size_check()
+        assert sum(ci.size for ci in table.classes) == group.order
         for ci in table.classes:
             assert group.order % ci.size == 0
             assert ci.centralizer_order * ci.size == group.order
             rep = ci.representative()
             assert rep.order() == ci.element_order
-            assert table.class_of(rep) is ci
 
     def test_semi_affine_profile(self):
         # the one-sided counterexample group: a lone involution class of
@@ -55,17 +54,14 @@ class TestClassTable:
         with pytest.raises(PreconditionError):
             table.p_element_classes(6)
 
-    def test_class_of_rejects_outsider(self):
-        group = catalog.build("a4")
-        table = ClassTable(group)
-        from hallmark.perms import Permutation
-
-        with pytest.raises(PreconditionError):
-            table.class_of(Permutation.from_cycles(4, [(0, 1)]))
-
     def test_element_order_set(self):
         table = ClassTable(catalog.build("a5"))
-        assert table.element_order_set() == (1, 2, 3, 5)
+        assert sorted({ci.element_order for ci in table.classes}) == [1, 2, 3, 5]
+
+    def test_direct_table_is_the_kept_table(self):
+        group = catalog.build("a5")
+        table = ClassTable(group)
+        assert class_table(group) is table
 
     def test_caps_respected(self):
         with pytest.raises(CapacityError):

@@ -332,6 +332,25 @@ class TestGroupFacts:
             criteria.check_group(fresh, theorem)
         assert built == [fresh]
 
+    @pytest.mark.parametrize("name", ["s4", "frob20", "a5", "psl2_7"])
+    def test_check_group_climbs_each_sylow_once(self, monkeypatch, name):
+        climbs = {}
+        scopes = []  # held, so no scope's id is reused during the sweep
+        climb = subgroups._sylow_rows
+
+        def counting(degree, scope_rows, p, *rest):
+            scopes.append(scope_rows)
+            key = (id(scope_rows), p)
+            climbs[key] = climbs.get(key, 0) + 1
+            return climb(degree, scope_rows, p, *rest)
+
+        monkeypatch.setattr(subgroups, "_sylow_rows", counting)
+        fresh = catalog.build(name)
+        for theorem in criteria.THEOREMS:
+            criteria.check_group(fresh, theorem)
+        assert climbs
+        assert max(climbs.values()) == 1
+
     @pytest.mark.parametrize("name, small", [
         ("s5", Caps(elements=100)),
         ("a5xc7", Caps(quotient_degree=30)),

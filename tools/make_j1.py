@@ -18,7 +18,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hallmark.perms import build_group  # noqa: E402
+from hallmark.perms import PermutationGroup  # noqa: E402
 
 P = 11
 DIM = 7
@@ -171,7 +171,7 @@ def main():
     y, z = generators()
     stab = find_stabilizer(y, z)
     perms = coset_table(y, z, stab)
-    group = build_group(INDEX, perms)
+    group = PermutationGroup(INDEX, perms)
     if group.order != ORDER:
         raise SystemExit("rebuilt group has order %d, expected %d" % (group.order, ORDER))
     doc = {

@@ -15,7 +15,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hallmark.perms import build_group  # noqa: E402
+from hallmark.perms import PermutationGroup  # noqa: E402
 
 P = 3
 DIM = 3
@@ -53,7 +53,7 @@ def main():
         tuple(number[canon(matvec(m, pt))] for pt in points)
         for m in (transvection, cycle)
     ]
-    group = build_group(13, perms)
+    group = PermutationGroup(13, perms)
     if group.order != ORDER:
         raise SystemExit("built group has order %d, expected %d" % (group.order, ORDER))
     doc = {
