@@ -23,9 +23,11 @@ from itertools import combinations
 from math import prod
 
 from .arith import (
+    is_prime,
     multiplicative_order,
     p_part,
     prime_factors,
+    prime_power,
     require_prime,
     require_prime_power,
 )
@@ -495,15 +497,17 @@ def _auto_witness(family: str, n: int, q: int, r: int) -> ClassSize:
     return class_size_so(2 * n, eps, q, r)
 
 
-def _chain_report(family: str, n: int, q: int, k: int, r: int, s: int) -> dict:
+def _chain_report(family: str, n: int, q: int, ambient: int, k: int, r: int,
+                  s: int) -> dict:
     """Torus chain data: copies of the rank-k torus and the rs-part match.
 
     The chain packs `copies` commuting cyclic tori of order `factor` into
-    the group; its index is coprime to rs exactly when the r- and s-parts
-    of the ambient order are captured by the torus product, which is what
-    `match` tests.  For the even-dimensional orthogonal groups one torus
-    copy is traded away unless the discriminant factor q^n - eps happens
-    to carry the same prime, hence the sign juggling on `copies`.
+    the group of order `ambient`; its index is coprime to rs exactly when
+    the r- and s-parts of `ambient` are captured by the torus product,
+    which is what `match` tests.  For the even-dimensional orthogonal
+    groups one torus copy is traded away unless the discriminant factor
+    q^n - eps happens to carry the same prime, hence the sign juggling on
+    `copies`.
     """
     if family in ("GL", "GU"):
         big_k = k
@@ -524,7 +528,6 @@ def _chain_report(family: str, n: int, q: int, k: int, r: int, s: int) -> dict:
                 joined = 1 if k % 2 else (-1) ** (n // big_k)
                 if eps == joined:
                     copies += 1
-    ambient = _order(family, n, q)
     r_ambient = p_part(ambient, r)
     s_ambient = p_part(ambient, s)
     r_torus = p_part(factor, r) ** copies
@@ -584,10 +587,21 @@ def verify_pair(family: str, n: int, q: int, r: int, s: int) -> dict:
             raise PreconditionError("%s = %d divides q = %d" % (role, p, q))
     if r == s:
         raise PreconditionError("r and s must be distinct, both are %d" % r)
+    ords = {p: _family_order_of_q(family, p, q) for p in (r, s)}
+    return _verify(family, n, q, r, s, _order(family, n, q), ords, {})
 
-    order = _order(family, n, q)
-    k = _family_order_of_q(family, r, q)
-    l = _family_order_of_q(family, s, q)
+
+def _verify(family: str, n: int, q: int, r: int, s: int, order: int,
+            ords: dict, wits: dict) -> dict:
+    """verify_pair on validated arguments, given the group order and the
+    order of q (of -q for GU) modulo r and modulo s in `ords`.
+
+    `wits` maps a prime to its block witness's JSON for this family, q and
+    n; a missing witness is computed and kept there.  Reports built from
+    one `wits` share each witness's nested `params` dict.
+    """
+    k = ords[r]
+    l = ords[s]
     report = {
         "family": family,
         "n": n,
@@ -609,17 +623,19 @@ def verify_pair(family: str, n: int, q: int, r: int, s: int) -> dict:
     witnesses = []
     premise = True
     for prime, other in ((r, s), (s, r)):
-        w = _auto_witness(family, n, q, prime)
-        entry = w.to_json()
-        entry["prime"] = prime
-        entry["other_prime_divides"] = w.value % other == 0
-        entry["own_prime_divides"] = w.value % prime == 0
+        w = wits.get(prime)
+        if w is None:
+            w = wits[prime] = _auto_witness(family, n, q, prime).to_json()
+        entry = dict(
+            w, prime=prime, other_prime_divides=w["value"] % other == 0,
+            own_prime_divides=w["value"] % prime == 0,
+        )
         if entry["other_prime_divides"]:
             premise = False
         witnesses.append(entry)
 
     orders_equal = k == l
-    chain = _chain_report(family, n, q, k, r, s) if orders_equal else None
+    chain = _chain_report(family, n, q, order, k, r, s) if orders_equal else None
     mixed = None
     if premise and not orders_equal and family not in ("GL", "GU"):
         # Coprimality of both witnesses forces the halved orders to agree,
@@ -667,6 +683,48 @@ def verify_pair(family: str, n: int, q: int, r: int, s: int) -> dict:
     return report
 
 
+def _check_grid(manifest, source: str = "grid manifest") -> None:
+    """Raise MalformedInputError unless `manifest` is a valid grid manifest.
+
+    `source` names the manifest in the messages.
+    """
+    if not isinstance(manifest, dict) or manifest.get("schema") != GRID_SCHEMA:
+        raise MalformedInputError("%s must declare schema %r" % (source, GRID_SCHEMA))
+    missing = {"families", "prime_powers", "max_rank", "primes"} - set(manifest)
+    if missing:
+        raise MalformedInputError(
+            "%s is missing %s" % (source, ", ".join(sorted(missing)))
+        )
+    for key in ("families", "prime_powers", "primes"):
+        if not isinstance(manifest[key], list):
+            raise MalformedInputError(
+                "%s: %s must be a list, got %r" % (source, key, manifest[key])
+            )
+    for family in manifest["families"]:
+        if family not in FAMILIES:
+            raise MalformedInputError("%s names unknown family %r" % (source, family))
+    for q in manifest["prime_powers"]:
+        if not _is_int(q) or prime_power(q) is None:
+            raise MalformedInputError(
+                "%s: prime_powers entry %r is not a prime power" % (source, q)
+            )
+    primes = manifest["primes"]
+    for p in primes:
+        if not _is_int(p) or not is_prime(p):
+            raise MalformedInputError("%s: primes entry %r is not a prime" % (source, p))
+    if len(set(primes)) != len(primes):
+        raise MalformedInputError("%s lists a prime twice: %r" % (source, primes))
+    rank = manifest["max_rank"]
+    if not _is_int(rank) or rank < 1:
+        raise MalformedInputError(
+            "%s: max_rank must be a positive integer, got %r" % (source, rank)
+        )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_grid_manifest(path: str = None) -> dict:
     """Load and validate a grid manifest; None means the shipped one."""
     if path is None:
@@ -676,56 +734,51 @@ def load_grid_manifest(path: str = None) -> dict:
             manifest = json.load(handle)
     except (OSError, ValueError) as exc:
         raise MalformedInputError("cannot read grid manifest %s: %s" % (path, exc))
-    if not isinstance(manifest, dict) or manifest.get("schema") != GRID_SCHEMA:
-        raise MalformedInputError(
-            "grid manifest %s must declare schema %r" % (path, GRID_SCHEMA)
-        )
-    needed = {"schema", "families", "prime_powers", "max_rank", "primes"}
-    missing = needed - set(manifest)
-    if missing:
-        raise MalformedInputError(
-            "grid manifest %s is missing %s" % (path, ", ".join(sorted(missing)))
-        )
-    for family in manifest["families"]:
-        if family not in FAMILIES:
-            raise MalformedInputError("grid manifest names unknown family %r" % (family,))
+    _check_grid(manifest, "grid manifest %s" % path)
     return manifest
 
 
 def run_grid(manifest: dict) -> dict:
-    """Run verify_pair over every point of the manifest grid.
+    """Check the block-witness implication at every point of the manifest grid.
 
+    A point is a family, a prime power q, a rank n from 1 to max_rank and
+    a pair r < s of listed primes; 2 and primes dividing q are skipped.
+    Each point gets the report verify_pair would give it, but every fact
+    is computed once for the coordinates it depends on: the group order
+    per (family, q, n), the order of q or -q modulo each prime per
+    (family, q), and each block witness per (family, q, n, prime).
     Besides the headline implication, every produced witness is checked for
     its asserted divisor and for dividing the ambient order; any failure is
     reported with its grid coordinates.
     """
+    _check_grid(manifest)
     started = time.monotonic()
     points = witnessed = vacuous = 0
     failures = []
     primes = sorted(manifest["primes"])
+    powers = sorted(manifest["prime_powers"])
+    usable = {q: [p for p in primes if p != 2 and q % p] for q in powers}
     for family in manifest["families"]:
-        for q in sorted(manifest["prime_powers"]):
+        for q in powers:
+            ords = {p: _family_order_of_q(family, p, q) for p in usable[q]}
             for n in range(1, manifest["max_rank"] + 1):
-                for i, r in enumerate(primes):
-                    if r == 2 or q % r == 0:
-                        continue
-                    for s in primes[i + 1:]:
-                        if s == 2 or q % s == 0:
-                            continue
-                        rep = verify_pair(family, n, q, r, s)
-                        points += 1
-                        if rep["status"] == "vacuous":
-                            vacuous += 1
-                        else:
-                            witnessed += 1
-                        where = {"family": family, "n": n, "q": q, "r": r, "s": s}
-                        if not rep["consistent"]:
-                            failures.append(dict(where, reason="implication"))
-                        for w in rep["witnesses"]:
-                            if not w["divisor_holds"]:
-                                failures.append(dict(where, reason="divisor"))
-                            if not w["divides_ambient"]:
-                                failures.append(dict(where, reason="ambient"))
+                order = _order(family, n, q)
+                wits = {}
+                for r, s in combinations(usable[q], 2):
+                    rep = _verify(family, n, q, r, s, order, ords, wits)
+                    points += 1
+                    if rep["status"] == "vacuous":
+                        vacuous += 1
+                    else:
+                        witnessed += 1
+                    where = {"family": family, "n": n, "q": q, "r": r, "s": s}
+                    if not rep["consistent"]:
+                        failures.append(dict(where, reason="implication"))
+                    for w in rep["witnesses"]:
+                        if not w["divisor_holds"]:
+                            failures.append(dict(where, reason="divisor"))
+                        if not w["divides_ambient"]:
+                            failures.append(dict(where, reason="ambient"))
     return {
         "schema": GRID_REPORT_SCHEMA,
         "points": points,
@@ -759,18 +812,3 @@ def exceptional_rows() -> list:
     if doc.get("schema") != "hallmark-exceptional-tori/1":
         raise MalformedInputError("unexpected schema in %s" % path)
     return doc["rows"]
-
-
-def check_exceptional_row(row: dict, q: int) -> dict:
-    """Divisibility facts for one documented row at a concrete q."""
-    ambient = evaluate_q_product(row["ambient"], q)
-    centralizers = [evaluate_q_product(c, q) for c in row["centralizers"]]
-    return {
-        "group": row["group"],
-        "q": q,
-        "ambient": ambient,
-        "centralizers_divide": [ambient % c == 0 for c in centralizers],
-        "cyclotomic_divide": [
-            ambient % cyclotomic_value(d, q) == 0 for d in row["torus_orders_d"]
-        ],
-    }

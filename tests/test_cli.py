@@ -338,6 +338,20 @@ class TestLieCommands:
         code, _, err = run(capsys, "lie-grid", str(path))
         assert code == 2
         assert "error:" in err
+        good = {
+            "schema": "hallmark-lie-grid/1",
+            "families": ["GL"],
+            "prime_powers": [2],
+            "max_rank": 2,
+            "primes": [3, 5, 7],
+        }
+        # A value no pair reaches is refused too, not only one that crashes.
+        for change in ({"max_rank": "3"}, {"primes": [9]}):
+            path.write_text(json.dumps({**good, **change}))
+            code, out, err = run(capsys, "lie-grid", str(path))
+            assert code == 2
+            assert out is None
+            assert "error:" in err and "Traceback" not in err
 
 
 class TestSuiteCommand:

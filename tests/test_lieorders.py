@@ -24,7 +24,6 @@ from hallmark.lieorders import (
     class_size_sp,
     class_size_su,
     cyclotomic_value,
-    check_exceptional_row,
     evaluate_q_product,
     exceptional_rows,
     group_order,
@@ -520,6 +519,61 @@ class TestGrid:
         assert rep["ok"] is True
         assert rep["elapsed"] < 60
 
+    def test_matches_pair_by_pair_replay(self, monkeypatch):
+        # The grid shares each order and witness across points; replaying
+        # every point through verify_pair, which shares nothing, must give
+        # the same reports, counts and failures.  The primes include 2 and
+        # primes dividing some q, which the grid skips.
+        manifest = {
+            "schema": "hallmark-lie-grid/1",
+            "families": list(FAMILIES),
+            "prime_powers": [7, 8, 9, 16],
+            "max_rank": 6,
+            "primes": [2, 3, 5, 7, 13, 17],
+        }
+        points = witnessed = vacuous = 0
+        failures = []
+        reports = []
+        primes = sorted(manifest["primes"])
+        for family in manifest["families"]:
+            for q in sorted(manifest["prime_powers"]):
+                for n in range(1, manifest["max_rank"] + 1):
+                    for i, r in enumerate(primes):
+                        if r == 2 or q % r == 0:
+                            continue
+                        for s in primes[i + 1:]:
+                            if s == 2 or q % s == 0:
+                                continue
+                            rep = verify_pair(family, n, q, r, s)
+                            reports.append(rep)
+                            points += 1
+                            if rep["status"] == "vacuous":
+                                vacuous += 1
+                            else:
+                                witnessed += 1
+                            where = {"family": family, "n": n, "q": q, "r": r, "s": s}
+                            if not rep["consistent"]:
+                                failures.append(dict(where, reason="implication"))
+                            for w in rep["witnesses"]:
+                                if not w["divisor_holds"]:
+                                    failures.append(dict(where, reason="divisor"))
+                                if not w["divides_ambient"]:
+                                    failures.append(dict(where, reason="ambient"))
+        seen = []
+        verify = lieorders._verify
+
+        def recording(*args):
+            seen.append(verify(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(lieorders, "_verify", recording)
+        rep = run_grid(manifest)
+        assert seen == reports
+        assert witnessed > 0 and vacuous > 0
+        assert (rep["points"], rep["witnessed"], rep["vacuous"], rep["failures"]) == (
+            points, witnessed, vacuous, failures
+        )
+
     def test_manifest_validation(self, tmp_path):
         good = {
             "schema": "hallmark-lie-grid/1",
@@ -546,6 +600,35 @@ class TestGrid:
         with pytest.raises(MalformedInputError, match="cannot read"):
             load_grid_manifest(str(tmp_path / "absent.json"))
 
+        bad_values = [
+            ({"families": "GL"}, "must be a list"),
+            ({"prime_powers": 4}, "must be a list"),
+            ({"primes": "3, 5"}, "must be a list"),
+            ({"prime_powers": ["x"]}, "not a prime power"),
+            ({"prime_powers": [True]}, "not a prime power"),
+            ({"prime_powers": [1]}, "not a prime power"),
+            ({"primes": [3, "a"]}, "not a prime"),
+            # No pair reaches the next two values: 3 and 5 divide 6, and 9
+            # is the only prime listed.
+            ({"prime_powers": [6], "primes": [3, 5]}, "not a prime power"),
+            ({"primes": [9]}, "not a prime"),
+            ({"primes": [True, 3]}, "not a prime"),
+            ({"primes": [3, 5, 3]}, "prime twice"),
+            ({"max_rank": "3"}, "max_rank"),
+            ({"max_rank": 2.5}, "max_rank"),
+            ({"max_rank": 0}, "max_rank"),
+            ({"max_rank": True}, "max_rank"),
+        ]
+        for change, message in bad_values:
+            bad = {**good, **change}
+            with pytest.raises(MalformedInputError, match=message):
+                load_grid_manifest(dump(bad))
+            with pytest.raises(MalformedInputError, match=message):
+                run_grid(bad)
+        # 2 and primes dividing q stay allowed; the grid skips them.
+        assert run_grid({**good, "primes": [2, 3, 5, 7]})["points"] == 6
+        assert run_grid({**good, "prime_powers": [9], "primes": [3, 5, 7]})["points"] == 2
+
 
 class TestExceptionalTori:
     def test_rows_present(self):
@@ -557,20 +640,31 @@ class TestExceptionalTori:
         prod = {"q_exponent": 2, "factors": [[-1, 1], [1, 1]]}
         assert evaluate_q_product(prod, 5) == 25 * 4 * 6
 
+    @staticmethod
+    def divisibility(row, q):
+        # The ambient order at q, and whether each centralizer order and
+        # each cyclotomic torus order Phi_d(q) divides it.
+        ambient = evaluate_q_product(row["ambient"], q)
+        centralizers = [
+            ambient % evaluate_q_product(c, q) == 0 for c in row["centralizers"]
+        ]
+        cyclotomic = [ambient % cyclotomic_value(d, q) == 0 for d in row["torus_orders_d"]]
+        return ambient, centralizers, cyclotomic
+
     def test_all_rows_divide(self):
         for q in (2, 3, 4, 5):
             for row in exceptional_rows():
-                rep = check_exceptional_row(row, q)
-                assert all(rep["centralizers_divide"]), (row["group"], q)
-                assert all(rep["cyclotomic_divide"]), (row["group"], q)
+                _, centralizers, cyclotomic = self.divisibility(row, q)
+                assert all(centralizers), (row["group"], q)
+                assert all(cyclotomic), (row["group"], q)
 
     def test_triality_row_frozen(self):
         row = [r for r in exceptional_rows() if r["group"] == "3D4"][0]
-        rep = check_exceptional_row(row, 2)
+        ambient, centralizers, cyclotomic = self.divisibility(row, 2)
         # 2^12 * 3^4 * 7^2 * 13.
-        assert rep["ambient"] == 211341312
-        assert rep["centralizers_divide"] == [True]
-        assert rep["cyclotomic_divide"] == [True, True]
+        assert ambient == 211341312
+        assert centralizers == [True]
+        assert cyclotomic == [True, True]
 
     def test_e6_centralizer_matches_so_order(self):
         row = [r for r in exceptional_rows() if r["group"] == "E6"][0]
