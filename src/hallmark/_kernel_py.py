@@ -113,9 +113,22 @@ def centralizer_filter(rows, xs) -> list:
 
 
 def normalizer_filter(rows, sub_gens, sub_set) -> list:
-    """Rows g with s^g in sub_set for every generator s."""
+    """Rows g with s^g in sub_set for every generator s.
+
+    A cheap test rejects most rows before g is inverted: for the point x0
+    with the fewest images over sub_set and the first generator s, the
+    image (s^g)[x0] = g[s[g.index(x0)]] must be one of those images.
+    """
+    if not sub_gens:
+        return list(rows)
+    cols = [set(col) for col in zip(*sub_set)]
+    x0 = min(range(len(cols)), key=lambda x: len(cols[x]))
+    images = cols[x0]
+    s0 = sub_gens[0]
     out = []
     for g in rows:
+        if g[s0[g.index(x0)]] not in images:
+            continue
         gi = inverse(g)
         for s in sub_gens:
             if compose(compose(gi, s), g) not in sub_set:

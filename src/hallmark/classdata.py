@@ -12,7 +12,7 @@ the same one; a later read under a smaller element cap still raises.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .arith import is_power_of, require_prime
 from .config import Caps, default_caps
@@ -77,6 +77,9 @@ class ClassTable:
             if order % size:
                 raise PreconditionError("class size %d does not divide order %d" % (size, order))
             raw.append((kernel.order_of(rep), size, rep))
+        self._rows = rows
+        self._cids = cids
+        self._id_orders = [elt_order for elt_order, _, _ in raw]
         raw.sort()
         self.classes: Tuple[ClassInfo, ...] = tuple(
             ClassInfo(i, rep, size, elt_order, order // size)
@@ -99,6 +102,13 @@ class ClassTable:
             for ci in self.classes
             if ci.element_order > 1 and is_power_of(ci.element_order, p)
         )
+
+    def p_element_orders(self, p: int) -> Dict[Row, int]:
+        """{row: element order} for the nontrivial elements whose order is
+        a power of p, in row order."""
+        require_prime(p)
+        orders = [o if o > 1 and is_power_of(o, p) else 0 for o in self._id_orders]
+        return {row: orders[cid] for row, cid in zip(self._rows, self._cids) if orders[cid]}
 
 
 def class_table(group, caps: Optional[Caps] = None) -> ClassTable:

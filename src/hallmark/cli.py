@@ -52,8 +52,8 @@ def _load_group(source: str, extended: bool):
         entry = catalog.get_entry(name)
         if "sporadic-stretch" in entry.tags and not extended:
             raise CapacityError(
-                "catalog entry %s is gated behind --extended (about 4 s with "
-                "the compiled kernel, 20 s with the pure one)" % name,
+                "catalog entry %s is gated behind --extended (about 2 s with "
+                "the compiled kernel, 12 s with the pure one)" % name,
                 cap_name="extended",
                 cap_value=0,
             )

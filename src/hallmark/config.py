@@ -22,6 +22,12 @@ FACTOR_CAP = 2**20
 # modp.CycReducer builds no field F_{p^d} with d above this.
 FIELD_DEGREE_CAP = 100
 
+# lieorders checks no classical group of rank above this (a grid's
+# max_rank, lie-verify's n).  At the cap, a grid of the shipped shape (six
+# families, four q, ten primes) takes about 0.4 s; cost grows about as
+# rank^4.5.
+RANK_CAP = 32
+
 
 @dataclass(frozen=True)
 class Caps:

@@ -31,7 +31,8 @@ from .arith import (
     require_prime,
     require_prime_power,
 )
-from .errors import MalformedInputError, PreconditionError
+from .config import RANK_CAP
+from .errors import CapacityError, MalformedInputError, PreconditionError
 
 __all__ = [
     "FAMILIES",
@@ -578,6 +579,7 @@ def verify_pair(family: str, n: int, q: int, r: int, s: int) -> dict:
         )
     if not isinstance(n, int) or n < 1:
         raise MalformedInputError("rank must be a positive integer, got %r" % (n,))
+    _check_rank(n, "rank")
     require_prime_power(q)
     for p, role in ((r, "r"), (s, "s")):
         require_prime(p, role)
@@ -684,7 +686,8 @@ def _verify(family: str, n: int, q: int, r: int, s: int, order: int,
 
 
 def _check_grid(manifest, source: str = "grid manifest") -> None:
-    """Raise MalformedInputError unless `manifest` is a valid grid manifest.
+    """Raise MalformedInputError unless `manifest` is a valid grid manifest,
+    and CapacityError if its max_rank exceeds config.RANK_CAP.
 
     `source` names the manifest in the messages.
     """
@@ -718,6 +721,16 @@ def _check_grid(manifest, source: str = "grid manifest") -> None:
     if not _is_int(rank) or rank < 1:
         raise MalformedInputError(
             "%s: max_rank must be a positive integer, got %r" % (source, rank)
+        )
+    _check_rank(rank, "%s: max_rank" % source)
+
+
+def _check_rank(rank: int, what: str) -> None:
+    if rank > RANK_CAP:
+        raise CapacityError(
+            "%s %d exceeds the rank cap %d" % (what, rank, RANK_CAP),
+            cap_name="rank",
+            cap_value=RANK_CAP,
         )
 
 

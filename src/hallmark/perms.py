@@ -8,10 +8,11 @@ closures are all derived from it.  Each level keeps the inverse of every
 transversal element next to it, so sifting never inverts.  normal_closure
 extends one chain in place, one conjugate at a time, instead of building
 a new group per conjugate.  Facts that other modules derive from a group
-(class table, Sylow subgroups with their normalizers and centralizers,
-solvability) are kept on it through PermutationGroup.memo, and live as
-long as the group does.  Equal inputs always produce equal outputs, byte
-for byte.
+(class table, the orders of its p-elements, Sylow subgroups with their
+normalizers and centralizers, solvability, the group a subgroup was cut
+from) are kept on it through PermutationGroup.memo, and live as long as
+the group does.  Equal inputs always produce equal outputs, byte for
+byte.
 """
 
 from __future__ import annotations

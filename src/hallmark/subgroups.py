@@ -6,7 +6,10 @@ filtering the full element list, and Hall subgroups come from three
 strategies whose soundness does not depend on each other.  sylow() makes
 the only climb, once per host group and prime, and keeps the Sylow
 subgroup on the host together with its normalizer and centralizer, so
-every Sylow-side fact below reads the same subgroup.  The strategies:
+every Sylow-side fact below reads the same subgroup.  The climb reads
+element orders from the class table of the host's ambient group (the
+outermost group it was cut from), and tests only p-elements.  The
+strategies:
 
   0. pure arithmetic absence for simple groups (the group cannot act
      faithfully on the cosets of the putative subgroup);
@@ -36,7 +39,35 @@ def _gen_rows(sub) -> List[Row]:
 
 def _subgroup_from_rows(parent: PermutationGroup, rows: Sequence[Row]) -> Subgroup:
     gens = [Permutation(kernel.unpack(r)) for r in rows]
-    return Subgroup(parent, gens)
+    sub = Subgroup(parent, gens)
+    ambient = _ambient(parent)
+    sub.group.memo("ambient", lambda: ambient)
+    return sub
+
+
+def _ambient(host: PermutationGroup) -> PermutationGroup:
+    """The outermost group that host was cut from by _subgroup_from_rows,
+    else host itself.  Its rows include all of host's rows."""
+    return host.memo("ambient", lambda: host)
+
+
+def _p_element_orders(
+    host: PermutationGroup, rows: List[Row], p: int, caps: Caps
+) -> Dict[Row, int]:
+    """{row: element order} for host's nontrivial p-elements, in row
+    order, where rows are host's rows.  Read from a map kept per p on the
+    ambient group, built from its class table; host's own when the
+    ambient group is over the element cap, so no climb raises a cap error
+    that host's rows do not."""
+    ambient = _ambient(host)
+    if ambient.order > caps.elements:
+        ambient = host
+    known = ambient.memo(
+        ("p_elements", p), lambda: class_table(ambient, caps).p_element_orders(p)
+    )
+    if ambient is host:
+        return known
+    return {row: known[row] for row in rows if row in known}
 
 
 def _host_and_rows(group, caps: Caps) -> Tuple[PermutationGroup, List[Row]]:
@@ -90,9 +121,13 @@ def normalizer(group, sub: Subgroup, caps: Optional[Caps] = None) -> Subgroup:
     return _subgroup_from_rows(host, _minimal_gen_rows(kept, host.degree))
 
 
-def _sylow_rows(degree: int, scope_rows: List[Row], p: int) -> List[Row]:
+def _sylow_rows(
+    degree: int, scope_rows: List[Row], p: int, orders: Dict[Row, int]
+) -> List[Row]:
     """Rows of a Sylow p-subgroup of the group given by scope_rows.
 
+    orders maps each nontrivial p-element of the scope to its element
+    order, in row order; sylow() reads it from the ambient class table.
     Deterministic climb: start from the least element of maximal p-power
     order, then repeatedly adjoin the least p-element of the normalizer
     not yet inside.  Each step grows the p-subgroup, so the climb ends at
@@ -102,29 +137,18 @@ def _sylow_rows(degree: int, scope_rows: List[Row], p: int) -> List[Row]:
     target = p_part(len(scope_rows), p)
     if target == 1:
         return [kernel.identity_row(degree)]
-    best_row, best_order = None, 0
-    for row in scope_rows:
-        o = kernel.order_of(row)
-        if o > best_order and is_power_of(o, p):
-            best_row, best_order = row, o
-    current = _close_rows([best_row], degree, target + 1)
+    p_rows = list(orders)
+    current = _close_rows([max(p_rows, key=orders.__getitem__)], degree, target + 1)
     while len(current) < target:
         gens = _minimal_gen_rows(current, degree)
-        normal = kernel.normalizer_filter(scope_rows, gens, set(current))
         current_set = set(current)
-        extend = None
-        for row in normal:
-            if row in current_set:
-                continue
-            o = kernel.order_of(row)
-            if o > 1 and is_power_of(o, p):
-                extend = row
-                break
-        if extend is None:
+        outside = [row for row in p_rows if row not in current_set]
+        normal = kernel.normalizer_filter(outside, gens, current_set)
+        if not normal:
             raise PreconditionError(
                 "normalizer climb stalled at order %d of %d" % (len(current), target)
             )
-        current = _close_rows(gens + [extend], degree, target + 1)
+        current = _close_rows(gens + [normal[0]], degree, target + 1)
     return current
 
 
@@ -136,7 +160,7 @@ def sylow(group, p: int, caps: Optional[Caps] = None) -> Subgroup:
     host, rows = _host_and_rows(group, caps)
 
     def climb() -> Subgroup:
-        syl = _sylow_rows(host.degree, rows, p)
+        syl = _sylow_rows(host.degree, rows, p, _p_element_orders(host, rows, p, caps))
         return _subgroup_from_rows(host, _minimal_gen_rows(syl, host.degree))
 
     return host.memo(("sylow", p), climb)

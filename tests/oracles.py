@@ -111,3 +111,44 @@ def p_part(n, p):
         n //= p
         out *= p
     return out
+
+
+def sylow_climb(elements, p):
+    """The Sylow p-subgroup that the deterministic normalizer climb reaches.
+
+    The reference for the package's climb: start from the least element
+    of greatest p-power order, then adjoin the least p-element outside the
+    current subgroup that normalizes it, until the order is the p-part of
+    the group order.  A p-element here is one whose order divides that
+    p-part, found by raising to p-th powers.
+    """
+    elements = sorted(elements)
+    degree = len(elements[0])
+    ident = identity(degree)
+    target = p_part(len(elements), p)
+
+    def p_order(x):
+        order, y = 1, x
+        while y != ident:
+            if order == target:
+                return 0
+            z = y
+            for _ in range(p - 1):
+                z = compose(z, y)
+            order, y = order * p, z
+        return order
+
+    orders = {x: o for x in elements for o in [p_order(x)] if o > 1}
+    if not orders:
+        return {ident}
+    top = max(orders.values())
+    gens = [min(x for x, o in orders.items() if o == top)]
+    current = close(gens, degree)
+    while len(current) < target:
+        gens.append(min(
+            x for x in orders
+            if x not in current
+            and all(compose(compose(inverse(x), s), x) in current for s in gens)
+        ))
+        current = close(gens, degree)
+    return current

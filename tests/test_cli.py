@@ -8,10 +8,13 @@ catalog is part of the package, so the numbers are deterministic.
 
 import json
 import os
+import time
 
 import pytest
 
-from hallmark import cli
+from hallmark import cli, lieorders
+from hallmark.config import RANK_CAP
+from hallmark.errors import CapacityError
 
 
 def run(capsys, *argv):
@@ -254,6 +257,44 @@ class TestBounds:
         code, rep, _ = run(capsys, "ct-blocks", path, "-p", "2", "--no-timings")
         assert code == 0
         assert rep["partition"]["blocks"] == [[0, 1, 2, 4], [3]]
+
+    @staticmethod
+    def _grid(tmp_path, max_rank):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({
+            "schema": "hallmark-lie-grid/1",
+            "families": ["Sp"],
+            "prime_powers": [19],
+            "max_rank": max_rank,
+            "primes": [3, 5],
+        }))
+        return str(path)
+
+    def test_huge_grid_rank_hits_the_rank_cap(self, capsys, tmp_path):
+        started = time.monotonic()
+        code, rep, err = run(capsys, "lie-grid", self._grid(tmp_path, 10000))
+        assert time.monotonic() - started < 1
+        assert code == 3
+        assert rep is None
+        assert "capacity:" in err and "rank cap %d" % RANK_CAP in err
+        with pytest.raises(CapacityError) as info:
+            lieorders.load_grid_manifest(self._grid(tmp_path, 10000))
+        assert (info.value.cap_name, info.value.cap_value) == ("rank", RANK_CAP)
+
+    def test_huge_verify_rank_hits_the_rank_cap(self, capsys):
+        code, rep, err = run(capsys, "lie-verify", "--family", "Sp", "--n", "10000",
+                             "--q", "19", "--r", "3", "--s", "5")
+        assert code == 3
+        assert rep is None
+        assert "capacity:" in err and "rank cap %d" % RANK_CAP in err
+
+    def test_grid_at_the_rank_cap_finishes(self, capsys, tmp_path):
+        code, rep, _ = run(capsys, "lie-grid", self._grid(tmp_path, RANK_CAP), "--no-timings")
+        assert code == 0
+        assert rep["grid"]["points"] == RANK_CAP
+        code, _, _ = run(capsys, "lie-verify", "--family", "Sp", "--n", str(RANK_CAP),
+                         "--q", "19", "--r", "3", "--s", "5", "--no-timings")
+        assert code == 0
 
     @pytest.mark.parametrize("value", ["abc", "-5"])
     def test_bad_element_cap_variable_is_usage_error(self, capsys, monkeypatch, value):

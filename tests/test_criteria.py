@@ -17,6 +17,7 @@ from hallmark.arith import prime_factors
 from hallmark.classdata import ClassTable
 from hallmark.config import Caps, default_caps
 from hallmark.errors import CapacityError, PreconditionError
+from hallmark.kernels import kernel
 from hallmark.verdicts import Verdict, agreement
 
 _BUILT = {}
@@ -350,6 +351,49 @@ class TestGroupFacts:
             criteria.check_group(fresh, theorem)
         assert climbs
         assert max(climbs.values()) == 1
+
+    @pytest.mark.parametrize("name", ["s4", "a5", "psl2_7"])
+    def test_check_group_computes_element_orders_per_class(self, monkeypatch, name):
+        tabulated = []
+        computed = []
+        order_of = kernel.order_of
+
+        class CountingTable(classdata.ClassTable):
+            def __init__(self, grp, caps=None):
+                super().__init__(grp, caps)
+                tabulated.append(len(self.classes))
+
+        def counting(row):
+            computed.append(row)
+            return order_of(row)
+
+        monkeypatch.setattr(classdata, "ClassTable", CountingTable)
+        monkeypatch.setattr(kernel, "order_of", counting)
+        fresh = catalog.build(name)
+        for theorem in criteria.THEOREMS:
+            criteria.check_group(fresh, theorem)
+        assert tabulated
+        assert len(computed) <= sum(tabulated)
+
+    def test_climbs_read_under_a_smaller_cap_match_a_fresh_group(self):
+        warm = catalog.build("a5xc7")
+        for theorem in criteria.THEOREMS:
+            criteria.check_group(warm, theorem)
+        fresh = catalog.build("a5xc7")
+        small = Caps(elements=warm.order - 1)
+        raised = []
+        for grp in (warm, fresh):
+            with pytest.raises(CapacityError) as info:
+                subgroups.sylow(grp, 2, small)
+            raised.append((info.value.cap_name, info.value.cap_value, str(info.value)))
+        assert raised[0] == raised[1]
+        # A scope inside the group is under the cap; its kept climb and a
+        # fresh one (which cannot tabulate the whole group) agree.
+        _, (kept, _) = subgroups.exists_normalizing_sylow_pair(warm, 7, 5)
+        assert subgroups.sylow(kept.parent, 7, small) is kept
+        norm = subgroups.normalizer(fresh, subgroups.sylow(fresh, 5))
+        assert norm.order == 70
+        assert subgroups.sylow(norm, 7, small).element_rows() == kept.element_rows()
 
     @pytest.mark.parametrize("name, small", [
         ("s5", Caps(elements=100)),

@@ -7,7 +7,7 @@ tested; the parity tests need the compiled extension.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -93,6 +93,61 @@ def test_group_kernels_match_oracle(k, name):
         assert k.unpack(k.coset_min(sub_rows, k.pack(g))) == min(
             oracles.compose(n, g) for n in sub
         )
+
+
+def _oracle_normalizer(rows, sub_gens, sub):
+    return [g for g in rows
+            if all(oracles.compose(oracles.compose(oracles.inverse(g), s), g) in sub
+                   for s in sub_gens)]
+
+
+def _normalizer_filter(k, rows, sub_gens, sub):
+    return _unpacked(k, k.normalizer_filter(
+        [k.pack(g) for g in rows], [k.pack(s) for s in sub_gens], {k.pack(x) for x in sub}))
+
+
+@st.composite
+def subgroups_of_small_symmetric_groups(draw):
+    """(n, generators, rows): a subgroup of S_n, n <= 7, whose generators
+    all fix the last `fixed` points, and rows of S_n to filter that mix
+    random permutations with members of the subgroup."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    fixed = draw(st.integers(min_value=0, max_value=n - 1))
+    tail = tuple(range(n - fixed, n))
+    gens = draw(st.lists(
+        st.permutations(range(n - fixed)).map(lambda p: tuple(p) + tail), max_size=2))
+    rows = draw(st.lists(st.permutations(range(n)).map(tuple), max_size=30))
+    rows += sorted(oracles.close(gens, n))[:5]
+    return n, gens, rows
+
+
+@each_backend
+@settings(max_examples=60, deadline=None)
+@given(case=subgroups_of_small_symmetric_groups())
+def test_normalizer_filter_matches_oracle_on_subgroups(k, case):
+    n, gens, rows = case
+    sub = oracles.close(gens, n)
+    assert _normalizer_filter(k, rows, gens, sub) == _oracle_normalizer(rows, gens, sub)
+
+
+@each_backend
+def test_normalizer_filter_edge_cases(k):
+    s4 = sorted(oracles.close([(1, 0, 2, 3), (1, 2, 3, 0)], 4))
+    # no generators: every row normalizes the trivial subgroup
+    assert _normalizer_filter(k, s4, [], {oracles.identity(4)}) == s4
+    # point 3 is fixed by all of <(0 1 2)>, so it is the test point, and
+    # only rows fixing 3 get past it
+    three = [(1, 2, 0, 3)]
+    kept = _normalizer_filter(k, s4, three, oracles.close(three, 4))
+    assert kept == _oracle_normalizer(s4, three, oracles.close(three, 4))
+    assert len(kept) == 6 and all(g[3] == 3 for g in kept)
+    # every point has all four images under <(0 1 2 3)>, so every row
+    # passes the point test and the full test rejects the 16 rows outside
+    # the dihedral normalizer
+    four = [(1, 2, 3, 0)]
+    kept = _normalizer_filter(k, s4, four, oracles.close(four, 4))
+    assert kept == _oracle_normalizer(s4, four, oracles.close(four, 4))
+    assert len(kept) == 8
 
 
 @each_backend

@@ -59,6 +59,51 @@ class TestSylow:
             subgroups.sylow(catalog.build("a5"), 2, Caps(elements=10))
 
 
+def unpacked_rows(sub):
+    return [kernel.unpack(r) for r in sub.element_rows()]
+
+
+class TestSylowClimb:
+    """Every Sylow subgroup is the one the reference climb in oracles picks,
+    so witnesses do not depend on where the climb reads element orders."""
+
+    SMALL = [e.name for e in catalog.entries(include_stretch=False) if e.order < 1000]
+
+    @pytest.mark.parametrize("name", SMALL)
+    def test_matches_the_reference_climb(self, name):
+        group = catalog.build(name)
+        ambient = naive_elements(group)
+        for p in prime_factors(group.order):
+            expected = sorted(oracles.sylow_climb(ambient, p))
+            assert unpacked_rows(subgroups.sylow(group, p)) == expected, p
+
+    @pytest.mark.parametrize("name,pi", [
+        ("a5xc7", (2, 7)), ("a5xc7", (3, 7)), ("psl2_31", (3, 5)), ("aff8", (2, 3)),
+        ("frob42", (2, 3)),
+    ])
+    def test_nested_scopes_match_the_reference_climb(self, monkeypatch, name, pi):
+        climbs = []
+        climb = subgroups._sylow_rows
+
+        def recording(degree, scope_rows, p, orders):
+            rows = climb(degree, scope_rows, p, orders)
+            climbs.append((scope_rows, p, rows))
+            return rows
+
+        monkeypatch.setattr(subgroups, "_sylow_rows", recording)
+        group = catalog.build(name)
+        p, q = pi
+        subgroups.nilpotent_hall(group, pi)
+        subgroups.exists_commuting_sylow_pair(group, p, q)
+        subgroups.exists_normalizing_sylow_pair(group, p, q)
+        subgroups.exists_normalizing_sylow_pair(group, q, p)
+        assert any(scope_rows is not group.element_rows() for scope_rows, _, _ in climbs)
+        for scope_rows, prime, rows in climbs:
+            scope = [kernel.unpack(r) for r in scope_rows]
+            expected = sorted(oracles.sylow_climb(scope, prime))
+            assert [kernel.unpack(r) for r in rows] == expected, (len(scope), prime)
+
+
 class TestCentralizerNormalizer:
     def test_centralizer_matches_naive(self):
         group = catalog.build("s4")
