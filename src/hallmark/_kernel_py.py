@@ -101,7 +101,17 @@ def conjugacy_partition(rows, gens) -> list:
 
 
 def centralizer_filter(rows, xs) -> list:
-    """Rows commuting with every row in xs."""
+    """Rows commuting with every row in xs.
+
+    r commutes with x0 = xs[0] only if x0[r[i]] == r[x0[i]] at every point
+    i, so one point that x0 moves is tested first, and only rows that pass
+    are composed in full.  An x0 that fixes every point gets no test.
+    """
+    moved = [i for i, v in enumerate(xs[0]) if v != i] if xs else []
+    if moved:
+        x0, i = xs[0], moved[0]
+        j = x0[i]
+        rows = [r for r in rows if x0[r[i]] == r[j]]
     out = []
     for r in rows:
         for x in xs:

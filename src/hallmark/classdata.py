@@ -18,7 +18,7 @@ from .arith import is_power_of, require_prime
 from .config import Caps, default_caps
 from .errors import PreconditionError
 from .kernels import Row, kernel
-from .perms import Permutation, PermutationGroup, Subgroup
+from .perms import Permutation, PermutationGroup
 
 
 class ClassInfo:
@@ -45,15 +45,19 @@ class ClassInfo:
 
 
 def _as_group(group) -> PermutationGroup:
-    if isinstance(group, Subgroup):
-        group = group.group
     if not isinstance(group, PermutationGroup):
         raise PreconditionError("ClassTable needs a permutation group")
     return group
 
 
 class ClassTable:
-    """All conjugacy classes of a permutation group."""
+    """All conjugacy classes of a permutation group.
+
+    The table also keeps each element row's class id and each id's
+    element order, so p_element_orders reads the p-elements without an
+    order computation.  A Sylow climb in any subgroup reads them from the
+    table of the subgroup's ambient group (see subgroups).
+    """
 
     def __init__(self, group, caps: Optional[Caps] = None):
         group = _as_group(group)

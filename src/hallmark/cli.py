@@ -287,8 +287,6 @@ def _cmd_lie_grid(args) -> int:
     started = time.monotonic()
     manifest = lieorders.load_grid_manifest(args.manifest)
     report = lieorders.run_grid(manifest)
-    if args.no_timings:
-        del report["elapsed"]
     code = EXIT_OK if report["ok"] else EXIT_DISAGREE
     inputs = {"manifest": args.manifest or "shipped"}
     return _emit(args, "lie-grid", inputs, {"grid": report}, started, exit_code=code)
@@ -330,9 +328,10 @@ def _cmd_suite(args) -> int:
         if not args.no_timings:
             item["elapsed_s"] = round(time.monotonic() - group_started, 3)
         groups_payload.append(item)
+    grid_started = time.monotonic()
     grid = lieorders.run_grid(lieorders.load_grid_manifest())
-    if args.no_timings:
-        del grid["elapsed"]
+    if not args.no_timings:
+        grid["elapsed_s"] = round(time.monotonic() - grid_started, 3)
     payload = {
         "groups": groups_payload,
         "grid": grid,

@@ -7,12 +7,17 @@ membership, exact order, element enumeration, coset actions and normal
 closures are all derived from it.  Each level keeps the inverse of every
 transversal element next to it, so sifting never inverts.  normal_closure
 extends one chain in place, one conjugate at a time, instead of building
-a new group per conjugate.  Facts that other modules derive from a group
+a new group per conjugate.
+
+There is one group type.  A subgroup is a PermutationGroup made by
+parent.subgroup(...), which checks that its generators lie in the parent;
+it knows its parent and its ambient group, the outermost group of that
+chain, whose elements include all of its own.  A group with no parent is
+its own ambient group.  Facts that other modules derive from a group
 (class table, the orders of its p-elements, Sylow subgroups with their
-normalizers and centralizers, solvability, the group a subgroup was cut
-from) are kept on it through PermutationGroup.memo, and live as long as
-the group does.  Equal inputs always produce equal outputs, byte for
-byte.
+normalizers and centralizers, solvability) are kept on it through
+PermutationGroup.memo, and live as long as the group does.  Equal inputs
+always produce equal outputs, byte for byte.
 """
 
 from __future__ import annotations
@@ -186,11 +191,15 @@ def _rebuild_orbit(level: _Level, degree: int) -> None:
 class PermutationGroup:
     """A finite permutation group with a deterministic stabilizer chain."""
 
-    def __init__(self, degree: int, generators: Iterable):
+    def __init__(
+        self, degree: int, generators: Iterable, *, parent: "PermutationGroup | None" = None
+    ):
         gens = []
         for g in generators:
             if not isinstance(g, Permutation):
                 g = Permutation(g)
+            if parent is not None and not parent.is_member(g):
+                raise PreconditionError("subgroup generator is not a member of the parent")
             gens.append(g)
         if degree == 0 and gens:
             raise MalformedInputError("degree 0 admits no generators")
@@ -206,6 +215,8 @@ class PermutationGroup:
                     f"generator degree {g.degree} does not match group degree {degree}"
                 )
         self.degree = degree
+        self.parent = parent
+        self.ambient = self if parent is None else parent.ambient
         self.generators = tuple(g for g in gens if not g.is_identity)
         self._levels: list[_Level] = []
         self._strong: list[tuple] = []
@@ -352,30 +363,23 @@ class PermutationGroup:
 
     # -- constructions ---------------------------------------------------
 
-    def subgroup(self, generators: Iterable) -> "Subgroup":
-        return Subgroup(self, generators)
+    def subgroup(self, generators: Iterable) -> "PermutationGroup":
+        """The subgroup generated by members of this group."""
+        return PermutationGroup(self.degree, generators, parent=self)
 
-    def normal_closure(self, seeds: Iterable) -> "Subgroup":
+    def normal_closure(self, seeds: Iterable) -> "PermutationGroup":
         """Smallest normal subgroup of this group containing the seeds."""
-        work: list[Permutation] = []
-        for s in seeds:
-            if not isinstance(s, Permutation):
-                s = Permutation(s)
-            if not self.is_member(s):
-                raise PreconditionError("normal closure seed is not a group member")
-            if not s.is_identity:
-                work.append(s)
-        H = PermutationGroup(self.degree, work)
+        H = self.subgroup(seeds)
         i = 0
         while i < len(H.generators):
             h = H.generators[i]
             for g in self.generators:
                 H._adjoin(h.conjugate(g))
             i += 1
-        return Subgroup(self, (), _group=H)
+        return H
 
     def coset_action_quotient(
-        self, N: "Subgroup", cap: int | None = None
+        self, N: "PermutationGroup", cap: int | None = None
     ) -> "PermutationGroup":
         """G acting on the right cosets of the normal subgroup N.
 
@@ -386,9 +390,9 @@ class PermutationGroup:
             cap = default_caps().quotient_degree
         if N.parent is not self:
             raise PreconditionError("subgroup belongs to a different group")
-        for n in N.group.generators:
+        for n in N.generators:
             for g in self.generators:
-                if not N.group.is_member(n.conjugate(g)):
+                if not N.is_member(n.conjugate(g)):
                     raise PreconditionError("coset action requires a normal subgroup")
         index = self.order // N.order
         if index > cap:
@@ -397,7 +401,7 @@ class PermutationGroup:
                 cap_name="quotient_degree",
                 cap_value=cap,
             )
-        n_rows = N.group.element_rows()
+        n_rows = N.element_rows()
         gen_rows = [kernel.pack(g.images) for g in self.generators]
         start = n_rows[0]  # least element of N = canonical form of the coset N*1
         canon: dict = {}
@@ -430,45 +434,4 @@ class PermutationGroup:
 
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
-
-
-class Subgroup:
-    """A subgroup of a parent group, with its own stabilizer chain."""
-
-    __slots__ = ("parent", "group")
-
-    def __init__(self, parent: PermutationGroup, generators: Iterable, *, _group=None):
-        gens = []
-        for g in generators:
-            if not isinstance(g, Permutation):
-                g = Permutation(g)
-            if not parent.is_member(g):
-                raise PreconditionError("subgroup generator is not a member of the parent")
-            gens.append(g)
-        self.parent = parent
-        self.group = _group if _group is not None else PermutationGroup(parent.degree, gens)
-
-    @property
-    def generators(self) -> tuple:
-        return self.group.generators
-
-    @property
-    def order(self) -> int:
-        return self.group.order
-
-    @property
-    def degree(self) -> int:
-        return self.group.degree
-
-    def is_member(self, g: Permutation) -> bool:
-        return self.group.is_member(g)
-
-    def __contains__(self, g: Permutation) -> bool:
-        return self.group.is_member(g)
-
-    def element_rows(self, cap: int | None = None) -> list:
-        return self.group.element_rows(cap)
-
-    def __repr__(self) -> str:
-        return f"Subgroup(order={self.order}, degree={self.degree})"
 

@@ -6,10 +6,10 @@ filtering the full element list, and Hall subgroups come from three
 strategies whose soundness does not depend on each other.  sylow() makes
 the only climb, once per host group and prime, and keeps the Sylow
 subgroup on the host together with its normalizer and centralizer, so
-every Sylow-side fact below reads the same subgroup.  The climb reads
-element orders from the class table of the host's ambient group (the
-outermost group it was cut from), and tests only p-elements.  The
-strategies:
+every Sylow-side fact below reads the same subgroup.  Every subgroup
+here is a PermutationGroup made by parent.subgroup(...), so it knows its
+ambient group; the climb reads element orders from the ambient group's
+class table and tests only p-elements.  The strategies:
 
   0. pure arithmetic absence for simple groups (the group cannot act
      faithfully on the cosets of the putative subgroup);
@@ -30,36 +30,26 @@ from .classdata import ClassTable, class_table
 from .config import Caps, default_caps
 from .errors import CapacityError, PreconditionError
 from .kernels import Row, kernel
-from .perms import Permutation, PermutationGroup, Subgroup
+from .perms import Permutation, PermutationGroup
 
 
 def _gen_rows(sub) -> List[Row]:
     return [kernel.pack(p.images) for p in sub.generators]
 
 
-def _subgroup_from_rows(parent: PermutationGroup, rows: Sequence[Row]) -> Subgroup:
-    gens = [Permutation(kernel.unpack(r)) for r in rows]
-    sub = Subgroup(parent, gens)
-    ambient = _ambient(parent)
-    sub.group.memo("ambient", lambda: ambient)
-    return sub
-
-
-def _ambient(host: PermutationGroup) -> PermutationGroup:
-    """The outermost group that host was cut from by _subgroup_from_rows,
-    else host itself.  Its rows include all of host's rows."""
-    return host.memo("ambient", lambda: host)
+def _subgroup_from_rows(parent: PermutationGroup, rows: Sequence[Row]) -> PermutationGroup:
+    return parent.subgroup(kernel.unpack(r) for r in rows)
 
 
 def _p_element_orders(
     host: PermutationGroup, rows: List[Row], p: int, caps: Caps
 ) -> Dict[Row, int]:
     """{row: element order} for host's nontrivial p-elements, in row
-    order, where rows are host's rows.  Read from a map kept per p on the
-    ambient group, built from its class table; host's own when the
-    ambient group is over the element cap, so no climb raises a cap error
-    that host's rows do not."""
-    ambient = _ambient(host)
+    order, where rows are host's rows.  Read from a map kept per p on
+    host.ambient, built from its class table; host's own when the ambient
+    group is over the element cap, so no climb raises a cap error that
+    host's rows do not."""
+    ambient = host.ambient
     if ambient.order > caps.elements:
         ambient = host
     known = ambient.memo(
@@ -70,12 +60,10 @@ def _p_element_orders(
     return {row: known[row] for row in rows if row in known}
 
 
-def _host_and_rows(group, caps: Caps) -> Tuple[PermutationGroup, List[Row]]:
-    if isinstance(group, Subgroup):
-        return group.group, group.element_rows(caps.elements)
-    if isinstance(group, PermutationGroup):
-        return group, group.element_rows(caps.elements)
-    raise PreconditionError("expected a permutation group or subgroup")
+def _rows(group, caps: Caps) -> List[Row]:
+    if not isinstance(group, PermutationGroup):
+        raise PreconditionError("expected a permutation group")
+    return group.element_rows(caps.elements)
 
 
 def _close_rows(gen_rows: Sequence[Row], degree: int, cap: int) -> List[Row]:
@@ -99,26 +87,26 @@ def _minimal_gen_rows(rows: Sequence[Row], degree: int) -> List[Row]:
     return gens
 
 
-def centralizer(group, target, caps: Optional[Caps] = None) -> Subgroup:
-    """Centralizer of a Subgroup or Permutation inside group."""
+def centralizer(group, target, caps: Optional[Caps] = None) -> PermutationGroup:
+    """Centralizer of a subgroup or a Permutation inside group."""
     caps = caps or default_caps()
-    host, rows = _host_and_rows(group, caps)
+    rows = _rows(group, caps)
     if isinstance(target, Permutation):
         xs = [kernel.pack(target.images)]
-    elif isinstance(target, Subgroup):
+    elif isinstance(target, PermutationGroup):
         xs = _gen_rows(target)
     else:
-        raise PreconditionError("centralizer target must be a Permutation or Subgroup")
+        raise PreconditionError("centralizer target must be a Permutation or a group")
     kept = kernel.centralizer_filter(rows, xs)
-    return _subgroup_from_rows(host, _minimal_gen_rows(kept, host.degree))
+    return _subgroup_from_rows(group, _minimal_gen_rows(kept, group.degree))
 
 
-def normalizer(group, sub: Subgroup, caps: Optional[Caps] = None) -> Subgroup:
+def normalizer(group, sub: PermutationGroup, caps: Optional[Caps] = None) -> PermutationGroup:
     caps = caps or default_caps()
-    host, rows = _host_and_rows(group, caps)
+    rows = _rows(group, caps)
     sub_rows = sub.element_rows(caps.elements)
     kept = kernel.normalizer_filter(rows, _gen_rows(sub), set(sub_rows))
-    return _subgroup_from_rows(host, _minimal_gen_rows(kept, host.degree))
+    return _subgroup_from_rows(group, _minimal_gen_rows(kept, group.degree))
 
 
 def _sylow_rows(
@@ -152,26 +140,28 @@ def _sylow_rows(
     return current
 
 
-def sylow(group, p: int, caps: Optional[Caps] = None) -> Subgroup:
-    """A Sylow p-subgroup, as a subgroup of the host group; one per prime
-    and host, kept on the host."""
+def sylow(group, p: int, caps: Optional[Caps] = None) -> PermutationGroup:
+    """A Sylow p-subgroup, as a subgroup of group; one per prime and
+    group, kept on the group."""
     caps = caps or default_caps()
     require_prime(p)
-    host, rows = _host_and_rows(group, caps)
+    rows = _rows(group, caps)
 
-    def climb() -> Subgroup:
-        syl = _sylow_rows(host.degree, rows, p, _p_element_orders(host, rows, p, caps))
-        return _subgroup_from_rows(host, _minimal_gen_rows(syl, host.degree))
+    def climb() -> PermutationGroup:
+        syl = _sylow_rows(group.degree, rows, p, _p_element_orders(group, rows, p, caps))
+        return _subgroup_from_rows(group, _minimal_gen_rows(syl, group.degree))
 
-    return host.memo(("sylow", p), climb)
+    return group.memo(("sylow", p), climb)
 
 
-def _sylow_and(kind: str, group, q: int, caps: Caps) -> Tuple[Subgroup, Subgroup]:
+def _sylow_and(
+    kind: str, group: PermutationGroup, q: int, caps: Caps
+) -> Tuple[PermutationGroup, PermutationGroup]:
     """sylow(group, q) and its "normalizer" or "centralizer" (kind), which
-    is kept on the host as ("sylow_" + kind, q)."""
+    is kept on group as ("sylow_" + kind, q)."""
     Q = sylow(group, q, caps)
     build = normalizer if kind == "normalizer" else centralizer
-    return Q, Q.parent.memo(("sylow_" + kind, q), lambda: build(group, Q, caps))
+    return Q, group.memo(("sylow_" + kind, q), lambda: build(group, Q, caps))
 
 
 def all_sylow(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> List[List[Row]]:
@@ -221,13 +211,12 @@ def is_abelian(sub) -> bool:
 def is_nilpotent(sub, caps: Optional[Caps] = None) -> bool:
     """Nilpotent iff every Sylow subgroup is normal."""
     caps = caps or default_caps()
-    host, _ = _host_and_rows(sub, caps)
-    return all(sylow_count(host, p, caps) == 1 for p in prime_factors(host.order))
+    return all(sylow_count(sub, p, caps) == 1 for p in prime_factors(sub.order))
 
 
 def exists_commuting_sylow_pair(
     group: PermutationGroup, p: int, q: int, caps: Optional[Caps] = None
-) -> Tuple[bool, Optional[Tuple[Subgroup, Subgroup]]]:
+) -> Tuple[bool, Optional[Tuple[PermutationGroup, PermutationGroup]]]:
     """Whether some Sylow p- and q-subgroups commute elementwise.
 
     Checked on one fixed Sylow p-subgroup P: a commuting pair exists iff
@@ -248,7 +237,7 @@ def exists_commuting_sylow_pair(
 
 def exists_normalizing_sylow_pair(
     group: PermutationGroup, p: int, q: int, caps: Optional[Caps] = None
-) -> Tuple[bool, Optional[Tuple[Subgroup, Subgroup]]]:
+) -> Tuple[bool, Optional[Tuple[PermutationGroup, PermutationGroup]]]:
     """Whether some Sylow p-subgroup normalizes some Sylow q-subgroup.
 
     Checked on one fixed Sylow q-subgroup Q: such a pair exists iff the
@@ -268,7 +257,7 @@ def exists_normalizing_sylow_pair(
 
 def minimal_normal_subgroup(
     group: PermutationGroup, table: Optional[ClassTable] = None, caps: Optional[Caps] = None
-) -> Optional[Subgroup]:
+) -> Optional[PermutationGroup]:
     """A minimal normal subgroup, or None for the trivial group.
 
     Every minimal normal subgroup is the normal closure of each of its
@@ -279,7 +268,7 @@ def minimal_normal_subgroup(
     if group.order == 1:
         return None
     table = table or class_table(group, caps)
-    best: Optional[Subgroup] = None
+    best: Optional[PermutationGroup] = None
     for ci in table.classes:
         if ci.element_order == 1:
             continue
@@ -306,7 +295,7 @@ def is_simple(group: PermutationGroup, caps: Optional[Caps] = None) -> bool:
     return True
 
 
-def derived_subgroup(group: PermutationGroup) -> Subgroup:
+def derived_subgroup(group: PermutationGroup) -> PermutationGroup:
     gens = group.generators
     comms = []
     for i, a in enumerate(gens):
@@ -315,7 +304,7 @@ def derived_subgroup(group: PermutationGroup) -> Subgroup:
             if not c.is_identity:
                 comms.append(c)
     if not comms:
-        return Subgroup(group, [])
+        return group.subgroup([])
     return group.normal_closure(comms)
 
 
@@ -333,7 +322,7 @@ def _is_solvable(group: PermutationGroup) -> bool:
             return False
         if der.order == 1:
             return True
-        current = der.group
+        current = der
         order = current.order
     return True
 
@@ -356,13 +345,15 @@ def _is_p_solvable(group: PermutationGroup, p: int, caps: Caps) -> bool:
     if nsub is None or nsub.order == order:
         # simple, order divisible by p but not a p-power
         return False
-    if not is_p_solvable(nsub.group, p, caps):
+    if not is_p_solvable(nsub, p, caps):
         return False
     quotient = group.coset_action_quotient(nsub, caps.quotient_degree)
     return is_p_solvable(quotient, p, caps)
 
 
-def op_prime_core(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> Subgroup:
+def op_prime_core(
+    group: PermutationGroup, p: int, caps: Optional[Caps] = None
+) -> PermutationGroup:
     """O_{p'}(group): the largest normal subgroup of order coprime to p.
 
     Greedy absorption over class representatives of p'-order is complete:
@@ -375,9 +366,9 @@ def op_prime_core(group: PermutationGroup, p: int, caps: Optional[Caps] = None) 
     return group.memo(("op_prime_core", p, caps), lambda: _op_prime_core(group, p, caps))
 
 
-def _op_prime_core(group: PermutationGroup, p: int, caps: Caps) -> Subgroup:
+def _op_prime_core(group: PermutationGroup, p: int, caps: Caps) -> PermutationGroup:
     table = class_table(group, caps)
-    core = Subgroup(group, [])
+    core = group.subgroup([])
     for ci in table.classes:
         if ci.element_order == 1 or ci.element_order % p == 0:
             continue
@@ -395,7 +386,7 @@ class HallSearch:
 
     __slots__ = ("status", "subgroup", "reason")
 
-    def __init__(self, status: str, subgroup: Optional[Subgroup], reason: str):
+    def __init__(self, status: str, subgroup: Optional[PermutationGroup], reason: str):
         self.status = status
         self.subgroup = subgroup
         self.reason = reason
@@ -420,7 +411,7 @@ def _check_pi(group_order: int, pi: Sequence[int]) -> Tuple[int, ...]:
 
 def nilpotent_hall(
     group: PermutationGroup, pi: Sequence[int], caps: Optional[Caps] = None
-) -> Optional[Subgroup]:
+) -> Optional[PermutationGroup]:
     """A nilpotent Hall pi-subgroup, or None if none exists.
 
     Centralizer chain: take a Sylow subgroup for the first prime, pass
@@ -435,7 +426,7 @@ def nilpotent_hall(
     caps = caps or default_caps()
     primes = _check_pi(group.order, pi)
     if not primes:
-        return Subgroup(group, [])
+        return group.subgroup([])
     scope = group
     collected_gens: List[Row] = []
     for p in primes:
@@ -459,10 +450,9 @@ def hall_subgroup(
     order = group.order
     target = pi_part(order, primes)
     if target == 1:
-        return HallSearch("found", Subgroup(group, []), "trivial Hall subgroup")
+        return HallSearch("found", group.subgroup([]), "trivial Hall subgroup")
     if target == order:
-        sub = Subgroup(group, list(group.generators))
-        return HallSearch("found", sub, "the whole group is a pi-group")
+        return HallSearch("found", group, "the whole group is a pi-group")
     if len(primes) == 1:
         return HallSearch("found", sylow(group, primes[0], caps), "Sylow subgroup")
 

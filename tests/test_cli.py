@@ -359,6 +359,23 @@ class TestLieCommands:
         assert grid["failures"] == []
         assert "elapsed" not in grid
 
+    def test_grid_times_sit_under_timings(self, capsys, monkeypatch):
+        # run_grid reports no time; lie-grid has timings.total_s, and the
+        # suite times its grid item as it times each group
+        code, rep, _ = run(capsys, "lie-grid")
+        assert code == 0
+        assert "elapsed" not in rep["grid"] and "total_s" in rep["timings"]
+        entries = cli.catalog.entries
+        monkeypatch.setattr(
+            cli.catalog, "entries",
+            lambda **kw: [e for e in entries(**kw) if e.name == "s4"])
+        for flags, timed in (((), True), (("--no-timings",), False)):
+            code, rep, _ = run(capsys, "suite", *flags)
+            assert code == 0
+            grid, (group,) = rep["grid"], rep["groups"]
+            assert "elapsed" not in grid
+            assert ("elapsed_s" in grid) is timed and ("elapsed_s" in group) is timed
+
     def test_lie_grid_custom_manifest(self, capsys, tmp_path):
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({

@@ -150,6 +150,37 @@ def test_normalizer_filter_edge_cases(k):
     assert len(kept) == 8
 
 
+def _oracle_centralizer(rows, xs):
+    return [r for r in rows
+            if all(oracles.compose(r, x) == oracles.compose(x, r) for x in xs)]
+
+
+@each_backend
+@settings(max_examples=60, deadline=None)
+@given(case=subgroups_of_small_symmetric_groups())
+def test_centralizer_filter_matches_oracle_on_subgroups(k, case):
+    n, gens, rows = case
+    kept = k.centralizer_filter([k.pack(r) for r in rows], [k.pack(x) for x in gens])
+    assert _unpacked(k, kept) == _oracle_centralizer(rows, gens)
+
+
+@each_backend
+def test_centralizer_filter_edge_cases(k):
+    s4 = sorted(oracles.close([(1, 0, 2, 3), (1, 2, 3, 0)], 4))
+    packed = [k.pack(r) for r in s4]
+    ident = oracles.identity(4)
+    # no targets, or a first target fixing every point: every row is kept
+    assert _unpacked(k, k.centralizer_filter(packed, [])) == s4
+    assert _unpacked(k, k.centralizer_filter(packed, [k.pack(ident)])) == s4
+    # the 4-cycle (0 1 2 3): 8 rows satisfy r[1] == r[0] + 1 (mod 4) at
+    # the test point 0, and the full test keeps the 4 powers of the cycle;
+    # behind an identity first target the full test alone decides
+    four = (1, 2, 3, 0)
+    for xs in ([four], [ident, four]):
+        kept = _unpacked(k, k.centralizer_filter(packed, [k.pack(x) for x in xs]))
+        assert kept == _oracle_centralizer(s4, [four]) and len(kept) == 4
+
+
 @each_backend
 def test_close_group_cap(k):
     group = catalog.build("s4")

@@ -10,6 +10,7 @@ with zero failures.
 """
 
 import json
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -511,13 +512,16 @@ class TestGrid:
         manifest = load_grid_manifest()
         assert manifest["schema"] == "hallmark-lie-grid/1"
         assert list(manifest["families"]) == list(FAMILIES)
+        started = time.monotonic()
         rep = run_grid(manifest)
+        elapsed = time.monotonic() - started
         assert rep["points"] == 7776
         assert rep["witnessed"] == 1475
         assert rep["vacuous"] == 6301
         assert rep["failures"] == []
         assert rep["ok"] is True
-        assert rep["elapsed"] < 60
+        assert "elapsed" not in rep
+        assert elapsed < 60
 
     def test_matches_pair_by_pair_replay(self, monkeypatch):
         # The grid shares each order and witness across points; replaying

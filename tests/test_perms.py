@@ -111,7 +111,7 @@ class TestPermutationGroup:
         group = s4()
         v4 = group.normal_closure([from_cycles(4, (0, 1), (2, 3))])
         assert v4.order == 4
-        assert oracles.is_abelian([p.images for p in v4.group.elements()])
+        assert oracles.is_abelian([p.images for p in v4.elements()])
 
     def test_coset_action_quotient_s4_mod_v4(self):
         group = s4()
@@ -119,17 +119,28 @@ class TestPermutationGroup:
         quotient = group.coset_action_quotient(v4)
         assert quotient.degree == 6
         assert quotient.order == 6
+        assert v4.parent is group and v4.ambient is group
+        # a quotient acts on new points: no parent, its own ambient group
+        assert quotient.parent is None and quotient.ambient is quotient
 
     def test_coset_action_rejects_non_normal(self):
         group = s4()
         sub = group.subgroup([from_cycles(4, (0, 1))])
+        assert group.parent is None and group.ambient is group
+        assert sub.parent is group and sub.ambient is group
+        inner = sub.subgroup(sub.generators)
+        assert inner.parent is sub and inner.ambient is group
         with pytest.raises(PreconditionError):
             group.coset_action_quotient(sub)
+        with pytest.raises(PreconditionError):
+            group.coset_action_quotient(inner)
 
     def test_normal_closure_rejects_outsiders(self):
         group = PermutationGroup(5, [from_cycles(5, (0, 1, 2)), from_cycles(5, (2, 3, 4))])
         with pytest.raises(PreconditionError):
             group.normal_closure([from_cycles(5, (0, 1))])
+        with pytest.raises(PreconditionError):
+            group.subgroup([from_cycles(5, (0, 1))])
 
     @given(st.randoms(note_method_calls=False))
     @settings(max_examples=20, deadline=None)
@@ -181,7 +192,7 @@ def test_normal_closure_extends_its_chain_correctly(data):
     want = _oracle_normal_closure([tuple(g) for g in gen_images],
                                   [s.images for s in seeds], degree)
     assert closure.order == len(want)
-    assert [p.images for p in closure.group.elements()] == sorted(want)
+    assert [p.images for p in closure.elements()] == sorted(want)
     fresh = PermutationGroup(degree, closure.generators)
     assert fresh.order == closure.order
     assert fresh.element_rows() == closure.element_rows()

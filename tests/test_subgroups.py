@@ -3,7 +3,7 @@
 import pytest
 
 import oracles
-from hallmark import catalog, subgroups
+from hallmark import catalog, classdata, subgroups
 from hallmark.arith import p_part, pi_part, prime_factors
 from hallmark.config import Caps
 from hallmark.errors import CapacityError, PreconditionError
@@ -15,7 +15,7 @@ def naive_elements(group):
 
 
 def naive_set(sub):
-    return oracles.close([p.images for p in sub.generators], sub.group.degree)
+    return oracles.close([p.images for p in sub.generators], sub.degree)
 
 
 def assert_genuine_subgroup(group, sub, ambient=None):
@@ -103,6 +103,31 @@ class TestSylowClimb:
             expected = sorted(oracles.sylow_climb(scope, prime))
             assert [kernel.unpack(r) for r in rows] == expected, (len(scope), prime)
 
+    def test_subgroups_read_the_ambient_class_table(self, monkeypatch):
+        # A climb in any subgroup reads its ambient group's class table:
+        # hall_subgroup's whole-group result and a normal closure tabulate
+        # nothing of their own.
+        built = []
+        init = classdata.ClassTable.__init__
+
+        def counting(self, grp, caps=None):
+            built.append(grp)
+            init(self, grp, caps)
+
+        monkeypatch.setattr(classdata.ClassTable, "__init__", counting)
+        group = catalog.build("a5xc7")
+        classdata.class_table(group)
+        hall = subgroups.hall_subgroup(group, [2, 3, 5, 7]).subgroup
+        assert hall.order == group.order
+        assert not subgroups.is_nilpotent(hall)
+        assert built == [group]
+        s4 = catalog.build("s4")
+        classdata.class_table(s4)
+        closure = s4.normal_closure(s4.generators)
+        assert closure.parent is s4 and closure.ambient is s4
+        assert subgroups.sylow(closure, 2).order == 8
+        assert built == [group, s4]
+
 
 class TestCentralizerNormalizer:
     def test_centralizer_matches_naive(self):
@@ -112,6 +137,7 @@ class TestCentralizerNormalizer:
             cent = subgroups.centralizer(group, target)
             naive = oracles.centralizer(ambient, target.images)
             assert naive_set(cent) == naive
+            assert cent.parent is group and cent.ambient is group
 
     def test_normalizer_of_sylow_has_index_sylow_count(self):
         group = catalog.build("a5")
@@ -119,6 +145,12 @@ class TestCentralizerNormalizer:
         norm = subgroups.normalizer(group, syl)
         assert group.order // norm.order == subgroups.sylow_count(group, 5)
         assert naive_set(syl) <= naive_set(norm)
+        assert syl.parent is group and norm.parent is group
+        # nested scopes: parent is the scope, ambient the outermost group
+        inner = subgroups.sylow(norm, 2)
+        cent = subgroups.centralizer(norm, inner)
+        assert inner.parent is norm and cent.parent is norm
+        assert {id(g.ambient) for g in (syl, norm, inner, cent)} == {id(group)}
 
 
 class TestPredicates:
@@ -185,6 +217,13 @@ class TestStructure:
         assert subgroups.derived_subgroup(catalog.build("d4")).order == 2
         assert subgroups.derived_subgroup(catalog.build("a5")).order == 60
         assert subgroups.derived_subgroup(catalog.build("c30")).order == 1
+        s4 = catalog.build("s4")
+        a4 = subgroups.derived_subgroup(s4)
+        v4 = subgroups.derived_subgroup(a4)
+        assert a4.parent is s4 and v4.parent is a4 and v4.ambient is s4
+        c30 = catalog.build("c30")
+        trivial = subgroups.derived_subgroup(c30)
+        assert trivial.parent is c30 and trivial.ambient is c30
 
     @pytest.mark.parametrize("name,p,core_order", [
         ("s4", 3, 4), ("s4", 2, 1), ("a4", 3, 4), ("frob20", 5, 1),
@@ -194,6 +233,7 @@ class TestStructure:
         group = catalog.build(name)
         core = subgroups.op_prime_core(group, p)
         assert core.order == core_order
+        assert core.parent is group and core.ambient is group
         assert core.order % p != 0 if p != 1 else True
         # normality, the naive way
         core_set = naive_set(core)
