@@ -1,13 +1,19 @@
 """Deterministic permutation-group engine.
 
-Groups are given by generators acting on {0, ..., degree-1}.  A strong
-generating set relative to a fixed base is built once, with no
-randomisation (base points are the smallest non-fixed points), and
-membership, exact order, element enumeration, coset actions and normal
-closures are all derived from it.  Each level keeps the inverse of every
-transversal element next to it, so sifting never inverts.  normal_closure
-extends one chain in place, one conjugate at a time, instead of building
-a new group per conjugate.
+Groups are given by generators acting on {0, ..., degree-1}.  A base and
+strong generating set is built by deterministic Schreier-Sims, with no
+randomisation (a new base point is the least point its generator moves),
+and membership, exact order, coset actions and normal closures are
+derived from it.  Each level keeps the inverse of every transversal
+element next to it, so sifting never inverts.
+
+The chain only grows, and each level remembers which Schreier generators
+it has sifted, so each is sifted once over the group's life (Holt, Eick
+and O'Brien, Handbook of Computational Group Theory, 4.4; Seress,
+Permutation Group Algorithms, 4.2).  normal_closure extends one chain in
+place, one conjugate at a time, resuming the Schreier loop where the
+conjugate's sift stopped.  config.SIFT_CAP bounds the Schreier sifts of
+one group.
 
 There is one group type.  A subgroup is a PermutationGroup made by
 parent.subgroup(...), which checks that its generators lie in the parent;
@@ -25,7 +31,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ._kernel_py import compose, inverse, order_of
-from .config import DEGREE_CAP, default_caps
+from .config import DEGREE_CAP, SIFT_CAP, default_caps
 from .errors import CapacityError, MalformedInputError, PreconditionError
 from .kernels import Row, kernel
 
@@ -159,33 +165,51 @@ class Permutation:
 
 
 class _Level:
-    __slots__ = ("base", "gens", "transversal", "inverses")
+    """A base point, its strong generators, and the orbit of the base with
+    a transversal element and its inverse per point.
 
-    def __init__(self, base: int):
+    A level only grows: no transversal or inverse entry is ever replaced.
+    `checked` holds the (orbit point, generator index) pairs whose Schreier
+    generator has been sifted, or is the identity because the pair is an
+    edge of the orbit's tree.
+    """
+
+    __slots__ = ("base", "gens", "gen_invs", "orbit", "transversal", "inverses", "checked")
+
+    def __init__(self, base: int, ident: tuple):
         self.base = base
         self.gens: list = []
-        self.transversal: dict = {}
-        self.inverses: dict = {}
+        self.gen_invs: list = []
+        self.orbit = [base]
+        self.transversal = {base: ident}
+        self.inverses = {base: ident}
+        self.checked: set = set()
 
+    def extend(self, s: tuple) -> None:
+        """Add the strong generator s and close the orbit under it.
 
-def _rebuild_orbit(level: _Level, degree: int) -> None:
-    ident = tuple(range(degree))
-    level.transversal = {level.base: ident}
-    level.inverses = {level.base: ident}
-    gen_invs = [inverse(s) for s in level.gens]
-    queue = [level.base]
-    head = 0
-    while head < len(queue):
-        beta = queue[head]
-        head += 1
-        u = level.transversal[beta]
-        u_inv = level.inverses[beta]
-        for s, s_inv in zip(level.gens, gen_invs):
-            gamma = s[beta]
-            if gamma not in level.transversal:
-                level.transversal[gamma] = compose(u, s)
-                level.inverses[gamma] = compose(s_inv, u_inv)
-                queue.append(gamma)
+        s is applied to the points already in the orbit; every point that
+        appears is then closed under all of the level's generators.
+        """
+        k = len(self.gens)
+        self.gens.append(s)
+        self.gen_invs.append(inverse(s))
+        orbit, transversal, inverses = self.orbit, self.transversal, self.inverses
+        old = len(orbit)
+        head = 0
+        while head < len(orbit):
+            beta = orbit[head]
+            u = transversal[beta]
+            u_inv = inverses[beta]
+            for i in range(k if head < old else 0, k + 1):
+                t = self.gens[i]
+                gamma = t[beta]
+                if gamma not in transversal:
+                    transversal[gamma] = compose(u, t)
+                    inverses[gamma] = compose(self.gen_invs[i], u_inv)
+                    orbit.append(gamma)
+                    self.checked.add((beta, i))
+            head += 1
 
 
 class PermutationGroup:
@@ -218,9 +242,13 @@ class PermutationGroup:
         self.parent = parent
         self.ambient = self if parent is None else parent.ambient
         self.generators = tuple(g for g in gens if not g.is_identity)
+        self._ident = tuple(range(degree))
         self._levels: list[_Level] = []
-        self._strong: list[tuple] = []
-        self._build_chain()
+        self._sifts = 0
+        for g in self.generators:
+            r, j = self._sift_tuple(g.images)
+            self._add_residue(r, 0, j)
+        self._schreier_close(len(self._levels) - 1)
         self._rows: list | None = None
         self._facts: dict = {}
 
@@ -247,67 +275,81 @@ class PermutationGroup:
             g = compose(g, u_inv)
         return g, len(self._levels)
 
-    def _insert_strong(self, g: tuple) -> None:
-        """Add g to the strong set, extending the base so g moves some base."""
-        if not any(g[lvl.base] != lvl.base for lvl in self._levels):
-            base = min(p for p, v in enumerate(g) if v != p)
-            self._levels.append(_Level(base))
-        self._strong.append(g)
+    def _add_residue(self, r: tuple, first: int, stop: int) -> bool:
+        """Make the residue r, whose sift stopped at level stop, a strong
+        generator of levels first..stop; False if r is the identity.
 
-    def _rebuild_levels(self, upto: int) -> None:
-        """Recompute generator lists and transversals for levels 0..upto."""
-        prefix: list[int] = []
-        for i, lvl in enumerate(self._levels):
-            if i <= upto:
-                lvl.gens = [
-                    s for s in self._strong if all(s[b] == b for b in prefix)
-                ]
-                _rebuild_orbit(lvl, self.degree)
-            prefix.append(lvl.base)
+        r fixes the base points above stop and moves that of level stop; if
+        it fixes every base point, a level at its least moved point is
+        appended.
+        """
+        if r == self._ident:
+            return False
+        if stop == len(self._levels):
+            base = next(p for p, v in enumerate(r) if v != p)
+            self._levels.append(_Level(base, self._ident))
+        for lvl in self._levels[first : stop + 1]:
+            lvl.extend(r)
+        return True
 
-    def _build_chain(self) -> None:
-        for g in self.generators:
-            self._insert_strong(g.images)
-        self._rebuild_levels(len(self._levels))
-        self._schreier_close()
+    def _schreier_close(self, i: int) -> None:
+        """Sift the unchecked Schreier generators of levels i, i-1, .., 0.
 
-    def _schreier_close(self) -> None:
-        """Add strong generators until every Schreier generator sifts to identity."""
-        ident = tuple(range(self.degree))
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(self._levels)):
-                lvl = self._levels[i]
-                for beta in sorted(lvl.transversal):
-                    u = lvl.transversal[beta]
-                    for s in lvl.gens:
-                        sg = compose(compose(u, s), lvl.inverses[s[beta]])
-                        if sg == ident:
-                            continue
-                        r, j = self._sift_tuple(sg, i + 1)
-                        if r != ident:
-                            self._insert_strong(r)
-                            self._rebuild_levels(j)
-                            changed = True
+        Levels below i are closed already.  A residue found at level i
+        becomes a strong generator of levels i+1 down to where its sift
+        stopped, and the loop resumes there; levels 0..i need not take it,
+        since it lies in the group their generators generate.  A pair once
+        sifted to the identity still does later (entries are never
+        replaced, and new levels only go below), so each pair is sifted
+        once, and at the end every Schreier generator lies in the next
+        level's group: the chain is a base and strong generating set.
+        """
+        while i >= 0:
+            stop = self._sift_level(i)
+            i = i - 1 if stop is None else stop
         self.order = 1
         for lvl in self._levels:
-            self.order *= len(lvl.transversal)
+            self.order *= len(lvl.orbit)
+
+    def _sift_level(self, i: int):
+        """Sift level i's unchecked Schreier generators until one leaves a
+        residue; add it and return where its sift stopped, or None."""
+        lvl = self._levels[i]
+        for beta in lvl.orbit:
+            u = lvl.transversal[beta]
+            for k, s in enumerate(lvl.gens):
+                if (beta, k) in lvl.checked:
+                    continue
+                lvl.checked.add((beta, k))
+                sg = compose(compose(u, s), lvl.inverses[s[beta]])
+                if sg == self._ident:
+                    continue
+                self._sifts += 1
+                if self._sifts > SIFT_CAP:
+                    raise CapacityError(
+                        "building the stabilizer chain needs more Schreier sifts "
+                        f"than the sift cap {SIFT_CAP}",
+                        cap_name="sifts",
+                        cap_value=SIFT_CAP,
+                    )
+                r, j = self._sift_tuple(sg, i + 1)
+                if self._add_residue(r, i + 1, j):
+                    return j
+        return None
 
     def _adjoin(self, g: Permutation) -> bool:
         """Extend this group by g in place; False if g was already a member.
 
-        The residue of g's sift becomes a strong generator, the levels up
-        to where the sift stopped are rebuilt, and the Schreier loop runs
-        again.  Only for a group whose rows and facts nobody has read yet.
+        The residue of g's sift joins the levels down to where the sift
+        stopped, and the Schreier loop resumes at that level; pairs that
+        earlier builds and adjoins sifted are not sifted again.  Only for a
+        group whose rows and facts nobody has read yet.
         """
         r, j = self._sift_tuple(g.images)
-        if r == tuple(range(self.degree)):
+        if not self._add_residue(r, 0, j):
             return False
         self.generators += (g,)
-        self._insert_strong(r)
-        self._rebuild_levels(j)
-        self._schreier_close()
+        self._schreier_close(j)
         return True
 
     # -- queries ---------------------------------------------------------
@@ -324,7 +366,7 @@ class PermutationGroup:
                 f"element degree {g.degree} does not match group degree {self.degree}"
             )
         r, _ = self._sift_tuple(g.images)
-        return r == tuple(range(self.degree))
+        return r == self._ident
 
     def __contains__(self, g: Permutation) -> bool:
         return self.is_member(g)

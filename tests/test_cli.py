@@ -12,8 +12,8 @@ import time
 
 import pytest
 
-from hallmark import cli, lieorders
-from hallmark.config import RANK_CAP
+from hallmark import catalog, cli, lieorders
+from hallmark.config import RANK_CAP, SIFT_CAP
 from hallmark.errors import CapacityError
 
 
@@ -280,6 +280,30 @@ class TestBounds:
         with pytest.raises(CapacityError) as info:
             lieorders.load_grid_manifest(self._grid(tmp_path, 10000))
         assert (info.value.cap_name, info.value.cap_value) == ("rank", RANK_CAP)
+
+    @staticmethod
+    def _symmetric(tmp_path, n):
+        # a transposition and an n-cycle, images 1-based
+        path = tmp_path / ("s%d.json" % n)
+        path.write_text(json.dumps({
+            "name": "s%d" % n,
+            "degree": n,
+            "generators": [[2, 1] + list(range(3, n + 1)), list(range(2, n + 1)) + [1]],
+        }))
+        return str(path)
+
+    def test_large_symmetric_group_hits_the_sift_cap(self, capsys, tmp_path):
+        started = time.monotonic()
+        code, rep, err = run(capsys, "classes", self._symmetric(tmp_path, 200))
+        assert time.monotonic() - started < 10
+        assert code == 3
+        assert rep is None
+        assert "capacity:" in err and "sift cap %d" % SIFT_CAP in err
+        started = time.monotonic()
+        with pytest.raises(CapacityError) as info:
+            catalog.load_group_file(self._symmetric(tmp_path, 80))
+        assert time.monotonic() - started < 10
+        assert (info.value.cap_name, info.value.cap_value) == ("sifts", SIFT_CAP)
 
     def test_huge_verify_rank_hits_the_rank_cap(self, capsys):
         code, rep, err = run(capsys, "lie-verify", "--family", "Sp", "--n", "10000",

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hallmark import catalog
 from hallmark.config import DEGREE_CAP
 from hallmark.errors import CapacityError, MalformedInputError, PreconditionError
 from hallmark.perms import Permutation, PermutationGroup
@@ -198,3 +199,24 @@ def test_normal_closure_extends_its_chain_correctly(data):
     assert fresh.element_rows() == closure.element_rows()
     for x in elements:
         assert closure.is_member(Permutation(x)) == (x in want)
+
+
+@pytest.mark.parametrize("name", ["s4", "a5", "psl2_7", "psl2_31", "psl3_3", "a5xc7", "a8"])
+def test_each_schreier_generator_is_sifted_once(monkeypatch, name):
+    # Schreier generators sift from level 1 or deeper; membership tests and
+    # new generators sift from level 0.  Sifting each (orbit point,
+    # generator) pair of the final chain at most once bounds the count.
+    schreier_sifts = []
+    sift = PermutationGroup._sift_tuple
+
+    def counting(self, g, start=0):
+        if start > 0:
+            schreier_sifts.append(start)
+        return sift(self, g, start)
+
+    shipped = catalog.build(name)
+    monkeypatch.setattr(PermutationGroup, "_sift_tuple", counting)
+    group = PermutationGroup(shipped.degree, shipped.generators)
+    pairs = sum(len(lvl.transversal) * len(lvl.gens) for lvl in group._levels)
+    assert group.order == shipped.order
+    assert len(schreier_sifts) <= pairs
