@@ -409,6 +409,26 @@ class PermutationGroup:
         """The subgroup generated by members of this group."""
         return PermutationGroup(self.degree, generators, parent=self)
 
+    def subgroup_from_rows(self, rows: Sequence[Row]) -> "PermutationGroup":
+        """The subgroup of this group whose elements are the sorted kernel
+        rows.
+
+        One chain grows from the trivial subgroup: each row that is not
+        yet a member is adjoined, in row order, until the order reaches
+        len(rows).  So the generators are the greedy pick from the rows,
+        and each row scanned costs one membership sift.
+        """
+        H = self.subgroup([])
+        for row in rows:
+            if H.order >= len(rows):
+                break
+            g = self._perm_from_row(row)
+            if H._adjoin(g) and g not in self:
+                raise PreconditionError("subgroup generator is not a member of the parent")
+        if H.order != len(rows):
+            raise PreconditionError("the rows are not the elements of a subgroup")
+        return H
+
     def normal_closure(self, seeds: Iterable) -> "PermutationGroup":
         """Smallest normal subgroup of this group containing the seeds."""
         H = self.subgroup(seeds)

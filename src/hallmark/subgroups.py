@@ -3,13 +3,23 @@
 Everything here trades cleverness for checkability: Sylow subgroups are
 grown by normalizer climbs, centralizers and normalizers are computed by
 filtering the full element list, and Hall subgroups come from three
-strategies whose soundness does not depend on each other.  sylow() makes
-the only climb, once per host group and prime, and keeps the Sylow
-subgroup on the host together with its normalizer and centralizer, so
-every Sylow-side fact below reads the same subgroup.  Every subgroup
-here is a PermutationGroup made by parent.subgroup(...), so it knows its
-ambient group; the climb reads element orders from the ambient group's
-class table and tests only p-elements.  The strategies:
+strategies whose soundness does not depend on each other.
+
+Every subgroup here is a PermutationGroup with a stabilizer chain, made
+by parent.subgroup(...) or parent.subgroup_from_rows(...), so it knows
+its ambient group.  A subgroup found as a set of element rows (a
+filtered centralizer or normalizer, a climbed Sylow subgroup, a Hall
+subgroup) gets its generators from its chain: subgroup_from_rows adjoins
+rows in order until the chain's order is the row count, one membership
+sift per row scanned.  kernel.close_group is the only closure loop; the
+Sylow climb and the Hall search call it on generator lists they grow
+themselves.
+
+sylow() makes the only climb, once per host group and prime, and keeps
+the Sylow subgroup on the host together with its normalizer and
+centralizer, so every Sylow-side fact below reads the same subgroup.
+The climb reads element orders from the ambient group's class table and
+tests only p-elements.  The Hall strategies:
 
   0. pure arithmetic absence for simple groups (the group cannot act
      faithfully on the cosets of the putative subgroup);
@@ -37,10 +47,6 @@ def _gen_rows(sub) -> List[Row]:
     return [kernel.pack(p.images) for p in sub.generators]
 
 
-def _subgroup_from_rows(parent: PermutationGroup, rows: Sequence[Row]) -> PermutationGroup:
-    return parent.subgroup(kernel.unpack(r) for r in rows)
-
-
 def _p_element_orders(
     host: PermutationGroup, rows: List[Row], p: int, caps: Caps
 ) -> Dict[Row, int]:
@@ -66,27 +72,6 @@ def _rows(group, caps: Caps) -> List[Row]:
     return group.element_rows(caps.elements)
 
 
-def _close_rows(gen_rows: Sequence[Row], degree: int, cap: int) -> List[Row]:
-    closed = kernel.close_group(list(gen_rows), degree, cap)
-    if closed is None:
-        raise PreconditionError("closure exceeded expected subgroup size")
-    return closed
-
-
-def _minimal_gen_rows(rows: Sequence[Row], degree: int) -> List[Row]:
-    """A small generating set for the subgroup given by its closed row set."""
-    ident = kernel.identity_row(degree)
-    gens: List[Row] = []
-    have = {ident}
-    for row in rows:
-        if row not in have:
-            gens.append(row)
-            have = set(_close_rows(gens, degree, len(rows) + 1))
-            if len(have) == len(rows):
-                break
-    return gens
-
-
 def centralizer(group, target, caps: Optional[Caps] = None) -> PermutationGroup:
     """Centralizer of a subgroup or a Permutation inside group."""
     caps = caps or default_caps()
@@ -97,8 +82,7 @@ def centralizer(group, target, caps: Optional[Caps] = None) -> PermutationGroup:
         xs = _gen_rows(target)
     else:
         raise PreconditionError("centralizer target must be a Permutation or a group")
-    kept = kernel.centralizer_filter(rows, xs)
-    return _subgroup_from_rows(group, _minimal_gen_rows(kept, group.degree))
+    return group.subgroup_from_rows(kernel.centralizer_filter(rows, xs))
 
 
 def normalizer(group, sub: PermutationGroup, caps: Optional[Caps] = None) -> PermutationGroup:
@@ -106,7 +90,7 @@ def normalizer(group, sub: PermutationGroup, caps: Optional[Caps] = None) -> Per
     rows = _rows(group, caps)
     sub_rows = sub.element_rows(caps.elements)
     kept = kernel.normalizer_filter(rows, _gen_rows(sub), set(sub_rows))
-    return _subgroup_from_rows(group, _minimal_gen_rows(kept, group.degree))
+    return group.subgroup_from_rows(kept)
 
 
 def _sylow_rows(
@@ -118,7 +102,8 @@ def _sylow_rows(
     order, in row order; sylow() reads it from the ambient class table.
     Deterministic climb: start from the least element of maximal p-power
     order, then repeatedly adjoin the least p-element of the normalizer
-    not yet inside.  Each step grows the p-subgroup, so the climb ends at
+    not yet inside; the generators are the start and each adjoined
+    element.  Each step grows the p-subgroup, so the climb ends at
     the full p-part; it cannot stall below it because a proper p-subgroup
     has a strictly larger normalizer p-part.
     """
@@ -126,9 +111,13 @@ def _sylow_rows(
     if target == 1:
         return [kernel.identity_row(degree)]
     p_rows = list(orders)
-    current = _close_rows([max(p_rows, key=orders.__getitem__)], degree, target + 1)
-    while len(current) < target:
-        gens = _minimal_gen_rows(current, degree)
+    gens = [max(p_rows, key=orders.__getitem__)]
+    while True:
+        current = kernel.close_group(gens, degree, target)
+        if current is None:
+            raise PreconditionError("normalizer climb passed order %d" % target)
+        if len(current) == target:
+            return current
         current_set = set(current)
         outside = [row for row in p_rows if row not in current_set]
         normal = kernel.normalizer_filter(outside, gens, current_set)
@@ -136,8 +125,7 @@ def _sylow_rows(
             raise PreconditionError(
                 "normalizer climb stalled at order %d of %d" % (len(current), target)
             )
-        current = _close_rows(gens + [normal[0]], degree, target + 1)
-    return current
+        gens.append(normal[0])
 
 
 def sylow(group, p: int, caps: Optional[Caps] = None) -> PermutationGroup:
@@ -149,7 +137,7 @@ def sylow(group, p: int, caps: Optional[Caps] = None) -> PermutationGroup:
 
     def climb() -> PermutationGroup:
         syl = _sylow_rows(group.degree, rows, p, _p_element_orders(group, rows, p, caps))
-        return _subgroup_from_rows(group, _minimal_gen_rows(syl, group.degree))
+        return group.subgroup_from_rows(syl)
 
     return group.memo(("sylow", p), climb)
 
@@ -166,13 +154,15 @@ def _sylow_and(
 
 def all_sylow(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> List[List[Row]]:
     """Generator rows of every Sylow p-subgroup, from the conjugation orbit
-    of one of them."""
+    of one of them: each conjugate's generators are the seed's generators
+    conjugated along the orbit's search tree, and the list is in the order
+    of the conjugates' sorted element rows."""
     caps = caps or default_caps()
     seed = sylow(group, p, caps)
     seed_rows = tuple(seed.element_rows(caps.elements))
     gen_rows = _gen_rows(group)
     gen_invs = [kernel.inverse(g) for g in gen_rows]
-    seen = {seed_rows}
+    seen = {seed_rows: _gen_rows(seed)}
     frontier = [seed_rows]
     while frontier:
         nxt = []
@@ -186,10 +176,12 @@ def all_sylow(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> L
                             cap_name="sylow_conjugates",
                             cap_value=caps.sylow_conjugates,
                         )
-                    seen.add(conj)
+                    seen[conj] = [
+                        kernel.compose(kernel.compose(gi, s), g) for s in seen[rows]
+                    ]
                     nxt.append(conj)
         frontier = nxt
-    return [_minimal_gen_rows(list(rows), group.degree) for rows in sorted(seen)]
+    return [seen[rows] for rows in sorted(seen)]
 
 
 def sylow_count(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> int:
@@ -281,18 +273,13 @@ def minimal_normal_subgroup(
 
 
 def is_simple(group: PermutationGroup, caps: Optional[Caps] = None) -> bool:
-    caps = caps or default_caps()
+    """Nontrivial, and its least normal closure of a nontrivial element
+    is the whole group."""
     if group.order == 1:
         return False
     if is_prime(group.order):
         return True
-    table = class_table(group, caps)
-    for ci in table.classes:
-        if ci.element_order == 1:
-            continue
-        if group.normal_closure([ci.representative()]).order != group.order:
-            return False
-    return True
+    return minimal_normal_subgroup(group, caps=caps).order == group.order
 
 
 def derived_subgroup(group: PermutationGroup) -> PermutationGroup:
@@ -435,10 +422,10 @@ def nilpotent_hall(
         P, scope = _sylow_and("centralizer", scope, p, caps)
         collected_gens.extend(_gen_rows(P))
     target = pi_part(group.order, primes)
-    rows = _close_rows(collected_gens, group.degree, target + 1)
-    if len(rows) != target:
+    rows = kernel.close_group(collected_gens, group.degree, target)
+    if rows is None or len(rows) != target:
         raise PreconditionError("centralizer chain assembled a wrong order")
-    return _subgroup_from_rows(group, _minimal_gen_rows(rows, group.degree))
+    return group.subgroup_from_rows(rows)
 
 
 def hall_subgroup(
@@ -498,69 +485,47 @@ def _anchored_search(
         lists = {p: all_sylow(group, p, caps) for p in others}
     except CapacityError as exc:
         return HallSearch("inconclusive", None, "Sylow enumeration hit a cap: %s" % exc)
-    anchor_rows = sylow(group, anchor, caps).element_rows(caps.elements)
+    seed = sylow(group, anchor, caps)
     degree = group.degree
-    budget = [caps.hall_candidates]
+    budget = caps.hall_candidates
 
-    def extend(rows: List[Row], remaining: Tuple[int, ...]) -> Optional[List[Row]]:
+    def extend(
+        gens: List[Row], rows: List[Row], remaining: Tuple[int, ...]
+    ) -> Optional[List[Row]]:
+        """Rows of a Hall subgroup generated by gens, whose closure is
+        rows, and one Sylow subgroup per remaining prime; or None.  A
+        candidate costs the elements its closure adds to rows, counting
+        at most one past target."""
+        nonlocal budget
         if not remaining:
             return rows if len(rows) == target else None
         p = remaining[0]
         for cand in lists[p]:
-            merged = _budgeted_closure(rows, cand, degree, target, budget, caps.hall_candidates)
+            merged = kernel.close_group(gens + cand, degree, target)
+            charge = (target + 1 if merged is None else len(merged)) - len(rows)
+            if charge >= budget:
+                raise CapacityError(
+                    "Hall search budget exhausted",
+                    cap_name="hall_candidates",
+                    cap_value=caps.hall_candidates,
+                )
+            budget -= charge
             if merged is None or target % len(merged):
                 continue
-            got = extend(merged, remaining[1:])
+            got = extend(gens + cand, merged, remaining[1:])
             if got is not None:
                 return got
         return None
 
     try:
-        result = extend(list(anchor_rows), tuple(others))
+        result = extend(_gen_rows(seed), seed.element_rows(caps.elements), tuple(others))
     except CapacityError as exc:
         return HallSearch("inconclusive", None, str(exc))
     if result is not None:
-        sub = _subgroup_from_rows(group, _minimal_gen_rows(result, degree))
+        sub = group.subgroup_from_rows(result)
         return HallSearch("found", sub, "anchored Sylow closure search")
     return HallSearch(
         "absent",
         None,
         "no Sylow combination over the anchor closes to order %d" % target,
     )
-
-
-def _budgeted_closure(
-    rows: Sequence[Row],
-    extra_gens: Sequence[Row],
-    degree: int,
-    cap: int,
-    budget: List[int],
-    budget_cap: int,
-) -> Optional[List[Row]]:
-    """Closure of rows plus extra generators; None if it grows past cap.
-
-    Every newly added element costs one unit of budget; exhausting it
-    raises, which the search reports as inconclusive.
-    """
-    seen = set(rows)
-    gens = list(extra_gens) + _minimal_gen_rows(list(rows), degree)
-    frontier = list(rows)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = kernel.compose(x, g)
-                if y not in seen:
-                    budget[0] -= 1
-                    if budget[0] <= 0:
-                        raise CapacityError(
-                            "Hall search budget exhausted",
-                            cap_name="hall_candidates",
-                            cap_value=budget_cap,
-                        )
-                    if len(seen) >= cap:
-                        return None
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(seen)

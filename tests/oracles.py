@@ -52,6 +52,20 @@ def close(gens, degree):
     return seen
 
 
+def greedy_generators(rows, degree):
+    """Generators picked from sorted rows: each row outside the closure of
+    those picked so far, until the closure has as many elements as rows."""
+    picked = []
+    closure = {identity(degree)}
+    for row in rows:
+        if len(closure) >= len(rows):
+            break
+        if row not in closure:
+            picked.append(row)
+            closure = close(picked, degree)
+    return picked
+
+
 def conjugacy_classes(elements):
     """Partition a group (set of image tuples) into conjugacy classes."""
     elements = set(elements)

@@ -334,3 +334,90 @@ class TestHall:
             subgroups.hall_subgroup(group, (4, 3))
         with pytest.raises(PreconditionError):
             subgroups.hall_subgroup(group, (2, 2))
+
+
+class TestSubgroupFromRows:
+    """parent.subgroup_from_rows picks the greedy generators that the
+    oracle picks by closing the rows again after each pick."""
+
+    @pytest.mark.parametrize("name", ["s4", "a5", "frob20", "psl2_7"])
+    def test_matches_the_greedy_oracle(self, name):
+        group = catalog.build(name)
+        row_sets = []
+        for p in prime_factors(group.order):
+            syl = subgroups.sylow(group, p)
+            row_sets.append(syl.element_rows())
+            row_sets.append(subgroups.centralizer(group, syl).element_rows())
+            row_sets.append(subgroups.normalizer(group, syl).element_rows())
+        for rows in row_sets:
+            sub = group.subgroup_from_rows(rows)
+            unpacked = [kernel.unpack(r) for r in rows]
+            expected = oracles.greedy_generators(unpacked, group.degree)
+            assert [g.images for g in sub.generators] == expected
+            assert sub.order == len(rows)
+            assert sub.parent is group
+            assert sub.element_rows() == rows
+
+    def test_rows_that_are_not_a_subgroup_raise(self):
+        group = catalog.build("s4")
+        rows = group.element_rows()
+        v4 = subgroups.sylow(group, 2).element_rows()
+        for junk in (rows[:3], rows[:5], v4[:-1], rows[1:]):
+            with pytest.raises(PreconditionError):
+                group.subgroup_from_rows(junk)
+
+    def test_rows_outside_the_parent_raise(self):
+        group = catalog.build("a5")
+        even = naive_elements(group)
+        odd = [r for r in catalog.build("s5").element_rows() if kernel.unpack(r) not in even]
+        rows = sorted([kernel.identity_row(5), odd[0]])
+        assert len(oracles.close([kernel.unpack(odd[0])], 5)) == 2
+        with pytest.raises(PreconditionError):
+            group.subgroup_from_rows(rows)
+
+
+class TestHallWitnesses:
+    """hall_subgroup's witnesses and budget use, frozen from the anchored
+    search as first shipped; `hallmark suite` never calls hall_subgroup."""
+
+    FOUND = {
+        ("a5", (2, 3)): (12, ["(2 3 4)", "(1 2)(3 4)"]),
+        ("psl2_7", (2, 3)): (24, ["(1 3 7)(2 5 6)", "(0 1)(2 3)(4 6)(5 7)"]),
+        ("psl3_3", (2, 3)): (432, [
+            "(5 6)(7 10)(8 12)(9 11)", "(4 5)(7 11)(8 10)(9 12)",
+            "(4 7 10)(5 8 11)(6 9 12)", "(2 3)(7 10)(8 11)(9 12)",
+            "(1 2)(7 12)(8 10)(9 11)", "(1 4)(2 5)(3 6)(11 12)",
+        ]),
+        ("aff32", (5, 31)): (155, [
+            "(2 4 16 13 27)(3 5 17 12 26)(6 20 29 22 25)(7 21 28 23 24)"
+            "(8 10 14 30 19)(9 11 15 31 18)",
+            "(1 2 4 8 16 5 10 20 13 26 17 7 14 28 29 31 27 19 3 6 12 24 21 15 30"
+            " 25 23 11 22 9 18)",
+        ]),
+    }
+
+    @pytest.mark.parametrize("name,pi", sorted(FOUND))
+    def test_found_witness(self, name, pi):
+        result = subgroups.hall_subgroup(catalog.build(name), pi)
+        order, gens = self.FOUND[name, pi]
+        assert (result.status, result.reason) == ("found", "anchored Sylow closure search")
+        assert result.subgroup.order == order
+        assert [g.cycle_string() for g in result.subgroup.generators] == gens
+
+    def test_absent_reason(self):
+        result = subgroups.hall_subgroup(catalog.build("a8"), (5, 7))
+        assert result.status == "absent"
+        assert result.reason == "no Sylow combination over the anchor closes to order 35"
+        assert result.subgroup is None
+
+    @pytest.mark.parametrize("name,least", [("a5", 9), ("psl2_7", 85), ("psl3_3", 406)])
+    def test_least_budget_that_completes(self, name, least):
+        # the least hall_candidates budget under which the {2, 3} search
+        # finds its witness; one less runs out
+        def search(budget):
+            return subgroups.hall_subgroup(catalog.build(name), (2, 3), Caps(hall_candidates=budget))
+
+        assert search(least).status == "found"
+        short = search(least - 1)
+        assert (short.status, short.reason) == ("inconclusive", "Hall search budget exhausted")
+        assert short.subgroup is None
