@@ -193,16 +193,17 @@ class IntField:
     The encoding reads an element's coordinates in the power basis of the
     first irreducible of degree e as base-p digits (constant term = least
     significant).  Element 0 is zero, 1 is one, and p encodes x itself, so
-    point numberings built on this encoding are reproducible.
+    point numberings built on this encoding are reproducible.  Products,
+    powers and inverses are those of the FField on the same modulus.
     """
 
-    __slots__ = ("p", "e", "order", "modulus")
+    __slots__ = ("p", "order", "modulus", "_field")
 
     def __init__(self, p: int, e: int):
         self.p = p
-        self.e = e
         self.order = p**e
         self.modulus = least_irreducible(p, e) if e > 1 else (0, 1)
+        self._field = FField(p, self.modulus)
 
     def _dec(self, a: int) -> tuple:
         digits = []
@@ -218,37 +219,21 @@ class IntField:
         return out
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
         return self._enc(add(self._dec(a), self._dec(b), self.p))
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return -a % self.p
         return self._enc(tuple(-c % self.p for c in self._dec(a)))
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return a * b % self.p
-        prod = mul(self._dec(a), self._dec(b), self.p)
-        return self._enc(mod_poly(prod, self.modulus, self.p))
+        return self._enc(self._field.mul(self._dec(a), self._dec(b)))
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise PreconditionError("inverse of zero field element")
-        return self.pow(a, self.order - 2)
+        return self._enc(self._field.inv(self._dec(a)))
 
     def pow(self, a: int, k: int) -> int:
         if a == 0:
             return 0 if k else 1
-        k %= self.order - 1
-        result = 1
-        while k:
-            if k & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return result
+        return self._enc(self._field.pow(self._dec(a), k % (self.order - 1)))
 
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p)

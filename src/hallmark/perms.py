@@ -21,9 +21,9 @@ it knows its parent and its ambient group, the outermost group of that
 chain, whose elements include all of its own.  A group with no parent is
 its own ambient group.  Facts that other modules derive from a group
 (class table, the orders of its p-elements, Sylow subgroups with their
-normalizers and centralizers, solvability) are kept on it through
-PermutationGroup.memo, and live as long as the group does.  Equal inputs
-always produce equal outputs, byte for byte.
+normalizers and centralizers, solvability, a chief series) are kept on
+it through PermutationGroup.memo, and live as long as the group does.
+Equal inputs always produce equal outputs, byte for byte.
 """
 
 from __future__ import annotations
@@ -415,18 +415,21 @@ class PermutationGroup:
 
         One chain grows from the trivial subgroup: each row that is not
         yet a member is adjoined, in row order, until the order reaches
-        len(rows).  So the generators are the greedy pick from the rows,
-        and each row scanned costs one membership sift.
+        len(rows).  So the generators are the greedy pick from the rows.
+        Every row costs one membership sift; once all of them are known
+        to be members, the rows are kept as the subgroup's element rows.
         """
         H = self.subgroup([])
         for row in rows:
-            if H.order >= len(rows):
-                break
             g = self._perm_from_row(row)
-            if H._adjoin(g) and g not in self:
-                raise PreconditionError("subgroup generator is not a member of the parent")
-        if H.order != len(rows):
+            if H.order < len(rows):
+                if H._adjoin(g) and g not in self:
+                    raise PreconditionError("subgroup generator is not a member of the parent")
+            elif g not in H:
+                raise PreconditionError("the rows are not the elements of a subgroup")
+        if H.order != len(rows) or any(a >= b for a, b in zip(rows, rows[1:])):
             raise PreconditionError("the rows are not the elements of a subgroup")
+        H._rows = list(rows)
         return H
 
     def normal_closure(self, seeds: Iterable) -> "PermutationGroup":

@@ -10,8 +10,8 @@ by parent.subgroup(...) or parent.subgroup_from_rows(...), so it knows
 its ambient group.  A subgroup found as a set of element rows (a
 filtered centralizer or normalizer, a climbed Sylow subgroup, a Hall
 subgroup) gets its generators from its chain: subgroup_from_rows adjoins
-rows in order until the chain's order is the row count, one membership
-sift per row scanned.  kernel.close_group is the only closure loop; the
+rows in order until the chain's order is the row count, sifts every row
+once and keeps the rows.  kernel.close_group is the only closure loop; the
 Sylow climb and the Hall search call it on generator lists they grow
 themselves.
 
@@ -19,7 +19,12 @@ sylow() makes the only climb, once per host group and prime, and keeps
 the Sylow subgroup on the host together with its normalizer and
 centralizer, so every Sylow-side fact below reads the same subgroup.
 The climb reads element orders from the ambient group's class table and
-tests only p-elements.  The Hall strategies:
+tests only p-elements.
+
+chief_series() builds one chief series per group by normal closures and
+keeps it on the group.  A chief factor is a power of one simple group, so
+simplicity and p-solvability for every p are read from the factor
+orders, and no check builds a quotient group.  The Hall strategies:
 
   0. pure arithmetic absence for simple groups (the group cannot act
      faithfully on the cosets of the putative subgroup);
@@ -247,39 +252,57 @@ def exists_normalizing_sylow_pair(
     return True, (P, Q)
 
 
-def minimal_normal_subgroup(
-    group: PermutationGroup, table: Optional[ClassTable] = None, caps: Optional[Caps] = None
-) -> Optional[PermutationGroup]:
-    """A minimal normal subgroup, or None for the trivial group.
+def chief_series(
+    group: PermutationGroup, caps: Optional[Caps] = None
+) -> Tuple[PermutationGroup, ...]:
+    """A chief series 1 = N_0 < N_1 < ... < N_k = group, kept on the group.
 
-    Every minimal normal subgroup is the normal closure of each of its
-    nontrivial elements, so the least-order closure over class
-    representatives is minimal normal.
+    Each next term is the least-order normal closure of the term below
+    and a class representative outside it; a closure that cannot beat
+    the best so far (it holds the term below and the class) is skipped.
+    Bound: at most (number of chief factors) x (number of classes)
+    normal closures, each under SIFT_CAP, after a class table under the
+    element cap, which every call checks again.
     """
-    caps = caps or default_caps()
-    if group.order == 1:
-        return None
-    table = table or class_table(group, caps)
-    best: Optional[PermutationGroup] = None
-    for ci in table.classes:
-        if ci.element_order == 1:
-            continue
-        if best is not None and best.order <= ci.size + 1:
-            continue
-        closure = group.normal_closure([ci.representative()])
-        if best is None or closure.order < best.order:
-            best = closure
-    return best
+    table = class_table(group, caps)
+    return group.memo("chief_series", lambda: _chief_series(group, table))
+
+
+def _chief_series(group: PermutationGroup, table: ClassTable) -> Tuple[PermutationGroup, ...]:
+    below = group.subgroup([])
+    series = [below]
+    while below.order < group.order:
+        best: Optional[PermutationGroup] = None
+        for ci in table.classes:
+            if best is not None and best.order <= below.order + ci.size:
+                continue
+            rep = ci.representative()
+            if rep in below:
+                continue
+            closure = group.normal_closure(list(below.generators) + [rep])
+            if best is None or closure.order < best.order:
+                best = closure
+        series.append(best)
+        below = best
+    return tuple(series)
+
+
+def minimal_normal_subgroup(
+    group: PermutationGroup, caps: Optional[Caps] = None
+) -> Optional[PermutationGroup]:
+    """A minimal normal subgroup: the chief series' first term above 1,
+    or None for the trivial group."""
+    series = chief_series(group, caps)
+    return series[1] if len(series) > 1 else None
 
 
 def is_simple(group: PermutationGroup, caps: Optional[Caps] = None) -> bool:
-    """Nontrivial, and its least normal closure of a nontrivial element
-    is the whole group."""
+    """Nontrivial, and its chief series has one factor."""
     if group.order == 1:
         return False
     if is_prime(group.order):
         return True
-    return minimal_normal_subgroup(group, caps=caps).order == group.order
+    return not is_solvable(group) and len(chief_series(group, caps)) == 2
 
 
 def derived_subgroup(group: PermutationGroup) -> PermutationGroup:
@@ -315,27 +338,15 @@ def _is_solvable(group: PermutationGroup) -> bool:
 
 
 def is_p_solvable(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> bool:
-    """Every composition factor is a p-group or a p'-group.  Kept on the
-    group per p and caps, since the caps decide whether it raises."""
-    caps = caps or default_caps()
+    """Every composition factor is a p-group or a p'-group; read from the
+    chief factors."""
     require_prime(p)
-    return group.memo(("p_solvable", p, caps), lambda: _is_p_solvable(group, p, caps))
-
-
-def _is_p_solvable(group: PermutationGroup, p: int, caps: Caps) -> bool:
     order = group.order
-    if order % p or is_power_of(order, p):
+    if order % p or is_power_of(order, p) or is_solvable(group):
         return True
-    if is_solvable(group):
-        return True
-    nsub = minimal_normal_subgroup(group, caps=caps)
-    if nsub is None or nsub.order == order:
-        # simple, order divisible by p but not a p-power
-        return False
-    if not is_p_solvable(nsub, p, caps):
-        return False
-    quotient = group.coset_action_quotient(nsub, caps.quotient_degree)
-    return is_p_solvable(quotient, p, caps)
+    series = chief_series(group, caps)
+    factors = (upper.order // lower.order for lower, upper in zip(series, series[1:]))
+    return all(f % p or is_power_of(f, p) for f in factors)
 
 
 def op_prime_core(

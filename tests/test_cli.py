@@ -305,6 +305,23 @@ class TestBounds:
         assert time.monotonic() - started < 10
         assert (info.value.cap_name, info.value.cap_value) == ("sifts", SIFT_CAP)
 
+    def test_chief_series_waits_for_a_class_table_under_the_element_cap(
+        self, capsys, monkeypatch
+    ):
+        # S6 is not solvable, so p-solvability reads its chief series, whose
+        # walk starts only after a class table of all 720 elements
+        monkeypatch.setenv("HALLMARK_CAP_ELEMENTS", "700")
+        started = time.monotonic()
+        code, rep, _ = run(capsys, "check", "--theorem", "t4.2", "--group", "catalog:s6",
+                           "--no-timings")
+        assert time.monotonic() - started < 10
+        assert code == 3
+        assert rep["checks"]
+        for check in rep["checks"]:
+            assert check["criterion"]["verdict"] == "undetermined"
+            assert check["witness"]["verdict"] == "undetermined"
+            assert check["agree"] is None
+
     def test_huge_verify_rank_hits_the_rank_cap(self, capsys):
         code, rep, err = run(capsys, "lie-verify", "--family", "Sp", "--n", "10000",
                              "--q", "19", "--r", "3", "--s", "5")

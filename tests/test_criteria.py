@@ -421,7 +421,7 @@ class TestGroupFacts:
         calls = [
             lambda g: classdata.class_table(g, Caps(elements=100)),
             lambda g: subgroups.sylow(g, 2, Caps(elements=100)),
-            lambda g: subgroups.is_p_solvable(g, 2, Caps(quotient_degree=30)),
+            lambda g: subgroups.is_p_solvable(g, 2, Caps(elements=100)),
             lambda g: subgroups.op_prime_core(g, 3, Caps(elements=100)),
         ]
         for call in calls:

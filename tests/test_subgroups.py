@@ -1,5 +1,7 @@
 """Sylow, Hall, and structure queries against naive recomputation."""
 
+import math
+
 import pytest
 
 import oracles
@@ -24,6 +26,40 @@ def assert_genuine_subgroup(group, sub, ambient=None):
     assert len(got) == sub.order
     assert got <= ambient
     assert oracles.is_subgroup(ambient, got)
+
+
+def chief_factor_orders(group):
+    series = subgroups.chief_series(group)
+    return sorted(upper.order // lower.order for lower, upper in zip(series, series[1:]))
+
+
+# Orders of the composition factors of every non-solvable catalog group
+# outside the sporadic stretch: S_n = A_n.2, A5 x C7, and the simple
+# groups themselves.
+COMPOSITION_FACTORS = {
+    "s5": (60, 2), "s6": (360, 2), "a5xc7": (60, 7),
+    "a5": (60,), "a6": (360,), "a7": (2520,), "a8": (20160,),
+    "psl2_4": (60,), "psl2_5": (60,), "psl2_7": (168,), "psl2_8": (504,),
+    "psl2_9": (360,), "psl2_11": (660,), "psl2_13": (1092,), "psl2_31": (14880,),
+    "psl3_3": (5616,),
+}
+
+
+def p_solvable_from_composition_factors():
+    """(name, p, expected) for each group above and prime of its order: a
+    simple composition factor is a p-group exactly when its order is p."""
+    return [
+        (name, p, all(f == p or f % p for f in factors))
+        for name, factors in sorted(COMPOSITION_FACTORS.items())
+        for p in prime_factors(math.prod(factors))
+    ]
+
+
+P_SOLVABLE_CASES = [
+    ("a5", 2, False), ("a5", 3, False), ("a5", 7, True),
+    ("s5", 2, False), ("frob20", 2, True), ("frob20", 5, True),
+    ("psl2_7", 7, False),
+]
 
 
 class TestSylow:
@@ -197,13 +233,19 @@ class TestPredicates:
     def test_prime_cyclic_is_simple(self):
         assert subgroups.is_simple(catalog.cyclic(7))
 
-    @pytest.mark.parametrize("name,p,expected", [
-        ("a5", 2, False), ("a5", 3, False), ("a5", 7, True),
-        ("s5", 2, False), ("frob20", 2, True), ("frob20", 5, True),
-        ("psl2_7", 7, False),
+    @pytest.mark.parametrize("name,p,expected", P_SOLVABLE_CASES + [
+        case for case in p_solvable_from_composition_factors()
+        if case not in P_SOLVABLE_CASES
     ])
     def test_p_solvable(self, name, p, expected):
         assert subgroups.is_p_solvable(catalog.build(name), p) == expected
+
+    def test_composition_factors_cover_the_non_solvable_catalog(self):
+        names = {e.name for e in catalog.entries(include_stretch=False)
+                 if "solvable" not in e.tags}
+        assert set(COMPOSITION_FACTORS) == names
+        for name, factors in COMPOSITION_FACTORS.items():
+            assert math.prod(factors) == catalog.get_entry(name).order, name
 
 
 class TestStructure:
@@ -211,6 +253,23 @@ class TestStructure:
         assert subgroups.minimal_normal_subgroup(catalog.build("a4")).order == 4
         assert subgroups.minimal_normal_subgroup(catalog.build("s3xs3")).order == 3
         assert subgroups.minimal_normal_subgroup(catalog.build("a5")).order == 60
+
+    @pytest.mark.parametrize("name,factors", [
+        ("c30", [2, 3, 5]), ("d4", [2, 2, 2]), ("a4", [3, 4]), ("s4", [2, 3, 4]),
+        ("frob20", [2, 2, 5]), ("s3xs3", [2, 2, 3, 3]), ("s5", [2, 60]),
+        ("a5xc7", [7, 60]),
+    ])
+    def test_chief_series(self, name, factors):
+        group = catalog.build(name)
+        series = subgroups.chief_series(group)
+        assert series[0].order == 1 and series[-1].order == group.order
+        for term in series:
+            assert term.parent is group
+            for g in group.generators:
+                assert all(h.conjugate(g) in term for h in term.generators)
+        assert chief_factor_orders(group) == factors
+        assert subgroups.chief_series(group) is series
+        assert subgroups.minimal_normal_subgroup(group) is series[1]
 
     def test_derived_subgroups(self):
         assert subgroups.derived_subgroup(catalog.build("s4")).order == 12
@@ -243,6 +302,33 @@ class TestStructure:
                 oracles.compose(oracles.compose(gi, x), g) in core_set
                 for x in core_set
             )
+
+
+class TestDirectProducts:
+    """Chief factors, p-solvability and simplicity of G x H follow from
+    those of G and H."""
+
+    PAIRS = [("a5", "c3"), ("s4", "d4"), ("s3", "a5"), ("a5", "a5"), ("s5", "c2")]
+
+    @staticmethod
+    def _factor(name):
+        if name in ("c2", "c3"):
+            return catalog.cyclic(int(name[1:]))
+        return catalog.build(name)
+
+    @pytest.mark.parametrize("left,right", PAIRS)
+    def test_product_facts_follow_from_the_factors(self, left, right):
+        g, h = self._factor(left), self._factor(right)
+        product = catalog.direct_product(g, h)
+        assert product.order == g.order * h.order
+        assert chief_factor_orders(product) == sorted(
+            chief_factor_orders(g) + chief_factor_orders(h)
+        )
+        for p in prime_factors(product.order):
+            assert subgroups.is_p_solvable(product, p) == (
+                subgroups.is_p_solvable(g, p) and subgroups.is_p_solvable(h, p)
+            ), p
+        assert not subgroups.is_simple(product)
 
 
 class TestCommutingPairs:
@@ -362,9 +448,24 @@ class TestSubgroupFromRows:
         group = catalog.build("s4")
         rows = group.element_rows()
         v4 = subgroups.sylow(group, 2).element_rows()
-        for junk in (rows[:3], rows[:5], v4[:-1], rows[1:]):
+        # outside: the first three rows generate an order-4 group that does
+        # not hold the fourth; a subgroup's rows out of order are not kept
+        outside = [kernel.pack(r) for r in
+                   [(0, 1, 2, 3), (0, 1, 3, 2), (1, 0, 2, 3), (1, 2, 0, 3)]]
+        for junk in (rows[:3], rows[:5], v4[:-1], rows[1:], outside, v4[::-1]):
             with pytest.raises(PreconditionError):
                 group.subgroup_from_rows(junk)
+
+    def test_rows_are_kept(self, monkeypatch):
+        group = catalog.build("a5")
+        rows = subgroups.normalizer(group, subgroups.sylow(group, 5)).element_rows()
+        sub = group.subgroup_from_rows(rows)
+
+        def no_enumeration(*args):
+            raise AssertionError("element rows enumerated again")
+
+        monkeypatch.setattr(kernel, "close_group", no_enumeration)
+        assert sub.element_rows() == rows
 
     def test_rows_outside_the_parent_raise(self):
         group = catalog.build("a5")
