@@ -396,18 +396,14 @@ def table_criterion_b(table: CharacterTable, pi: Sequence[int]) -> Verdict:
 
 
 def table_criterion_c(table: CharacterTable, pi: Sequence[int]) -> Verdict:
-    """pi-prime sizes plus clear principal blocks for p in pi and {3, 5}."""
-    from .criteria import pi_prime_sizes_criterion
+    """pi-prime sizes plus clear principal blocks, by the block rule of
+    criteria.blocks_criterion (the primes 3 and 5 of pi)."""
+    from .criteria import blocks_criterion, pi_prime_sizes_criterion
 
     primes = _relevant_primes(table, pi)
     verdict = pi_prime_sizes_criterion(table, primes)
     if verdict.holds is not True:
         return verdict
-    for p in primes:
-        if p in (3, 5):
-            block_verdict = _principal_block_verdict(table, p)
-            if block_verdict.holds is not True:
-                return block_verdict
-    return Verdict.yes(
+    return blocks_criterion(table.order, primes, principal_block_clear(table)) or Verdict.yes(
         "pi-prime class sizes and clear principal blocks for %s" % (primes,)
     )

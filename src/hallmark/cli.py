@@ -304,11 +304,7 @@ def _cmd_suite(args) -> int:
     for entry in entries:
         group_started = time.monotonic()
         group = entry.build()
-        hook = None
-        if entry.name in TABLE_BACKED:
-            hook = chartab.principal_block_clear(
-                chartab.load_table(_shipped_table_path(entry.name))
-            )
+        hook = _block_hook("catalog:" + entry.name, entry.name, None)
         checks = []
         for theorem in criteria.THEOREMS:
             # theorem C runs only where its block side has a character table
@@ -337,12 +333,7 @@ def _cmd_suite(args) -> int:
         "grid": grid,
         "summary": {**totals, "groups": len(entries), "grid_ok": grid["ok"]},
     }
-    if totals["disagree"] or not grid["ok"]:
-        code = EXIT_DISAGREE
-    elif totals["undetermined"]:
-        code = EXIT_CAPACITY
-    else:
-        code = EXIT_OK
+    code = _exit_for(totals) if grid["ok"] else EXIT_DISAGREE
     inputs = {"extended": bool(args.extended)}
     return _emit(args, "suite", inputs, payload, started, caps, code)
 

@@ -6,6 +6,14 @@ side searches the group itself for commuting Sylow pairs, nilpotent or
 abelian Hall subgroups, normalizing pairs, or cores.  A check reports
 both verdicts and whether they agree; a capacity cap on either side
 degrades the answer to undetermined instead of guessing.
+
+A capped side runs through one guard, `_capped` ("<what> unavailable:
+<cap>"), and a criterion side reads its class table through `_on_table`,
+which guards the table but not the criterion; t4.2 keeps its own handler,
+since one message covers both of its sides.  `_pair_verdict` and
+`_hall_verdict` build the Sylow-pair and Hall verdicts, and
+`blocks_criterion` is theorem C's principal-block rule, shared with
+`chartab.table_criterion_c`.
 """
 
 from __future__ import annotations
@@ -117,11 +125,73 @@ def sub_witness(sub) -> dict:
     }
 
 
-def _table_for(group: PermutationGroup, caps: Caps) -> Tuple[Optional[ClassTable], Optional[Verdict]]:
+def _capped(what: str, side: Callable[[], Verdict]) -> Verdict:
+    """side(), or undetermined naming what when a capacity cap stops it."""
     try:
-        return class_table(group, caps), None
+        return side()
     except CapacityError as exc:
-        return None, Verdict.undetermined("class table unavailable: %s" % exc)
+        return Verdict.undetermined("%s unavailable: %s" % (what, exc))
+
+
+def _on_table(
+    group: PermutationGroup, caps: Caps, criterion: Callable[[ClassTable], Verdict]
+) -> Verdict:
+    """criterion on the group's class table, undetermined when a cap stops
+    the table.  A cap the criterion itself hits (the factor cap on a huge
+    prime) is bad input, not an open side, and propagates."""
+    try:
+        table = class_table(group, caps)
+    except CapacityError as exc:
+        return Verdict.undetermined("class table unavailable: %s" % exc)
+    return criterion(table)
+
+
+def _pair_verdict(found: Tuple[bool, Optional[tuple]], yes: str, no: str) -> Verdict:
+    """A Sylow-pair search result: yes with the pair as witnesses, or no."""
+    got, pair = found
+    if got:
+        return Verdict.yes(yes, p_sylow=sub_witness(pair[0]), q_sylow=sub_witness(pair[1]))
+    return Verdict.no(no)
+
+
+def _normalizing_pair(group: PermutationGroup, p: int, q: int, caps: Caps) -> Verdict:
+    return _pair_verdict(
+        subgroups.exists_normalizing_sylow_pair(group, p, q, caps),
+        "a Sylow %d-subgroup normalizes a Sylow %d-subgroup" % (p, q),
+        "no Sylow %d-subgroup normalizes a Sylow %d-subgroup" % (p, q),
+    )
+
+
+def _hall_verdict(group: PermutationGroup, primes: List[int], caps: Caps, abelian: bool) -> Verdict:
+    """A nilpotent Hall pi-subgroup exists (and, if abelian, is abelian)."""
+    hall = subgroups.nilpotent_hall(group, primes, caps)
+    if hall is None:
+        return Verdict.no("no nilpotent Hall %s-subgroup exists" % (primes,))
+    if abelian and not subgroups.is_abelian(hall):
+        return Verdict.no("Hall subgroup of order %d exists but is not abelian" % hall.order)
+    return Verdict.yes(
+        "%s Hall subgroup of order %d" % ("abelian" if abelian else "nilpotent", hall.order),
+        hall=sub_witness(hall),
+    )
+
+
+def blocks_criterion(
+    order: int, primes: Sequence[int], principal_block_clear
+) -> Optional[Verdict]:
+    """The block condition of theorem C, for the primes 3 and 5 of pi that
+    divide the order: the first principal-block verdict that does not
+    hold, undetermined when no character table is wired
+    (principal_block_clear is None), else None."""
+    for p in primes:
+        if p in (3, 5) and order % p == 0:
+            if principal_block_clear is None:
+                return Verdict.undetermined(
+                    "principal %d-block degrees unknown (no character table)" % p
+                )
+            verdict = principal_block_clear(p)
+            if verdict.holds is not True:
+                return verdict
+    return None
 
 
 def check_theorem_a(
@@ -129,22 +199,13 @@ def check_theorem_a(
 ) -> TheoremCheck:
     """Commuting Sylow p/q pair iff the pair class-size condition holds."""
     caps = caps or default_caps()
-    params = {"p": p, "q": q}
-    table, blocked = _table_for(group, caps)
-    lhs = blocked or pair_criterion(table, p, q)
-    try:
-        got, pair = subgroups.exists_commuting_sylow_pair(group, p, q, caps)
-        if got:
-            rhs = Verdict.yes(
-                "Sylow %d- and %d-subgroups commute elementwise" % (p, q),
-                p_sylow=sub_witness(pair[0]),
-                q_sylow=sub_witness(pair[1]),
-            )
-        else:
-            rhs = Verdict.no("no commuting Sylow %d/%d pair exists" % (p, q))
-    except CapacityError as exc:
-        rhs = Verdict.undetermined("pair search unavailable: %s" % exc)
-    return TheoremCheck("A", params, lhs, rhs)
+    lhs = _on_table(group, caps, lambda table: pair_criterion(table, p, q))
+    rhs = _capped("pair search", lambda: _pair_verdict(
+        subgroups.exists_commuting_sylow_pair(group, p, q, caps),
+        "Sylow %d- and %d-subgroups commute elementwise" % (p, q),
+        "no commuting Sylow %d/%d pair exists" % (p, q),
+    ))
+    return TheoremCheck("A", {"p": p, "q": q}, lhs, rhs)
 
 
 def check_theorem_b(
@@ -153,20 +214,9 @@ def check_theorem_b(
     """Nilpotent Hall pi-subgroup iff the pairwise class-size condition."""
     caps = caps or default_caps()
     primes = sorted(pi)
-    params = {"pi": primes}
-    table, blocked = _table_for(group, caps)
-    lhs = blocked or pairwise_criterion(table, primes)
-    try:
-        hall = subgroups.nilpotent_hall(group, primes, caps)
-        if hall is not None:
-            rhs = Verdict.yes(
-                "nilpotent Hall subgroup of order %d" % hall.order, hall=sub_witness(hall)
-            )
-        else:
-            rhs = Verdict.no("no nilpotent Hall %s-subgroup exists" % (primes,))
-    except CapacityError as exc:
-        rhs = Verdict.undetermined("Hall search unavailable: %s" % exc)
-    return TheoremCheck("B", params, lhs, rhs)
+    lhs = _on_table(group, caps, lambda table: pairwise_criterion(table, primes))
+    rhs = _capped("Hall search", lambda: _hall_verdict(group, primes, caps, abelian=False))
+    return TheoremCheck("B", {"pi": primes}, lhs, rhs)
 
 
 def check_theorem_c(
@@ -185,39 +235,11 @@ def check_theorem_c(
     """
     caps = caps or default_caps()
     primes = sorted(pi)
-    params = {"pi": primes}
-    table, blocked = _table_for(group, caps)
-    if blocked is not None:
-        lhs = blocked
-    else:
-        lhs = pi_prime_sizes_criterion(table, primes)
-        if lhs.holds:
-            small = [p for p in primes if p in (3, 5) and group.order % p == 0]
-            for p in small:
-                if principal_block_clear is None:
-                    lhs = Verdict.undetermined(
-                        "principal %d-block degrees unknown (no character table)" % p
-                    )
-                    break
-                block_verdict = principal_block_clear(p)
-                if block_verdict.holds is not True:
-                    lhs = block_verdict
-                    break
-    try:
-        hall = subgroups.nilpotent_hall(group, primes, caps)
-        if hall is not None and subgroups.is_abelian(hall):
-            rhs = Verdict.yes(
-                "abelian Hall subgroup of order %d" % hall.order, hall=sub_witness(hall)
-            )
-        elif hall is not None:
-            rhs = Verdict.no(
-                "Hall subgroup of order %d exists but is not abelian" % hall.order
-            )
-        else:
-            rhs = Verdict.no("no nilpotent Hall %s-subgroup exists" % (primes,))
-    except CapacityError as exc:
-        rhs = Verdict.undetermined("Hall search unavailable: %s" % exc)
-    return TheoremCheck("C", params, lhs, rhs)
+    lhs = _on_table(group, caps, lambda table: pi_prime_sizes_criterion(table, primes))
+    if lhs.holds:
+        lhs = blocks_criterion(group.order, primes, principal_block_clear) or lhs
+    rhs = _capped("Hall search", lambda: _hall_verdict(group, primes, caps, abelian=True))
+    return TheoremCheck("C", {"pi": primes}, lhs, rhs)
 
 
 def check_sylow_normalization(
@@ -226,38 +248,16 @@ def check_sylow_normalization(
     """One-sided: coprime q-element sizes plus p- or q-solvability force
     a Sylow p-subgroup normalizing a Sylow q-subgroup."""
     caps = caps or default_caps()
-    params = {"p": p, "q": q}
-    table, blocked = _table_for(group, caps)
-    if blocked is not None:
-        premise = blocked
-    else:
-        premise = sizes_coprime_criterion(table, q, p)
-        if premise.holds:
-            try:
-                solv = subgroups.is_p_solvable(group, p, caps) or subgroups.is_p_solvable(
-                    group, q, caps
-                )
-            except CapacityError as exc:
-                premise = Verdict.undetermined("solvability test unavailable: %s" % exc)
-            else:
-                if not solv:
-                    premise = Verdict.no(
-                        "group is neither %d- nor %d-solvable" % (p, q),
-                        primes=[p, q],
-                    )
-    try:
-        got, pair = subgroups.exists_normalizing_sylow_pair(group, p, q, caps)
-        if got:
-            conclusion = Verdict.yes(
-                "a Sylow %d-subgroup normalizes a Sylow %d-subgroup" % (p, q),
-                p_sylow=sub_witness(pair[0]),
-                q_sylow=sub_witness(pair[1]),
-            )
-        else:
-            conclusion = Verdict.no("no Sylow %d-subgroup normalizes a Sylow %d-subgroup" % (p, q))
-    except CapacityError as exc:
-        conclusion = Verdict.undetermined("normalizing pair search unavailable: %s" % exc)
-    return _implication_check("t4.1", params, premise, conclusion)
+    sized = _on_table(group, caps, lambda table: sizes_coprime_criterion(table, q, p))
+    premise = sized
+    if sized.holds:
+        premise = _capped("solvability test", lambda: (
+            sized
+            if subgroups.is_p_solvable(group, p, caps) or subgroups.is_p_solvable(group, q, caps)
+            else Verdict.no("group is neither %d- nor %d-solvable" % (p, q), primes=[p, q])
+        ))
+    conclusion = _capped("normalizing pair search", lambda: _normalizing_pair(group, p, q, caps))
+    return _implication_check("t4.1", {"p": p, "q": q}, premise, conclusion)
 
 
 def _implication_check(name: str, params: dict, premise: Verdict, conclusion: Verdict) -> TheoremCheck:
@@ -286,30 +286,14 @@ def check_core_characterization(
             return TheoremCheck("t4.2", params, lhs, rhs, note="precondition failed")
         core = subgroups.op_prime_core(group, p, caps)
         quotient_order = group.order // core.order
+        orders = {"core_order": core.order, "quotient_order": quotient_order}
         if p_part(quotient_order, q) == 1:
-            rhs = Verdict.yes(
-                "order of group over its %d'-core is prime to %d" % (p, q),
-                core_order=core.order,
-                quotient_order=quotient_order,
-            )
+            rhs = Verdict.yes("order of group over its %d'-core is prime to %d" % (p, q), **orders)
         else:
-            rhs = Verdict.no(
-                "quotient by the %d'-core has order divisible by %d" % (p, q),
-                core_order=core.order,
-                quotient_order=quotient_order,
-            )
-        got, pair = subgroups.exists_normalizing_sylow_pair(group, p, q, caps)
-        if got:
-            lhs = Verdict.yes(
-                "a Sylow %d-subgroup normalizes a Sylow %d-subgroup" % (p, q),
-                p_sylow=sub_witness(pair[0]),
-                q_sylow=sub_witness(pair[1]),
-            )
-        else:
-            lhs = Verdict.no("no Sylow %d-subgroup normalizes a Sylow %d-subgroup" % (p, q))
+            rhs = Verdict.no("quotient by the %d'-core has order divisible by %d" % (p, q), **orders)
+        lhs = _normalizing_pair(group, p, q, caps)
     except CapacityError as exc:
-        lhs = Verdict.undetermined("core characterization unavailable: %s" % exc)
-        rhs = Verdict.undetermined("core characterization unavailable: %s" % exc)
+        lhs = rhs = Verdict.undetermined("core characterization unavailable: %s" % exc)
     return TheoremCheck("t4.2", params, lhs, rhs)
 
 
@@ -322,31 +306,17 @@ def check_odd_sizes_solvability(
     caps = caps or default_caps()
     if q == 2:
         raise PreconditionError("q must be an odd prime")
-    params = {"q": q}
-    table, blocked = _table_for(group, caps)
-    premise = blocked or sizes_coprime_criterion(table, q, 2)
-    conclusion: Verdict
-    try:
-        solvable = subgroups.is_p_solvable(group, q, caps)
-        if not solvable:
-            conclusion = Verdict.no("group is not %d-solvable" % q)
-        else:
-            got, pair = subgroups.exists_normalizing_sylow_pair(group, 2, q, caps)
-            if got:
-                conclusion = Verdict.yes(
-                    "%d-solvable and a Sylow 2-subgroup normalizes a Sylow %d-subgroup"
-                    % (q, q),
-                    p_sylow=sub_witness(pair[0]),
-                    q_sylow=sub_witness(pair[1]),
-                )
-            else:
-                conclusion = Verdict.no(
-                    "%d-solvable but no Sylow 2-subgroup normalizes a Sylow %d-subgroup"
-                    % (q, q)
-                )
-    except CapacityError as exc:
-        conclusion = Verdict.undetermined("solvability check unavailable: %s" % exc)
-    return _implication_check("t4.3", params, premise, conclusion)
+    premise = _on_table(group, caps, lambda table: sizes_coprime_criterion(table, q, 2))
+    conclusion = _capped("solvability check", lambda: (
+        Verdict.no("group is not %d-solvable" % q)
+        if not subgroups.is_p_solvable(group, q, caps)
+        else _pair_verdict(
+            subgroups.exists_normalizing_sylow_pair(group, 2, q, caps),
+            "%d-solvable and a Sylow 2-subgroup normalizes a Sylow %d-subgroup" % (q, q),
+            "%d-solvable but no Sylow 2-subgroup normalizes a Sylow %d-subgroup" % (q, q),
+        )
+    ))
+    return _implication_check("t4.3", {"q": q}, premise, conclusion)
 
 
 def default_prime_sets(order: int) -> List[Tuple[int, ...]]:

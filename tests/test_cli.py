@@ -168,6 +168,21 @@ class TestCheckCommand:
         assert check["witness"]["verdict"] == "holds"
         assert check["agree"] is True
 
+    @pytest.mark.parametrize("group,pi,primes", [
+        ("catalog:c6", [], "[2, 3]"),
+        ("catalog:psl2_31", ["--pi", "3,5"], "[3, 5]"),
+    ], ids=["c6", "psl2_31"])
+    def test_theorem_c_criterion_frozen(self, capsys, group, pi, primes):
+        # every principal block here is clear, so the criterion keeps the
+        # pi-prime sizes verdict rather than a block verdict
+        code, rep, _ = run(capsys, "check", "--theorem", "C", "--group", group,
+                           *pi, "--no-timings")
+        assert code == 0
+        assert [c["criterion"] for c in rep["checks"]] == [{
+            "verdict": "holds",
+            "detail": "all pi-element class sizes are pi-prime for " + primes,
+        }]
+
     def test_explicit_table_flag(self, capsys, tmp_path):
         code, rep, _ = run(capsys, "check", "--theorem", "C",
                            "--group", "catalog:a5", "--pi", "3,5",
