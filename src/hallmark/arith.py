@@ -10,7 +10,6 @@ prime factors are at most the degree.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 from typing import Optional, Sequence, Tuple
 
@@ -18,11 +17,6 @@ from .config import FACTOR_CAP
 from .errors import CapacityError, PreconditionError
 
 
-# The classical-group grid checks q and each prime again for every block
-# witness and every order of q (lieorders.class_size_* and ord_mod, through
-# require_prime_power, require_prime and multiplicative_order): 22,345
-# calls on 28 distinct small numbers for a 60,480-point grid.
-@lru_cache(maxsize=4096)
 def prime_factors(n: int) -> Tuple[int, ...]:
     """Distinct prime divisors of n in increasing order."""
     if n < 1:

@@ -14,6 +14,15 @@ Family names: GL, GU, Sp, SOodd (dimension 2n+1), SOplus / SOminus
 e.g. |GL_n(q)| = q^(n(n-1)/2) * prod(q^j - 1) and the SO^eps form carrying
 the (q^n - eps) factor; class sizes are quotients of these, so any consistent
 convention gives the same divisibility facts.
+
+Arguments are checked once, where they enter: group_order, verify_pair and
+the class_size_* functions check the family, rank, q and primes (the
+primes odd and prime to q), and run_grid checks its manifest.  Each then
+computes k, the order of q (of -q for GU) modulo the prime, and hands it
+to one of two witness builders, _linear (GL, GU) and _orthogonal (SO, and
+Sp read as SO_2n+1).  A builder checks only what its case needs of k and
+n; it factors no number, so the grid's many witnesses cost no primality
+or order test each.
 """
 
 import json
@@ -85,16 +94,38 @@ def _order(family: str, n: int, q: int) -> int:
     )
 
 
-def group_order(family: str, n: int, q: int) -> int:
-    """Generic order of the classical group of rank parameter n over F_q."""
+def _check_family(family: str, n) -> None:
+    # The family and rank check of every public entry point.
     if family not in FAMILIES:
         raise MalformedInputError(
             "unknown family %r; expected one of %s" % (family, ", ".join(FAMILIES))
         )
     if not isinstance(n, int) or n < 1:
         raise MalformedInputError("rank must be a positive integer, got %r" % (n,))
+
+
+def _check_prime(p, role: str, q: int) -> None:
+    # Witnesses are defined for odd primes coprime to q only.
+    require_prime(p, role)
+    if p == 2:
+        raise PreconditionError("%s must be odd, got 2" % role)
+    if q % p == 0:
+        raise PreconditionError("%s = %d divides q = %d" % (role, p, q))
+
+
+def group_order(family: str, n: int, q: int) -> int:
+    """Generic order of the classical group of rank parameter n over F_q."""
+    _check_family(family, n)
     require_prime_power(q)
     return _order(family, n, q)
+
+
+def _form(family: str, n: int):
+    # (d, eps) of the orthogonal form a family and rank name; Sp_2n reads as
+    # SO_2n+1, which has the same order.
+    if family in ("Sp", "SOodd"):
+        return 2 * n + 1, 0
+    return 2 * n, 1 if family == "SOplus" else -1
 
 
 def _so_order(d: int, eps: int, q: int) -> int:
@@ -122,6 +153,12 @@ def ord_mod_neg(r: int, q: int) -> int:
             "ord_mod_neg needs r coprime to q, got r=%d q=%d" % (r, q)
         )
     return multiplicative_order((-q) % r, r)
+
+
+def _family_order_of_q(family: str, r: int, q: int) -> int:
+    # ord_mod or ord_mod_neg on checked arguments: the unitary family tracks
+    # powers of -q, everything else powers of q.
+    return multiplicative_order((-q if family == "GU" else q) % r, r)
 
 
 def cyclotomic_value(n: int, q: int) -> int:
@@ -187,42 +224,161 @@ class ClassSize:
         return "ClassSize(%s/%s, value=%d)" % (self.family, self.case, self.value)
 
 
-def _linear_common(family, n, q, r, case, k):
-    """Shared special-case displays for the linear and unitary families.
+def _linear(family: str, n: int, q: int, r: int, k: int,
+            case: str = "block") -> ClassSize:
+    """Witness of GL_n(q) or GU_n(q); k is the order of q (of -q for GU) mod r.
 
-    "excess" and "pair" cover the boundary where r divides the torus of
-    rank one (k = 1): the first needs room n >= r+1, the second is the
-    tight square n == r whose witness pairs an eigenvalue with its inverse
-    and has class size divisible by r itself.
+    "block" puts GL_1(q^top) or GU_1(q^top) on top = k * r^m dimensions, m
+    maximal with top <= n; its divisor is prod(tor(j), j < top) with
+    tor(j) = q^j - (+-1)^j.  "excess" and "pair" cover the boundary where
+    r divides the torus of rank one (k = 1): the first needs room
+    n >= r+1, the second is the tight square n == r whose witness pairs an
+    eigenvalue with its inverse and has class size divisible by r itself.
     """
     unitary = family == "GU"
-    sign = -1 if unitary else 1
 
     def tor(j):
         # q^j - 1 for GL, q^j - (-1)^j for GU
         return q ** j - (-1) ** j if unitary else q ** j - 1
 
+    if k > n:
+        raise PreconditionError(
+            "r = %d does not divide the group order in rank %d (k = %d > n)" % (r, n, k)
+        )
+    ambient = _order(family, n, q)
+    params = {"n": n, "q": q, "r": r, "k": k}
+    if case == "block":
+        m = _block_exponent(k, r, n)
+        top = k * r ** m
+        value = _exact_div(ambient, tor(top) * _order(family, n - top, q))
+        # An even k for GU means GL_1(q^(2*kappa)) on 2*kappa dimensions.
+        kappa = top // 2 if unitary and k % 2 == 0 else top
+        params.update(m=m, kappa=kappa, ambient="%s_%d(%d)" % (family, n, q))
+        divisor = prod(tor(j) for j in range(1, top))
+        return ClassSize(family, case, params, value, divisor, ambient)
+    if case not in ("excess", "pair"):
+        raise MalformedInputError("unknown %s case %r" % (family, case))
     if k != 1:
         raise PreconditionError(
             "case %r needs k = 1 (r dividing q %s 1), got k = %d"
             % (case, "+" if unitary else "-", k)
         )
-    special = _exact_div(_order(family, n, q), q - sign)
+    special = _exact_div(ambient, tor(1))
+    params["ambient"] = "%s_%d(%d)" % ("SU" if unitary else "SL", n, q)
     if case == "excess":
         if n < r + 1:
             raise PreconditionError("case 'excess' needs n >= r + 1, got n=%d r=%d" % (n, r))
-        torus = q ** r + 1 if unitary else q ** r - 1
-        value = _exact_div(special, torus * _order(family, n - r - 1, q))
-        divisor = prod(tor(j) for j in range(2, r)) * (q ** (r + 1) - 1)
-        label = "SU" if unitary else "SL"
-        params = {"n": n, "q": q, "r": r, "k": k, "ambient": "%s_%d(%d)" % (label, n, q)}
+        value = _exact_div(special, tor(r) * _order(family, n - r - 1, q))
+        divisor = prod(tor(j) for j in range(2, r)) * tor(r + 1)
         return ClassSize(family, case, params, value, divisor, special)
     if n != r:
         raise PreconditionError("case 'pair' needs n == r, got n=%d r=%d" % (n, r))
-    value = _exact_div(special, (q - sign) * _order(family, n - 2, q))
-    label = "SU" if unitary else "SL"
-    params = {"n": n, "q": q, "r": r, "k": k, "ambient": "%s_%d(%d)" % (label, n, q)}
+    value = _exact_div(special, tor(1) * _order(family, n - 2, q))
     return ClassSize(family, case, params, value, r, special)
+
+
+def _stacked(d: int, eps: int, q: int, big_k: int, a: int):
+    """(class size, divisor) of `a` twisted blocks GU_1(q^K), stacked
+    into GU_a(q^K) inside SO^eps_d(q)."""
+    rest = _so_order(d - 2 * a * big_k, eps * (-1) ** a, q)
+    value = _exact_div(_so_order(d, eps, q), _order("GU", a, q ** big_k) * rest)
+    # prod(q^(2j) - 1, j < aK, K does not divide j)
+    #   * prod(q^(iK) + (-1)^i, 1 <= i < a)
+    divisor = prod(q ** (2 * j) - 1 for j in range(1, a * big_k) if j % big_k)
+    divisor *= prod(q ** (i * big_k) + (-1) ** i for i in range(1, a))
+    return value, divisor
+
+
+def _orthogonal(family: str, n: int, q: int, r: int, k: int,
+                case: str = "auto") -> ClassSize:
+    """Witness of Sp_2n(q) or SO^eps_d(q); k is the order of q mod r.
+
+    Sp_2n(q) is read as SO_2n+1(q): the two have the same order and the
+    same witnesses, and only the label and params differ.  Odd k gives the
+    "split" block GL_1(q^kappa) on a plus-type 2*kappa subspace, even k the
+    "twisted" block GU_1(q^kappa) on a minus-type one: kappa = K * r^m with
+    K = k or k/2, and the torus is q^kappa - 1 or q^kappa + 1.  Removing a
+    plus-type block keeps eps, removing a minus-type block flips it.  The
+    "-drop" cases step the block down by one power of r; they exist
+    because the group can be the one form with no room for the undropped
+    block (SO^- of dimension 2*kappa for split, SO^+ for twisted).
+    "twisted-stack" repeats the twisted block a = floor(n/K) times, which
+    needs a < r so no block index collapses.
+    """
+    d, eps = _form(family, n)
+    kind, sign, big_k = ("split", 1, k) if k % 2 else ("twisted", -1, k // 2)
+    cases = ("auto", "split", "twisted", "twisted-stack")
+    if case not in (cases if family == "Sp" else cases + ("split-drop", "twisted-drop")):
+        raise MalformedInputError("unknown %s case %r" % (family[:2], case))
+    if case != "auto" and not case.startswith(kind):
+        raise PreconditionError(
+            "case %r needs k %s, got k = %d" % (case, "odd" if sign == -1 else "even", k)
+        )
+    if big_k > n:
+        what = "k" if sign == 1 else "k/2"
+        raise PreconditionError(
+            "%s cases need %s <= n, got %s=%d n=%d" % (kind, what, what, big_k, n)
+        )
+    ambient = _so_order(d, eps, q)
+    m = _block_exponent(big_k, r, n)
+    kappa = big_k * r ** m
+    drop = d == 2 * kappa and eps == -sign
+    if case == "auto":
+        case = kind + "-drop" if drop else kind
+    block = {"m": m, "kappa": kappa}
+    if case == kind and drop:
+        raise PreconditionError(
+            "no %s-type block of dimension %d inside SO^%s_%d"
+            % ("plus" if sign == 1 else "minus", 2 * kappa, "-" if sign == 1 else "+", d)
+        )
+    size = kappa
+    if case.endswith("-drop"):
+        if not drop:
+            raise PreconditionError(
+                "case %r needs the group to be SO^%s of dimension 2*kappa"
+                % (case, "-" if sign == 1 else "+")
+            )
+        if m < 1:
+            raise PreconditionError("case %r needs m >= 1, got m = 0" % (case,))
+        size = block["kappa1"] = kappa // r
+    if case == "twisted-stack":
+        a = n // big_k
+        if a >= r:
+            raise PreconditionError(
+                "case 'twisted-stack' needs floor(n/(k/2)) < r, got %d >= %d" % (a, r)
+            )
+        if d == 2 * a * big_k and eps == -(-1) ** a:
+            raise PreconditionError(
+                "stacked blocks exhaust SO^%+d of dimension %d" % (eps, d)
+            )
+        value, divisor = _stacked(d, eps, q, big_k, a)
+        block = {"a": a, "kappa": big_k}
+    elif case == "twisted-drop":
+        # r - 1 twisted blocks one power of r down fill the form exactly.
+        value, divisor = _stacked(d, eps, q, size, r - 1)
+    else:
+        # One block of dimension 2 * size: split, twisted or split-drop.
+        value = _exact_div(
+            ambient, (q ** size - sign) * _so_order(d - 2 * size, eps * sign, q)
+        )
+        divisor = prod(q ** (2 * j) - 1 for j in range(1, size))
+    if family == "Sp":
+        params = {"n": n, "q": q, "r": r, "k": k, **block,
+                  "ambient": "Sp_%d(%d)" % (2 * n, q)}
+        return ClassSize("Sp", case, params, value, divisor, ambient)
+    label = "SO^%s_%d(%d)" % ({1: "+", -1: "-", 0: ""}[eps], d, q)
+    params = {"d": d, "eps": eps, "q": q, "r": r, "k": k, "ambient": label, **block}
+    return ClassSize("SO", case, params, value, divisor, ambient)
+
+
+def _checked_k(family: str, n, q, r) -> int:
+    """The argument check of the class_size_* functions: q a prime power,
+    n a positive rank, r an odd prime not dividing q.  Returns k, the
+    order of q (of -q for GU) modulo r, which the builders take."""
+    require_prime_power(q)
+    _check_family(family, n)
+    _check_prime(r, "r", q)
+    return _family_order_of_q(family, r, q)
 
 
 def class_size_sl(n: int, q: int, r: int, case: str = "block") -> ClassSize:
@@ -232,132 +388,31 @@ def class_size_sl(n: int, q: int, r: int, case: str = "block") -> ClassSize:
     the identity, kappa = k * r^m with k = ord_r(q) and m maximal subject
     to k * r^m <= n; its class size is divisible by prod(q^j - 1, j < kappa).
     """
-    require_prime_power(q)
-    if n < 1:
-        raise MalformedInputError("rank must be a positive integer, got %r" % (n,))
-    k = ord_mod(r, q)
-    if k > n:
-        raise PreconditionError(
-            "r = %d does not divide the group order in rank %d (k = %d > n)" % (r, n, k)
-        )
-    if case in ("excess", "pair"):
-        return _linear_common("GL", n, q, r, case, k)
-    if case != "block":
-        raise MalformedInputError("unknown GL case %r" % (case,))
-    m = _block_exponent(k, r, n)
-    kappa = k * r ** m
-    ambient = _order("GL", n, q)
-    value = _exact_div(ambient, (q ** kappa - 1) * _order("GL", n - kappa, q))
-    divisor = prod(q ** j - 1 for j in range(1, kappa))
-    params = {
-        "n": n, "q": q, "r": r, "k": k, "m": m, "kappa": kappa,
-        "ambient": "GL_%d(%d)" % (n, q),
-    }
-    return ClassSize("GL", case, params, value, divisor, ambient)
+    return _linear("GL", n, q, r, _checked_k("GL", n, q, r), case)
 
 
 def class_size_su(n: int, q: int, r: int, case: str = "block") -> ClassSize:
     """Class size of the distinguished r-element block witness in GU_n(q).
 
-    For odd k = ord_r(-q) the block is GU_1(q^kappa) on kappa dimensions;
-    for even k = 2*k1 the cyclic block GL_1(q^(2*kappa)) sits on 2*kappa
-    dimensions with kappa = k1 * r^m, m maximal with k * r^m <= n so the
-    block fits.  Both carry divisor prod(q^j - (-1)^j) below the block.
+    The block sits on k * r^m dimensions, k = ord_r(-q) and m maximal with
+    k * r^m <= n: for odd k it is GU_1(q^kappa), kappa = k * r^m; for even
+    k it is the cyclic GL_1(q^(2*kappa)), kappa = (k/2) * r^m.  Both carry
+    divisor prod(q^j - (-1)^j) over j below the block's dimension.
     """
-    require_prime_power(q)
-    if n < 1:
-        raise MalformedInputError("rank must be a positive integer, got %r" % (n,))
-    k = ord_mod_neg(r, q)
-    if k > n:
-        raise PreconditionError(
-            "r = %d does not divide the group order in rank %d (k = %d > n)" % (r, n, k)
-        )
-    if case in ("excess", "pair"):
-        return _linear_common("GU", n, q, r, case, k)
-    if case != "block":
-        raise MalformedInputError("unknown GU case %r" % (case,))
-    ambient = _order("GU", n, q)
-    m = _block_exponent(k, r, n)
-    if k % 2:
-        kappa = k * r ** m
-        value = _exact_div(ambient, (q ** kappa + 1) * _order("GU", n - kappa, q))
-        top = kappa
-    else:
-        kappa = (k // 2) * r ** m
-        value = _exact_div(
-            ambient, (q ** (2 * kappa) - 1) * _order("GU", n - 2 * kappa, q)
-        )
-        top = 2 * kappa
-    divisor = prod(q ** j - (-1) ** j for j in range(1, top))
-    params = {
-        "n": n, "q": q, "r": r, "k": k, "m": m, "kappa": kappa,
-        "ambient": "GU_%d(%d)" % (n, q),
-    }
-    return ClassSize("GU", case, params, value, divisor, ambient)
-
-
-def _case1_divisor(q: int, big: int, step: int, copies: int) -> int:
-    # prod(q^(2j) - 1, j < big, step does not divide j)
-    #   * prod(q^(i*step) + (-1)^i, 1 <= i < copies)
-    first = prod(q ** (2 * j) - 1 for j in range(1, big) if j % step)
-    second = prod(q ** (i * step) + (-1) ** i for i in range(1, copies))
-    return first * second
+    return _linear("GU", n, q, r, _checked_k("GU", n, q, r), case)
 
 
 def class_size_sp(n: int, q: int, r: int, case: str = "auto") -> ClassSize:
     """Class size of the distinguished r-element block witness in Sp_2n(q).
 
-    "split" (k = ord_r(q) odd) embeds GL_1(q^kappa) on a plus-type 2*kappa
-    subspace; "twisted" (k even) embeds GU_1(q^kappa) on a minus-type one,
-    kappa built from K = k/2.  "twisted-stack" repeats the twisted block
-    a = floor(n/K) times, which needs a < r so no block index collapses.
+    Sp as SO_2n+1: the witnesses are those of class_size_so(2n+1, 0, q, r,
+    case) under the Sp label.  "split" (k = ord_r(q) odd) embeds
+    GL_1(q^kappa) on a plus-type 2*kappa subspace; "twisted" (k even)
+    embeds GU_1(q^kappa) on a minus-type one, kappa built from K = k/2.
+    "twisted-stack" repeats the twisted block a = floor(n/K) times, which
+    needs a < r so no block index collapses.
     """
-    require_prime_power(q)
-    if n < 1:
-        raise MalformedInputError("rank must be a positive integer, got %r" % (n,))
-    k = ord_mod(r, q)
-    if case == "auto":
-        case = "split" if k % 2 else "twisted"
-    ambient = _order("Sp", n, q)
-    label = "Sp_%d(%d)" % (2 * n, q)
-    if case == "split":
-        if k % 2 == 0:
-            raise PreconditionError("case 'split' needs k odd, got k = %d" % k)
-        if k > n:
-            raise PreconditionError("case 'split' needs k <= n, got k=%d n=%d" % (k, n))
-        m = _block_exponent(k, r, n)
-        kappa = k * r ** m
-        value = _exact_div(ambient, (q ** kappa - 1) * _order("Sp", n - kappa, q))
-        divisor = prod(q ** (2 * j) - 1 for j in range(1, kappa))
-        params = {"n": n, "q": q, "r": r, "k": k, "m": m, "kappa": kappa, "ambient": label}
-        return ClassSize("Sp", case, params, value, divisor, ambient)
-    if k % 2:
-        raise PreconditionError("case %r needs k even, got k = %d" % (case, k))
-    big_k = k // 2
-    if big_k > n:
-        raise PreconditionError(
-            "case %r needs k/2 <= n, got k/2=%d n=%d" % (case, big_k, n)
-        )
-    if case == "twisted":
-        m = _block_exponent(big_k, r, n)
-        kappa = big_k * r ** m
-        value = _exact_div(ambient, (q ** kappa + 1) * _order("Sp", n - kappa, q))
-        divisor = prod(q ** (2 * j) - 1 for j in range(1, kappa))
-        params = {"n": n, "q": q, "r": r, "k": k, "m": m, "kappa": kappa, "ambient": label}
-        return ClassSize("Sp", case, params, value, divisor, ambient)
-    if case != "twisted-stack":
-        raise MalformedInputError("unknown Sp case %r" % (case,))
-    a = n // big_k
-    if a >= r:
-        raise PreconditionError(
-            "case 'twisted-stack' needs floor(n/(k/2)) < r, got %d >= %d" % (a, r)
-        )
-    value = _exact_div(
-        ambient, _order("GU", a, q ** big_k) * _order("Sp", n - a * big_k, q)
-    )
-    divisor = _case1_divisor(q, a * big_k, big_k, a)
-    params = {"n": n, "q": q, "r": r, "k": k, "a": a, "kappa": big_k, "ambient": label}
-    return ClassSize("Sp", case, params, value, divisor, ambient)
+    return _orthogonal("Sp", n, q, r, _checked_k("Sp", n, q, r), case)
 
 
 def class_size_so(d: int, eps: int, q: int, r: int, case: str = "auto") -> ClassSize:
@@ -372,7 +427,6 @@ def class_size_so(d: int, eps: int, q: int, r: int, case: str = "auto") -> Class
     dimension exactly 2*kappa falls back to "split-drop", and dually SO^+
     to "twisted-drop").
     """
-    require_prime_power(q)
     if d % 2 == 0:
         if eps not in (1, -1):
             raise MalformedInputError(
@@ -383,118 +437,8 @@ def class_size_so(d: int, eps: int, q: int, r: int, case: str = "auto") -> Class
     n = d // 2
     if n < 1:
         raise MalformedInputError("dimension %r leaves no rank" % (d,))
-    k = ord_mod(r, q)
-    ambient = _so_order(d, eps, q)
-    label = "SO^%s_%d(%d)" % ({1: "+", -1: "-", 0: ""}[eps], d, q)
-    params = {"d": d, "eps": eps, "q": q, "r": r, "k": k, "ambient": label}
-
-    if k % 2:
-        if k > n:
-            raise PreconditionError("split cases need k <= n, got k=%d n=%d" % (k, n))
-        m = _block_exponent(k, r, n)
-        kappa = k * r ** m
-        drop = d == 2 * kappa and eps == -1
-        if case == "auto":
-            case = "split-drop" if drop else "split"
-        if case == "split":
-            if drop:
-                raise PreconditionError(
-                    "no plus-type block of dimension %d inside SO^-_%d" % (2 * kappa, d)
-                )
-            value = _exact_div(
-                ambient, (q ** kappa - 1) * _so_order(d - 2 * kappa, eps, q)
-            )
-            divisor = prod(q ** (2 * j) - 1 for j in range(1, kappa))
-            params.update(m=m, kappa=kappa)
-            return ClassSize("SO", case, params, value, divisor, ambient)
-        if case != "split-drop":
-            raise MalformedInputError("case %r needs k even" % (case,))
-        if not drop:
-            raise PreconditionError(
-                "case 'split-drop' needs the group to be SO^- of dimension 2*kappa"
-            )
-        if m < 1:
-            raise PreconditionError("case 'split-drop' needs m >= 1, got m = 0")
-        kappa1 = kappa // r
-        value = _exact_div(
-            ambient, (q ** kappa1 - 1) * _so_order(d - 2 * kappa1, eps, q)
-        )
-        divisor = prod(q ** (2 * j) - 1 for j in range(1, kappa1))
-        params.update(m=m, kappa=kappa, kappa1=kappa1)
-        return ClassSize("SO", case, params, value, divisor, ambient)
-
-    big_k = k // 2
-    if big_k > n:
-        raise PreconditionError(
-            "twisted cases need k/2 <= n, got k/2=%d n=%d" % (big_k, n)
-        )
-    m = _block_exponent(big_k, r, n)
-    kappa = big_k * r ** m
-    drop = d == 2 * kappa and eps == 1
-    if case == "auto":
-        case = "twisted-drop" if drop else "twisted"
-    if case == "twisted":
-        if drop:
-            raise PreconditionError(
-                "no minus-type block of dimension %d inside SO^+_%d" % (2 * kappa, d)
-            )
-        value = _exact_div(
-            ambient, (q ** kappa + 1) * _so_order(d - 2 * kappa, -eps, q)
-        )
-        divisor = prod(q ** (2 * j) - 1 for j in range(1, kappa))
-        params.update(m=m, kappa=kappa)
-        return ClassSize("SO", case, params, value, divisor, ambient)
-    if case == "twisted-stack":
-        a = n // big_k
-        if a >= r:
-            raise PreconditionError(
-                "case 'twisted-stack' needs floor(n/(k/2)) < r, got %d >= %d" % (a, r)
-            )
-        alpha = (-1) ** a
-        if d == 2 * a * big_k and eps == -alpha:
-            raise PreconditionError(
-                "stacked blocks exhaust SO^%+d of dimension %d" % (eps, d)
-            )
-        value = _exact_div(
-            ambient,
-            _order("GU", a, q ** big_k) * _so_order(d - 2 * a * big_k, eps * alpha, q),
-        )
-        divisor = _case1_divisor(q, a * big_k, big_k, a)
-        params.update(a=a, kappa=big_k)
-        return ClassSize("SO", case, params, value, divisor, ambient)
-    if case != "twisted-drop":
-        raise MalformedInputError("unknown SO case %r" % (case,))
-    if not drop:
-        raise PreconditionError(
-            "case 'twisted-drop' needs the group to be SO^+ of dimension 2*kappa"
-        )
-    if m < 1:
-        raise PreconditionError("case 'twisted-drop' needs m >= 1, got m = 0")
-    kappa1 = kappa // r
-    value = _exact_div(
-        ambient, _order("GU", r - 1, q ** kappa1) * _so_order(2 * kappa1, 1, q)
-    )
-    divisor = _case1_divisor(q, kappa1 * (r - 1), kappa1, r - 1)
-    params.update(m=m, kappa=kappa, kappa1=kappa1)
-    return ClassSize("SO", case, params, value, divisor, ambient)
-
-
-def _family_order_of_q(family: str, r: int, q: int) -> int:
-    # The unitary family tracks powers of -q, everything else powers of q.
-    return ord_mod_neg(r, q) if family == "GU" else ord_mod(r, q)
-
-
-def _auto_witness(family: str, n: int, q: int, r: int) -> ClassSize:
-    if family == "GL":
-        return class_size_sl(n, q, r)
-    if family == "GU":
-        return class_size_su(n, q, r)
-    if family == "Sp":
-        return class_size_sp(n, q, r)
-    if family == "SOodd":
-        return class_size_so(2 * n + 1, 0, q, r)
-    eps = 1 if family == "SOplus" else -1
-    return class_size_so(2 * n, eps, q, r)
+    family = "SOodd" if d % 2 else ("SOplus" if eps == 1 else "SOminus")
+    return _orthogonal(family, n, q, r, _checked_k(family, n, q, r), case)
 
 
 def _chain_report(family: str, n: int, q: int, ambient: int, k: int, r: int,
@@ -544,22 +488,16 @@ def _chain_report(family: str, n: int, q: int, ambient: int, k: int, r: int,
     }
 
 
-def _stack_value(family: str, n: int, q: int, prime: int, big_k: int, a: int) -> int:
-    """Class size of the stacked twisted witness, one block fewer when the
-    full stack would exhaust the group (possible only for the even-dimension
-    orthogonal forms)."""
-    if family == "Sp":
-        return class_size_sp(n, q, prime, case="twisted-stack").value
-    if family == "SOodd":
-        return class_size_so(2 * n + 1, 0, q, prime, case="twisted-stack").value
-    eps = 1 if family == "SOplus" else -1
-    alpha = (-1) ** a
-    if 2 * n == 2 * a * big_k and eps == -alpha:
-        ambient = _so_order(2 * n, eps, q)
-        return _exact_div(
-            ambient, _order("GU", a - 1, q ** big_k) * _so_order(2 * big_k, 1, q)
-        )
-    return class_size_so(2 * n, eps, q, prime, case="twisted-stack").value
+def _stack_value(family: str, n: int, q: int, prime: int, k: int) -> int:
+    """Class size of the stacked twisted witness for `prime`, whose q has
+    even order k, one block fewer when the full stack would exhaust the
+    group (possible only for the even-dimension orthogonal forms)."""
+    d, eps = _form(family, n)
+    big_k = k // 2
+    a = n // big_k
+    if d == 2 * a * big_k and eps == -(-1) ** a:
+        return _stacked(d, eps, q, big_k, a - 1)[0]
+    return _orthogonal(family, n, q, prime, k, "twisted-stack").value
 
 
 def verify_pair(family: str, n: int, q: int, r: int, s: int) -> dict:
@@ -572,20 +510,11 @@ def verify_pair(family: str, n: int, q: int, r: int, s: int) -> dict:
     2K) the mixed torus GL_1(q^K) x GU_1(q^K) does.  Points where one prime
     misses the group order entirely are vacuous.
     """
-    if family not in FAMILIES:
-        raise MalformedInputError(
-            "unknown family %r; expected one of %s" % (family, ", ".join(FAMILIES))
-        )
-    if not isinstance(n, int) or n < 1:
-        raise MalformedInputError("rank must be a positive integer, got %r" % (n,))
+    _check_family(family, n)
     _check_rank(n, "rank")
     require_prime_power(q)
-    for p, role in ((r, "r"), (s, "s")):
-        require_prime(p, role)
-        if p == 2:
-            raise PreconditionError("%s must be odd, got 2" % role)
-        if q % p == 0:
-            raise PreconditionError("%s = %d divides q = %d" % (role, p, q))
+    _check_prime(r, "r", q)
+    _check_prime(s, "s", q)
     if r == s:
         raise PreconditionError("r and s must be distinct, both are %d" % r)
     ords = {p: _family_order_of_q(family, p, q) for p in (r, s)}
@@ -598,7 +527,8 @@ def _verify(family: str, n: int, q: int, r: int, s: int, order: int,
     order of q (of -q for GU) modulo r and modulo s in `ords`.
 
     `wits` maps a prime to its block witness's JSON for this family, q and
-    n; a missing witness is computed and kept there.  Reports built from
+    n; a missing witness is built from `ords` by the family's builder in
+    its default case, and kept there.  Reports built from
     one `wits` share each witness's nested `params` dict.
     """
     k = ords[r]
@@ -626,7 +556,8 @@ def _verify(family: str, n: int, q: int, r: int, s: int, order: int,
     for prime, other in ((r, s), (s, r)):
         w = wits.get(prime)
         if w is None:
-            w = wits[prime] = _auto_witness(family, n, q, prime).to_json()
+            build = _linear if family in ("GL", "GU") else _orthogonal
+            w = wits[prime] = build(family, n, q, prime, ords[prime]).to_json()
         entry = dict(
             w, prime=prime, other_prime_divides=w["value"] % other == 0,
             own_prime_divides=w["value"] % prime == 0,
@@ -649,7 +580,7 @@ def _verify(family: str, n: int, q: int, r: int, s: int, order: int,
         if big_r == big_s:
             big_k = big_r
             even_prime, odd_prime = (r, s) if k % 2 == 0 else (s, r)
-            stack = _stack_value(family, n, q, even_prime, big_k, n // big_k)
+            stack = _stack_value(family, n, q, even_prime, ords[even_prime])
             endpoint = family == "SOminus" and n == 2 * big_k
             factor = (q ** big_k - 1) * (q ** big_k + 1)
             mixed = {

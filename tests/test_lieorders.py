@@ -367,6 +367,86 @@ class TestSymplecticAndOrthogonalCases:
             class_size_so(6, -1, 2, 7)
 
 
+
+class TestWitnessBuilders:
+    def test_gu_even_k_block_frozen(self):
+        # k = ord_5(-2) = 4: the block GL_1(2^4) sits on 4 = k * 5^0
+        # dimensions and is reported with kappa = 4/2 = 2.  Worked by hand:
+        # |GU_4(2)| = 2^6 * 3 * 3 * 9 * 15 = 77760, value 77760 / (2^4 - 1),
+        # divisor (2 + 1)(2^2 - 1)(2^3 + 1) = 3 * 3 * 9.
+        rep = class_size_su(4, 2, 5).to_json()
+        assert rep["case"] == "block"
+        assert rep["params"] == {
+            "n": 4, "q": 2, "r": 5, "k": 4, "m": 0, "kappa": 2, "ambient": "GU_4(2)",
+        }
+        assert (rep["value"], rep["divisor"], rep["ambient"]) == (5184, 81, 77760)
+
+    def test_gu_pair_witnesses_frozen(self):
+        # r = 3: k = 1 and the block GU_1(2^3) on 3 = 1 * 3^1 dimensions,
+        # value 77760 / ((2^3 + 1) * |GU_1(2)|) = 77760 / 27, divisor 3 * 3.
+        # r = 5 is the even-k block above.
+        rep = verify_pair("GU", 4, 2, 3, 5)
+        common = {"family": "GU", "case": "block", "ambient": 77760,
+                  "divisor_holds": True, "divides_ambient": True}
+        assert rep["witnesses"] == [
+            dict(common, params={"n": 4, "q": 2, "r": 3, "k": 1, "m": 1, "kappa": 3,
+                                 "ambient": "GU_4(2)"},
+                 value=2880, divisor=9, prime=3, other_prime_divides=True,
+                 own_prime_divides=True),
+            dict(common, params={"n": 4, "q": 2, "r": 5, "k": 4, "m": 0, "kappa": 2,
+                                 "ambient": "GU_4(2)"},
+                 value=5184, divisor=81, prime=5, other_prime_divides=True,
+                 own_prime_divides=False),
+        ]
+
+    def test_sp_is_odd_dimensional_so(self):
+        # Sp_2n(q) and SO_2n+1(q) have the same order, so each witness of
+        # one is a witness of the other: same case, value, divisor and
+        # ambient, and a case that does not apply fails alike in both.
+        def outcome(build, *args):
+            try:
+                cs = build(*args)
+            except PreconditionError:
+                return "precondition"
+            return (cs.case, cs.value, cs.divisor, cs.ambient)
+
+        compared = 0
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            for r in (3, 5, 7, 11, 13):
+                if q % r == 0:
+                    continue
+                k = ord_mod(r, q)
+                for n in range(1, 9):
+                    for case in ("auto", "split" if k % 2 else "twisted", "twisted-stack"):
+                        if case == "twisted-stack" and k % 2:
+                            continue
+                        sp = outcome(class_size_sp, n, q, r, case)
+                        assert sp == outcome(class_size_so, 2 * n + 1, 0, q, r, case)
+                        compared += sp != "precondition"
+        assert compared > 300
+
+    @pytest.mark.parametrize("build", [
+        lambda: class_size_sl(2, 3, 2),
+        lambda: class_size_su(2, 3, 2),
+        lambda: class_size_sp(2, 3, 2),
+        lambda: class_size_so(5, 0, 3, 2),
+    ], ids=["GL", "GU", "Sp", "SO"])
+    def test_r_two_is_rejected(self, build):
+        # The witnesses are defined for odd r only, as in verify_pair.
+        with pytest.raises(PreconditionError, match="r must be odd, got 2"):
+            build()
+
+    def test_case_parity_and_names(self):
+        # ord_7(2) = 3 is odd and ord_3(2) = 2 is even.
+        with pytest.raises(PreconditionError, match="'twisted' needs k even"):
+            class_size_so(7, 0, 2, 7, case="twisted")
+        with pytest.raises(PreconditionError, match="'split' needs k odd"):
+            class_size_so(6, 1, 2, 3, case="split")
+        with pytest.raises(MalformedInputError, match="unknown SO case"):
+            class_size_so(7, 0, 2, 7, case="orbit")
+        with pytest.raises(MalformedInputError, match="unknown Sp case"):
+            class_size_sp(3, 2, 7, case="split-drop")
+
 class TestVerifyPair:
     def test_vacuous_point(self):
         rep = verify_pair("GL", 2, 2, 5, 7)

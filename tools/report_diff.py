@@ -15,6 +15,10 @@ hallmark and runs, with --no-timings:
   - `ct-analyze --theorem B` and `--theorem C` for every shipped
     character table and every nonempty set of the primes dividing its
     order;
+  - `lie-verify --family F --n N --q Q --r R --s S` for every family, N
+    in 1..8, Q in {2, 3, 4, 5, 7, 8, 9} and every pair R < S from
+    {3, 5, 7, 11, 13} of primes not dividing Q, so that the value of each
+    block witness is compared, not only the grid's counts;
   - the `check` commands again with HALLMARK_CAP_ELEMENTS=700, which
     puts every class table above 700 elements out of reach and so
     exercises the undetermined texts (all but t4.1's "solvability test
@@ -45,7 +49,7 @@ CAPPED = ("HALLMARK_CAP_ELEMENTS", "700")
 
 def _commands():
     """(environment setting or None, argv) for every report."""
-    from hallmark import catalog, cli, criteria
+    from hallmark import catalog, cli, criteria, lieorders
     from hallmark.arith import prime_factors
 
     groups = catalog.entries(include_stretch=False)
@@ -69,6 +73,13 @@ def _commands():
                 for theorem in ("B", "C"):
                     out.append(["ct-analyze", "catalog:" + name, "--theorem", theorem,
                                 "--pi", ",".join(map(str, pi))])
+    for family in lieorders.FAMILIES:
+        for n in range(1, 9):
+            for q in (2, 3, 4, 5, 7, 8, 9):
+                usable = [p for p in (3, 5, 7, 11, 13) if q % p]
+                for r, s in combinations(usable, 2):
+                    out.append(["lie-verify", "--family", family, "--n", str(n),
+                                "--q", str(q), "--r", str(r), "--s", str(s)])
     return [(None, argv) for argv in out] + [(CAPPED, argv) for argv in checks]
 
 
