@@ -2,9 +2,11 @@
 
 Loads both backends side by side, runs each on the same group (each packs
 the generators into its own row encoding), checks the unpacked outputs
-agree, and prints a small table.  The workload is the hot path of every
-group-side oracle: closing a permutation group from its generators,
-partitioning it into conjugacy classes, and filtering for a centralizer.
+agree, and prints a small table.  The workload is the kernel side of the
+group-side oracles: closing a list of generators, as the Sylow climb and
+the Hall search do (a group's own element list comes from its stabilizer
+chain, not from this closure), partitioning the elements into conjugacy
+classes, and filtering for a centralizer.
 
     python3 benchmarks/bench_kernels.py [--group psl2_31] [--repeat 3]
 """

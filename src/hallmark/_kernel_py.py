@@ -2,11 +2,13 @@
 
 A row is a permutation's image tuple, the same tuple that
 `Permutation.images` and the stabilizer chain hold, so `pack` and
-`unpack` only make sure of a tuple.  Everything that walks a full element
-list (closure, conjugacy partition, centralizer and normalizer scans)
-works on these rows.  The compiled kernel in _kernel_cy offers the same
-functions on its own row encoding; both agree after `unpack`, and rows of
-equal degree sort the same way in both.
+`unpack` only make sure of a tuple.  The conjugacy partition and the
+centralizer and normalizer scans walk a group's full element list, which
+perms builds from the stabilizer chain with `compose`; `close_group`
+closes only generator lists that have no chain (the Sylow climb,
+nilpotent_hall and the Hall search).  The compiled kernel in _kernel_cy
+offers the same functions on its own row encoding; both agree after
+`unpack`, and rows of equal degree sort the same way in both.
 """
 
 from __future__ import annotations

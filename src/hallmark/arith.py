@@ -106,17 +106,23 @@ def is_power_of(n: int, p: int) -> bool:
 
 
 def multiplicative_order(a: int, n: int) -> int:
-    """Order of a in (Z/n)*; n = 1 gives 1.
-
-    The order divides Euler's phi(n); it is found by dividing out the
-    primes of phi(n) while a still has order dividing the quotient.
-    """
+    """Order of a in (Z/n)*; n = 1 gives 1.  The order divides phi(n)."""
     if n < 1 or (n > 1 and gcd(a, n) != 1):
         raise PreconditionError("multiplicative order needs a unit modulo n")
-    order = n
+    phi = n
     for p in prime_factors(n):
-        order = order // p * (p - 1)
-    for ell in prime_factors(order):
+        phi = phi // p * (p - 1)
+    return order_dividing(a, n, phi)
+
+
+def order_dividing(a: int, n: int, bound: int) -> int:
+    """Order of the unit a modulo n, given that it divides bound.
+
+    The primes of bound are divided out while a still has order dividing
+    the quotient.  For a prime n, bound = n - 1 needs no factoring of n.
+    """
+    order = bound
+    for ell in prime_factors(bound):
         while order % ell == 0 and pow(a, order // ell, n) == 1:
             order //= ell
     return order

@@ -235,11 +235,11 @@ def load_group_file(path: str) -> Tuple[str, PermutationGroup]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInputError("cannot read group file %s: %s" % (path, exc)) from exc
     try:
         obj = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedInputError("%s: invalid JSON: %s" % (path, exc)) from exc
     return parse_group_json(obj, source=path)
 

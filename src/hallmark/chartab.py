@@ -173,7 +173,7 @@ def parse_table(data) -> CharacterTable:
             raise TableSchemaError("table file is not UTF-8: %s" % exc)
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise TableSchemaError("table file is not valid JSON: %s" % exc)
     if not isinstance(doc, dict):
         raise TableSchemaError("top level must be an object")

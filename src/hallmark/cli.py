@@ -72,9 +72,13 @@ def _shipped_table_path(name: str) -> str:
 
 
 def _load_table(source: str):
+    path = source
     if source.startswith("catalog:"):
-        return chartab.load_table(_shipped_table_path(source[len("catalog:"):]))
-    return chartab.load_table(source)
+        path = _shipped_table_path(source[len("catalog:"):])
+    try:
+        return chartab.load_table(path)
+    except OSError as exc:
+        raise MalformedInputError("cannot read table file %s: %s" % (path, exc)) from exc
 
 
 def _parse_pi(text: str):
@@ -199,17 +203,21 @@ def _cmd_hall(args) -> int:
     return _emit(args, "hall", inputs, payload, started, caps, code)
 
 
-def _block_hook(group_source: str, name: str, table_flag):
+def _block_hook(group_source: str, name: str, table_flag, order: int):
     """Principal-block data for theorem C: an explicit --table wins, a
     catalog entry with a shipped table is wired automatically, and file
-    groups without --table run with the block side undetermined."""
-    if table_flag:
-        return chartab.principal_block_clear(_load_table(table_flag))
-    if group_source.startswith("catalog:") and name in TABLE_BACKED:
-        return chartab.principal_block_clear(
-            chartab.load_table(_shipped_table_path(name))
+    groups without --table run with the block side undetermined.  A table
+    whose order is not the group's is refused."""
+    if not table_flag and group_source.startswith("catalog:") and name in TABLE_BACKED:
+        table_flag = "catalog:" + name
+    if not table_flag:
+        return None
+    table = _load_table(table_flag)
+    if table.order != order:
+        raise MalformedInputError(
+            "table %s has order %d, the group has order %d" % (table_flag, table.order, order)
         )
-    return None
+    return chartab.principal_block_clear(table)
 
 
 def _cmd_check(args) -> int:
@@ -217,7 +225,7 @@ def _cmd_check(args) -> int:
     name, group = _load_group(args.group, args.extended)
     caps = _caps_for(args)
     theorem = args.theorem
-    hook = _block_hook(args.group, name, args.table) if theorem == "C" else None
+    hook = _block_hook(args.group, name, args.table, group.order) if theorem == "C" else None
     pi = _parse_pi(args.pi) if args.pi else None
     if pi is None:
         checks = criteria.check_group(group, theorem, caps, principal_block_clear=hook)
@@ -304,7 +312,7 @@ def _cmd_suite(args) -> int:
     for entry in entries:
         group_started = time.monotonic()
         group = entry.build()
-        hook = _block_hook("catalog:" + entry.name, entry.name, None)
+        hook = _block_hook("catalog:" + entry.name, entry.name, None, group.order)
         checks = []
         for theorem in criteria.THEOREMS:
             # theorem C runs only where its block side has a character table

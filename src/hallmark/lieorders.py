@@ -32,7 +32,7 @@ from math import prod
 
 from .arith import (
     is_prime,
-    multiplicative_order,
+    order_dividing,
     p_part,
     prime_factors,
     prime_power,
@@ -142,7 +142,7 @@ def ord_mod(r: int, q: int) -> int:
     require_prime(r, "r")
     if q % r == 0:
         raise PreconditionError("ord_mod needs r coprime to q, got r=%d q=%d" % (r, q))
-    return multiplicative_order(q % r, r)
+    return order_dividing(q % r, r, r - 1)
 
 
 def ord_mod_neg(r: int, q: int) -> int:
@@ -152,13 +152,14 @@ def ord_mod_neg(r: int, q: int) -> int:
         raise PreconditionError(
             "ord_mod_neg needs r coprime to q, got r=%d q=%d" % (r, q)
         )
-    return multiplicative_order((-q) % r, r)
+    return order_dividing((-q) % r, r, r - 1)
 
 
 def _family_order_of_q(family: str, r: int, q: int) -> int:
     # ord_mod or ord_mod_neg on checked arguments: the unitary family tracks
-    # powers of -q, everything else powers of q.
-    return multiplicative_order((-q if family == "GU" else q) % r, r)
+    # powers of -q, everything else powers of q.  r is prime, so the order
+    # divides r - 1 and r itself is not factored again.
+    return order_dividing((-q if family == "GU" else q) % r, r, r - 1)
 
 
 def cyclotomic_value(n: int, q: int) -> int:
@@ -675,7 +676,7 @@ def load_grid_manifest(path: str = None) -> dict:
     try:
         with open(path, "rb") as handle:
             manifest = json.load(handle)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise MalformedInputError("cannot read grid manifest %s: %s" % (path, exc))
     _check_grid(manifest, "grid manifest %s" % path)
     return manifest

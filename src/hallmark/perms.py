@@ -3,9 +3,10 @@
 Groups are given by generators acting on {0, ..., degree-1}.  A base and
 strong generating set is built by deterministic Schreier-Sims, with no
 randomisation (a new base point is the least point its generator moves),
-and membership, exact order, coset actions and normal closures are
-derived from it.  Each level keeps the inverse of every transversal
-element next to it, so sifting never inverts.
+and membership, exact order, the element list (each element once, as a
+product of one transversal element per level), coset actions and normal
+closures are derived from it.  Each level keeps the inverse of every
+transversal element next to it, so sifting never inverts.
 
 The chain only grows, and each level remembers which Schreier generators
 it has sifted, so each is sifted once over the group's life (Holt, Eick
@@ -372,7 +373,8 @@ class PermutationGroup:
         return self.is_member(g)
 
     def element_rows(self, cap: int | None = None) -> list:
-        """All elements as sorted kernel rows.  Cached after first call."""
+        """All elements as sorted kernel rows, each formed once as a product
+        of one transversal element per level.  Cached after first call."""
         if cap is None:
             cap = default_caps().elements
         if self.order > cap:
@@ -382,14 +384,11 @@ class PermutationGroup:
                 cap_value=cap,
             )
         if self._rows is None:
-            gens = [kernel.pack(g.images) for g in self.generators]
-            rows = kernel.close_group(gens, self.degree, cap)
-            if rows is None:
-                raise CapacityError(
-                    f"enumeration exceeded the element cap {cap}",
-                    cap_name="elements",
-                    cap_value=cap,
-                )
+            rows = [kernel.identity_row(self.degree)]
+            for lvl in reversed(self._levels):
+                us = [kernel.pack(u) for u in lvl.transversal.values()]
+                rows = [kernel.compose(h, u) for h in rows for u in us]
+            rows.sort()
             self._rows = rows
         return self._rows
 

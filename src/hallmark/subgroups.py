@@ -12,8 +12,9 @@ filtered centralizer or normalizer, a climbed Sylow subgroup, a Hall
 subgroup) gets its generators from its chain: subgroup_from_rows adjoins
 rows in order until the chain's order is the row count, sifts every row
 once and keeps the rows.  kernel.close_group is the only closure loop; the
-Sylow climb and the Hall search call it on generator lists they grow
-themselves.
+Sylow climb, nilpotent_hall and the Hall search call it on generator
+lists they grow themselves, while a group's own element list comes from
+its stabilizer chain.
 
 sylow() makes the only climb, once per host group and prime, and keeps
 the Sylow subgroup on the host together with its normalizer and

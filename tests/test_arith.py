@@ -8,6 +8,7 @@ from hallmark.arith import (
     is_power_of,
     is_prime,
     multiplicative_order,
+    order_dividing,
     p_part,
     pi_part,
     prime_factors,
@@ -108,3 +109,11 @@ class TestFactorCap:
         assert order == (n - 1) // 2
         assert pow(2, order, n) == 1
         assert all(pow(2, order // ell, n) != 1 for ell in prime_factors(order))
+
+    def test_order_dividing_a_known_bound(self):
+        # modulo a prime n the order divides n - 1, and n is not factored
+        n = 1099511627689
+        assert order_dividing(2, n, n - 1) == multiplicative_order(2, n) == (n - 1) // 2
+        assert order_dividing(3, 7, 6) == 6
+        assert order_dividing(2, 7, 6) == 3
+        assert order_dividing(1, 7, 6) == 1

@@ -191,6 +191,15 @@ class TestCheckCommand:
         assert rep["inputs"]["table"] == "catalog:a5"
         assert rep["checks"][0]["agree"] is True
 
+    def test_table_of_another_group_is_refused(self, capsys):
+        # d4's table has a vacuous 3-block; a5's block side must not read it
+        code, rep, err = run(capsys, "check", "--theorem", "C",
+                             "--group", "catalog:a5", "--pi", "3",
+                             "--table", "catalog:d4", "--no-timings")
+        assert code == 2
+        assert rep is None
+        assert err.startswith("error:") and "order 8" in err and "order 60" in err
+
     def test_precondition_failures_count_as_skipped(self, capsys):
         # a5 is not p-solvable for any p dividing its order.
         code, rep, _ = run(capsys, "check", "--theorem", "t4.2",
@@ -383,6 +392,29 @@ class TestTableCommands:
         assert part["p"] == 2
         assert part["blocks"] == [[0, 1, 2, 4], [3]]
         assert part["block_degrees"] == [[1, 3, 3, 5], [4]]
+
+    @pytest.mark.parametrize("argv", [
+        ["ct-blocks", "{missing}", "-p", "2"],
+        ["ct-analyze", "{missing}", "--pi", "3"],
+        ["check", "--theorem", "C", "--group", "catalog:a5", "--table", "{missing}"],
+        ["ct-blocks", "{dir}", "-p", "2"],
+        ["classes", "{deep}"],
+        ["ct-blocks", "{deep}", "-p", "2"],
+        ["lie-grid", "{deep}"],
+        ["classes", "{latin}"],
+    ], ids=["blocks-missing", "analyze-missing", "check-table-missing", "blocks-dir",
+            "classes-deep", "blocks-deep", "grid-deep", "classes-not-utf8"])
+    def test_unreadable_input_is_usage_error(self, capsys, tmp_path, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b"\xff\xfe")
+        paths = {"missing": tmp_path / "missing.json", "dir": tmp_path,
+                 "deep": deep, "latin": latin}
+        code, rep, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2
+        assert rep is None
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_unknown_shipped_table(self, capsys):
         code, _, err = run(capsys, "ct-analyze", "catalog:a6", "--pi", "3")

@@ -15,7 +15,7 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hallmark import catalog, chartab, lieorders
+from hallmark import arith, catalog, chartab, lieorders
 from hallmark.classdata import ClassTable
 from hallmark.errors import MalformedInputError, PreconditionError
 from hallmark.lieorders import (
@@ -129,6 +129,21 @@ class TestMultiplicativeOrders:
         assert ord_mod_neg(3, 2) == 1
         assert ord_mod_neg(5, 2) == 4
         assert ord_mod_neg(7, 2) == 6
+
+    def test_verify_pair_factors_s_once(self, monkeypatch):
+        # s is factored when it is checked to be prime; its order of q
+        # divides s - 1 and needs no second factoring of s
+        s = 1099511627689
+        factored = []
+        factor = arith.prime_factors
+
+        def counting(n):
+            factored.append(n)
+            return factor(n)
+
+        monkeypatch.setattr(arith, "prime_factors", counting)
+        assert verify_pair("GL", 2, 2, 3, s)["consistent"] is True
+        assert factored.count(s) == 1
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(PreconditionError, match="prime"):

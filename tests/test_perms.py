@@ -8,6 +8,7 @@ import oracles
 from hallmark import catalog
 from hallmark.config import DEGREE_CAP
 from hallmark.errors import CapacityError, MalformedInputError, PreconditionError
+from hallmark.kernels import kernel
 from hallmark.perms import Permutation, PermutationGroup
 
 perm_images = st.integers(min_value=1, max_value=24).flatmap(
@@ -220,3 +221,44 @@ def test_each_schreier_generator_is_sifted_once(monkeypatch, name):
     pairs = sum(len(lvl.transversal) * len(lvl.gens) for lvl in group._levels)
     assert group.order == shipped.order
     assert len(schreier_sifts) <= pairs
+
+
+def _assert_rows_are_the_closure(group):
+    rows = [kernel.unpack(r) for r in group.element_rows()]
+    gens = [g.images for g in group.generators]
+    assert rows == sorted(oracles.close(gens, group.degree))
+    assert len(rows) == group.order
+
+
+class TestElementRowsFromChain:
+    # element_rows multiplies one transversal element per chain level; the
+    # oracle closes the generators breadth-first, sharing no code with it.
+
+    def test_no_closure_is_made(self, monkeypatch):
+        def no_closure(*args):
+            raise AssertionError("element_rows closed the generators")
+
+        monkeypatch.setattr(kernel, "close_group", no_closure)
+        group = catalog.build("psl2_7")
+        assert len(group.element_rows()) == group.order == 168
+
+    @pytest.mark.parametrize("name,base", [
+        ("psl3_3", (1, 4, 0, 2, 5)),  # five levels, base not a prefix of 0..n-1
+        ("a5xc7", (0, 2, 5, 1)),  # intransitive
+    ])
+    def test_catalog_bases(self, name, base):
+        group = catalog.build(name)
+        assert tuple(lvl.base for lvl in group._levels) == base
+        _assert_rows_are_the_closure(group)
+
+    @pytest.mark.parametrize("left,right", [("s4", "d4"), ("a5", "c3")])
+    def test_direct_products(self, left, right):
+        g = catalog.build(left)
+        h = catalog.cyclic(3) if right == "c3" else catalog.build(right)
+        _assert_rows_are_the_closure(catalog.direct_product(g, h))
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_trivial_groups(self, degree):
+        group = PermutationGroup(degree, [])
+        assert group.element_rows() == [kernel.identity_row(degree)]
+        _assert_rows_are_the_closure(group)
