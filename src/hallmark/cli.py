@@ -203,21 +203,35 @@ def _cmd_hall(args) -> int:
     return _emit(args, "hall", inputs, payload, started, caps, code)
 
 
-def _block_hook(group_source: str, name: str, table_flag, order: int):
+def _block_hook(group_source: str, name: str, table_flag, group, caps: Caps):
     """Principal-block data for theorem C: an explicit --table wins, a
     catalog entry with a shipped table is wired automatically, and file
     groups without --table run with the block side undetermined.  A table
-    whose order is not the group's is refused."""
+    whose order, or whose multiset of (class size, element order), is not
+    the group's is refused; a group whose class table is over a cap has
+    only its order compared."""
     if not table_flag and group_source.startswith("catalog:") and name in TABLE_BACKED:
         table_flag = "catalog:" + name
     if not table_flag:
         return None
     table = _load_table(table_flag)
-    if table.order != order:
+    if table.order != group.order:
         raise MalformedInputError(
-            "table %s has order %d, the group has order %d" % (table_flag, table.order, order)
+            "table %s has order %d, the group has order %d" % (table_flag, table.order, group.order)
+        )
+    try:
+        classes = class_table(group, caps).classes
+    except CapacityError:
+        classes = None
+    if classes is not None and _class_shape(table.classes) != _class_shape(classes):
+        raise MalformedInputError(
+            "table %s does not have the group's class sizes and element orders" % table_flag
         )
     return chartab.principal_block_clear(table)
+
+
+def _class_shape(classes) -> list:
+    return sorted((c.size, c.element_order) for c in classes)
 
 
 def _cmd_check(args) -> int:
@@ -225,7 +239,7 @@ def _cmd_check(args) -> int:
     name, group = _load_group(args.group, args.extended)
     caps = _caps_for(args)
     theorem = args.theorem
-    hook = _block_hook(args.group, name, args.table, group.order) if theorem == "C" else None
+    hook = _block_hook(args.group, name, args.table, group, caps) if theorem == "C" else None
     pi = _parse_pi(args.pi) if args.pi else None
     if pi is None:
         checks = criteria.check_group(group, theorem, caps, principal_block_clear=hook)
@@ -312,7 +326,7 @@ def _cmd_suite(args) -> int:
     for entry in entries:
         group_started = time.monotonic()
         group = entry.build()
-        hook = _block_hook("catalog:" + entry.name, entry.name, None, group.order)
+        hook = _block_hook("catalog:" + entry.name, entry.name, None, group, caps)
         checks = []
         for theorem in criteria.THEOREMS:
             # theorem C runs only where its block side has a character table

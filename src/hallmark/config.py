@@ -24,8 +24,8 @@ FIELD_DEGREE_CAP = 100
 
 # lieorders checks no classical group of rank above this (a grid's
 # max_rank, lie-verify's n).  At the cap, a grid of the shipped shape (six
-# families, four q, ten primes) takes about 0.4 s; cost grows about as
-# rank^4.5.
+# families, four q, ten primes) takes about 0.1 s; its cost grows about as
+# max_rank^2.
 RANK_CAP = 32
 
 # A stabilizer chain makes at most this many Schreier-generator sifts over

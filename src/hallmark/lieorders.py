@@ -27,6 +27,7 @@ or order test each.
 
 import json
 import os
+from functools import lru_cache
 from itertools import combinations
 from math import prod
 
@@ -53,8 +54,6 @@ __all__ = [
     "exceptional_rows",
     "group_order",
     "load_grid_manifest",
-    "ord_mod",
-    "ord_mod_neg",
     "run_grid",
     "verify_pair",
 ]
@@ -74,8 +73,10 @@ def _exact_div(num: int, den: int) -> int:
     return quo
 
 
+@lru_cache(maxsize=4096)
 def _order(family: str, n: int, q: int) -> int:
     # Internal evaluator; n = 0 means the empty group in a quotient formula.
+    # The witness builders ask for the same few orders again and again.
     if n == 0:
         return 1
     if family == "GL":
@@ -137,28 +138,10 @@ def _so_order(d: int, eps: int, q: int) -> int:
     return _order("SOplus" if eps == 1 else "SOminus", d // 2, q)
 
 
-def ord_mod(r: int, q: int) -> int:
-    """Least k >= 1 with q^k = 1 mod r."""
-    require_prime(r, "r")
-    if q % r == 0:
-        raise PreconditionError("ord_mod needs r coprime to q, got r=%d q=%d" % (r, q))
-    return order_dividing(q % r, r, r - 1)
-
-
-def ord_mod_neg(r: int, q: int) -> int:
-    """Least k >= 1 with (-q)^k = 1 mod r."""
-    require_prime(r, "r")
-    if q % r == 0:
-        raise PreconditionError(
-            "ord_mod_neg needs r coprime to q, got r=%d q=%d" % (r, q)
-        )
-    return order_dividing((-q) % r, r, r - 1)
-
-
 def _family_order_of_q(family: str, r: int, q: int) -> int:
-    # ord_mod or ord_mod_neg on checked arguments: the unitary family tracks
-    # powers of -q, everything else powers of q.  r is prime, so the order
-    # divides r - 1 and r itself is not factored again.
+    # The order of q (of -q for GU) modulo r, on checked arguments: the
+    # unitary family tracks powers of -q, everything else powers of q.  r is
+    # prime, so the order divides r - 1 and r itself is not factored again.
     return order_dividing((-q if family == "GU" else q) % r, r, r - 1)
 
 
@@ -501,6 +484,12 @@ def _stack_value(family: str, n: int, q: int, prime: int, k: int) -> int:
     return _orthogonal(family, n, q, prime, k, "twisted-stack").value
 
 
+def _block_witness(family: str, n: int, q: int, prime: int, k: int) -> ClassSize:
+    # The default-case witness of `prime`, whose order of q (of -q for GU) is k.
+    build = _linear if family in ("GL", "GU") else _orthogonal
+    return build(family, n, q, prime, k)
+
+
 def verify_pair(family: str, n: int, q: int, r: int, s: int) -> dict:
     """Check the block-witness divisibility implication for the pair (r, s).
 
@@ -518,22 +507,9 @@ def verify_pair(family: str, n: int, q: int, r: int, s: int) -> dict:
     _check_prime(s, "s", q)
     if r == s:
         raise PreconditionError("r and s must be distinct, both are %d" % r)
-    ords = {p: _family_order_of_q(family, p, q) for p in (r, s)}
-    return _verify(family, n, q, r, s, _order(family, n, q), ords, {})
-
-
-def _verify(family: str, n: int, q: int, r: int, s: int, order: int,
-            ords: dict, wits: dict) -> dict:
-    """verify_pair on validated arguments, given the group order and the
-    order of q (of -q for GU) modulo r and modulo s in `ords`.
-
-    `wits` maps a prime to its block witness's JSON for this family, q and
-    n; a missing witness is built from `ords` by the family's builder in
-    its default case, and kept there.  Reports built from
-    one `wits` share each witness's nested `params` dict.
-    """
-    k = ords[r]
-    l = ords[s]
+    k = _family_order_of_q(family, r, q)
+    l = _family_order_of_q(family, s, q)
+    order = _order(family, n, q)
     report = {
         "family": family,
         "n": n,
@@ -551,22 +527,40 @@ def _verify(family: str, n: int, q: int, r: int, s: int, order: int,
             orders_equal=None, chain=None, consistent=True,
         )
         return report
-
-    witnesses = []
-    premise = True
-    for prime, other in ((r, s), (s, r)):
-        w = wits.get(prime)
-        if w is None:
-            build = _linear if family in ("GL", "GU") else _orthogonal
-            w = wits[prime] = build(family, n, q, prime, ords[prime]).to_json()
-        entry = dict(
-            w, prime=prime, other_prime_divides=w["value"] % other == 0,
-            own_prime_divides=w["value"] % prime == 0,
+    r_wit = _block_witness(family, n, q, r, k)
+    s_wit = _block_witness(family, n, q, s, l)
+    premise, orders_equal, chain, mixed, consistent = _verdict(
+        family, n, q, r, s, order, k, l, r_wit.value, s_wit.value
+    )
+    witnesses = [
+        dict(
+            w.to_json(), prime=prime, other_prime_divides=w.value % other == 0,
+            own_prime_divides=w.value % prime == 0,
         )
-        if entry["other_prime_divides"]:
-            premise = False
-        witnesses.append(entry)
+        for w, prime, other in ((r_wit, r, s), (s_wit, s, r))
+    ]
+    report.update(
+        status="witnessed", witnesses=witnesses, premise=premise,
+        orders_equal=orders_equal, chain=chain, mixed_torus=mixed,
+        consistent=consistent,
+    )
+    return report
 
+
+def _verdict(family: str, n: int, q: int, r: int, s: int, order: int, k: int,
+             l: int, r_value: int, s_value: int) -> tuple:
+    """The implication at a point where r and s both divide the group order,
+    on validated arguments: k and l are the orders of q (of -q for GU)
+    modulo r and s, and r_value and s_value the class sizes of their block
+    witnesses.
+
+    Returns (premise, orders_equal, chain, mixed_torus, consistent), the
+    verdict fields of verify_pair's report.  The chain is computed whenever
+    k == l, premise or not; the mixed torus only where the premise holds
+    with k != l outside GL and GU.  verify_pair and run_grid both read
+    their verdict here.
+    """
+    premise = r_value % s != 0 and s_value % r != 0
     orders_equal = k == l
     chain = _chain_report(family, n, q, order, k, r, s) if orders_equal else None
     mixed = None
@@ -580,8 +574,8 @@ def _verify(family: str, n: int, q: int, r: int, s: int, order: int,
         big_s = l if l % 2 else l // 2
         if big_r == big_s:
             big_k = big_r
-            even_prime, odd_prime = (r, s) if k % 2 == 0 else (s, r)
-            stack = _stack_value(family, n, q, even_prime, ords[even_prime])
+            even_prime, even_k, odd_prime = (r, k, s) if k % 2 == 0 else (s, l, r)
+            stack = _stack_value(family, n, q, even_prime, even_k)
             endpoint = family == "SOminus" and n == 2 * big_k
             factor = (q ** big_k - 1) * (q ** big_k + 1)
             mixed = {
@@ -608,12 +602,7 @@ def _verify(family: str, n: int, q: int, r: int, s: int, order: int,
         or (orders_equal and chain["match"])
         or (mixed is not None and mixed["match"])
     )
-    report.update(
-        status="witnessed", witnesses=witnesses, premise=premise,
-        orders_equal=orders_equal, chain=chain, mixed_torus=mixed,
-        consistent=consistent,
-    )
-    return report
+    return premise, orders_equal, chain, mixed, consistent
 
 
 def _check_grid(manifest, source: str = "grid manifest") -> None:
@@ -686,47 +675,59 @@ def run_grid(manifest: dict) -> dict:
     """Check the block-witness implication at every point of the manifest grid.
 
     A point is a family, a prime power q, a rank n from 1 to max_rank and
-    a pair r < s of listed primes; 2 and primes dividing q are skipped.
-    Each point gets the report verify_pair would give it, but every fact
-    is computed once for the coordinates it depends on: the group order
-    per (family, q, n), the order of q or -q modulo each prime per
-    (family, q), and each block witness per (family, q, n, prime).
-    Besides the headline implication, every produced witness is checked for
-    its asserted divisor and for dividing the ambient order; any failure is
-    reported with its grid coordinates.
+    a pair r < s of listed primes; 2 and primes dividing q are skipped.  A
+    point where r or s does not divide the group order is vacuous: it is
+    counted but not visited, and it cannot fail.  Every other point gets
+    its verdict from _verdict, as in verify_pair, but no report.  Each
+    fact is computed once for the coordinates it depends on: the group
+    order per (family, q, n), the order of q or -q modulo each prime per
+    (family, q), and each block witness, with its asserted divisor and its
+    division of the ambient order checked, per (family, q, n, prime).  A
+    point gets one failure entry per check that fails there, in
+    verify_pair's order: the implication, then r's divisor and ambient
+    checks, then s's.
     """
     _check_grid(manifest)
-    points = witnessed = vacuous = 0
+    points = witnessed = 0
     failures = []
     primes = sorted(manifest["primes"])
-    powers = sorted(manifest["prime_powers"])
-    usable = {q: [p for p in primes if p != 2 and q % p] for q in powers}
     for family in manifest["families"]:
-        for q in powers:
-            ords = {p: _family_order_of_q(family, p, q) for p in usable[q]}
+        for q in sorted(manifest["prime_powers"]):
+            usable = [p for p in primes if p != 2 and q % p]
+            ords = {p: _family_order_of_q(family, p, q) for p in usable}
             for n in range(1, manifest["max_rank"] + 1):
                 order = _order(family, n, q)
-                wits = {}
-                for r, s in combinations(usable[q], 2):
-                    rep = _verify(family, n, q, r, s, order, ords, wits)
-                    points += 1
-                    if rep["status"] == "vacuous":
-                        vacuous += 1
-                    else:
-                        witnessed += 1
-                    where = {"family": family, "n": n, "q": q, "r": r, "s": s}
-                    if not rep["consistent"]:
-                        failures.append(dict(where, reason="implication"))
-                    for w in rep["witnesses"]:
-                        if not w["divisor_holds"]:
-                            failures.append(dict(where, reason="divisor"))
-                        if not w["divides_ambient"]:
-                            failures.append(dict(where, reason="ambient"))
+                active = [p for p in usable if order % p == 0]
+                points += len(usable) * (len(usable) - 1) // 2
+                witnessed += len(active) * (len(active) - 1) // 2
+                if len(active) < 2:
+                    continue
+                values = {}
+                faults = {}
+                for p in active:
+                    w = _block_witness(family, n, q, p, ords[p])
+                    values[p] = w.value
+                    faults[p] = [
+                        reason for reason, holds in (
+                            ("divisor", w.divisor_holds), ("ambient", w.divides_ambient)
+                        ) if not holds
+                    ]
+                for r, s in combinations(active, 2):
+                    consistent = _verdict(
+                        family, n, q, r, s, order, ords[r], ords[s], values[r], values[s]
+                    )[-1]
+                    if consistent and not faults[r] and not faults[s]:
+                        continue
+                    reasons = ([] if consistent else ["implication"]) + faults[r] + faults[s]
+                    failures.extend(
+                        {"family": family, "n": n, "q": q, "r": r, "s": s, "reason": reason}
+                        for reason in reasons
+                    )
     return {
         "schema": GRID_REPORT_SCHEMA,
         "points": points,
         "witnessed": witnessed,
-        "vacuous": vacuous,
+        "vacuous": points - witnessed,
         "failures": failures,
         "ok": not failures,
     }

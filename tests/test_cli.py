@@ -200,6 +200,24 @@ class TestCheckCommand:
         assert rep is None
         assert err.startswith("error:") and "order 8" in err and "order 60" in err
 
+    def test_table_of_another_group_of_the_same_order_is_refused(self, capsys):
+        # c6 and s3 both have order 6, but c6's classes all have size 1
+        code, rep, err = run(capsys, "check", "--theorem", "C",
+                             "--group", "catalog:s3", "--table", "catalog:c6",
+                             "--no-timings")
+        assert code == 2
+        assert rep is None
+        assert err.startswith("error:") and "class sizes" in err
+
+    def test_table_over_the_element_cap_is_compared_by_order(self, capsys, monkeypatch):
+        # with no class table to compare, the check runs and stops at the cap
+        monkeypatch.setenv("HALLMARK_CAP_ELEMENTS", "5")
+        code, rep, _ = run(capsys, "check", "--theorem", "C",
+                           "--group", "catalog:s3", "--table", "catalog:c6",
+                           "--no-timings")
+        assert code == 3
+        assert rep["summary"]["undetermined"] == 1
+
     def test_precondition_failures_count_as_skipped(self, capsys):
         # a5 is not p-solvable for any p dividing its order.
         code, rep, _ = run(capsys, "check", "--theorem", "t4.2",

@@ -29,8 +29,6 @@ from hallmark.lieorders import (
     exceptional_rows,
     group_order,
     load_grid_manifest,
-    ord_mod,
-    ord_mod_neg,
     run_grid,
     verify_pair,
 )
@@ -101,6 +99,16 @@ class TestGroupOrder:
             group_order("GL", 2, 1)
 
 
+def ord_mod(r, q):
+    # the order of q modulo r, as the GL witnesses read it
+    return lieorders._family_order_of_q("GL", r, q)
+
+
+def ord_mod_neg(r, q):
+    # the order of -q modulo r, as the GU witnesses read it
+    return lieorders._family_order_of_q("GU", r, q)
+
+
 class TestMultiplicativeOrders:
     @given(
         r=st.sampled_from(ODD_PRIMES),
@@ -146,12 +154,13 @@ class TestMultiplicativeOrders:
         assert factored.count(s) == 1
 
     def test_rejects_bad_inputs(self):
+        # the witnesses check r before they take its order
         with pytest.raises(PreconditionError, match="prime"):
-            ord_mod(4, 3)
+            class_size_sl(2, 3, 4)
         with pytest.raises(PreconditionError, match="prime"):
-            ord_mod_neg(9, 2)
-        with pytest.raises(PreconditionError, match="coprime"):
-            ord_mod(5, 10)
+            class_size_su(2, 2, 9)
+        with pytest.raises(PreconditionError, match="divides q"):
+            class_size_sl(2, 25, 5)
 
 
 class TestCyclotomicValue:
@@ -618,18 +627,20 @@ class TestGrid:
         assert "elapsed" not in rep
         assert elapsed < 60
 
-    def test_matches_pair_by_pair_replay(self, monkeypatch):
-        # The grid shares each order and witness across points; replaying
-        # every point through verify_pair, which shares nothing, must give
-        # the same reports, counts and failures.  The primes include 2 and
-        # primes dividing some q, which the grid skips.
-        manifest = {
-            "schema": "hallmark-lie-grid/1",
-            "families": list(FAMILIES),
-            "prime_powers": [7, 8, 9, 16],
-            "max_rank": 6,
-            "primes": [2, 3, 5, 7, 13, 17],
-        }
+    # The primes include 2 and primes dividing some q, which the grid skips.
+    REPLAYED = {
+        "schema": "hallmark-lie-grid/1",
+        "families": list(FAMILIES),
+        "prime_powers": [7, 8, 9, 16],
+        "max_rank": 6,
+        "primes": [2, 3, 5, 7, 13, 17],
+    }
+
+    @staticmethod
+    def _replay(manifest):
+        # Every point through verify_pair, which builds each point's
+        # witnesses afresh: the grid's counts and failures, and the
+        # witnessed reports.
         points = witnessed = vacuous = 0
         failures = []
         reports = []
@@ -644,12 +655,12 @@ class TestGrid:
                             if s == 2 or q % s == 0:
                                 continue
                             rep = verify_pair(family, n, q, r, s)
-                            reports.append(rep)
                             points += 1
                             if rep["status"] == "vacuous":
                                 vacuous += 1
                             else:
                                 witnessed += 1
+                                reports.append(rep)
                             where = {"family": family, "n": n, "q": q, "r": r, "s": s}
                             if not rep["consistent"]:
                                 failures.append(dict(where, reason="implication"))
@@ -658,20 +669,55 @@ class TestGrid:
                                     failures.append(dict(where, reason="divisor"))
                                 if not w["divides_ambient"]:
                                     failures.append(dict(where, reason="ambient"))
-        seen = []
-        verify = lieorders._verify
+        return (points, witnessed, vacuous, failures), reports
 
-        def recording(*args):
-            seen.append(verify(*args))
-            return seen[-1]
+    @staticmethod
+    def _counts(rep):
+        return rep["points"], rep["witnessed"], rep["vacuous"], rep["failures"]
 
-        monkeypatch.setattr(lieorders, "_verify", recording)
-        rep = run_grid(manifest)
-        assert seen == reports
+    def test_matches_pair_by_pair_replay(self):
+        # The grid builds no report and visits no vacuous point, yet it
+        # must count and fail exactly as verify_pair does point by point,
+        # and each report's verdict must be the core's for that point.
+        counts, reports = self._replay(self.REPLAYED)
+        _, witnessed, vacuous, _ = counts
         assert witnessed > 0 and vacuous > 0
-        assert (rep["points"], rep["witnessed"], rep["vacuous"], rep["failures"]) == (
-            points, witnessed, vacuous, failures
-        )
+        assert self._counts(run_grid(self.REPLAYED)) == counts
+        premises = 0
+        for rep in reports:
+            values = {w["prime"]: w["value"] for w in rep["witnesses"]}
+            verdict = lieorders._verdict(
+                rep["family"], rep["n"], rep["q"], rep["r"], rep["s"], rep["order"],
+                rep["k"], rep["l"], values[rep["r"]], values[rep["s"]],
+            )
+            assert verdict == (rep["premise"], rep["orders_equal"], rep["chain"],
+                               rep["mixed_torus"], rep["consistent"])
+            premises += rep["premise"]
+        assert 0 < premises < len(reports)
+
+    def test_failures_match_the_replay(self, monkeypatch):
+        # Corrupted witnesses: the grid lists the same failures as the
+        # point-by-point replay, in the same order, for each of the three
+        # reasons.  A witness whose value is 1 is coprime to every prime,
+        # so its points' premise can hold where no torus chain fits.
+        def corrupt(build):
+            def corrupted(family, n, q, prime, *rest):
+                w = build(family, n, q, prime, *rest)
+                if prime == 7 and n in (3, 5):
+                    w.divisor = w.value + 1
+                if (prime, n % 2) == (13, 0) or (prime, n) == (7, 5):
+                    w.ambient = w.ambient * w.value + 1
+                if prime == 5 and n == 4 and family != "SOplus":
+                    w.value = 1
+                return w
+            return corrupted
+
+        monkeypatch.setattr(lieorders, "_linear", corrupt(lieorders._linear))
+        monkeypatch.setattr(lieorders, "_orthogonal", corrupt(lieorders._orthogonal))
+        counts, _ = self._replay(self.REPLAYED)
+        failures = counts[3]
+        assert {f["reason"] for f in failures} == {"implication", "divisor", "ambient"}
+        assert self._counts(run_grid(self.REPLAYED)) == counts
 
     def test_manifest_validation(self, tmp_path):
         good = {
