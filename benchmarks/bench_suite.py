@@ -40,15 +40,13 @@ J1_PAIRS = 3
 def _j1_body() -> None:
     """Child side: run the J1 check body and print its time, peak RSS and
     outputs as one JSON object."""
-    import dataclasses
     import resource
 
     from hallmark import catalog, criteria, subgroups
     from hallmark.config import default_caps
 
     started = time.perf_counter()
-    caps = dataclasses.replace(default_caps(), elements=10_000_000,
-                               subgroup_search_order=200_000)
+    caps = default_caps()
     group = catalog.build("j1")
     chk = criteria.check_theorem_b(group, [3, 5], caps)
     result = subgroups.hall_subgroup(group, [3, 5], caps)

@@ -26,7 +26,6 @@ _DATA_DIR = os.path.join(os.path.dirname(__file__), "data", "groups")
 
 _SYMMETRIC_RANGE = (1, 12)
 _PSL2_RANGE = (4, 32)
-_SEMI_AFFINE_POINT_CAP = 2**14
 
 
 def cyclic(n: int) -> PermutationGroup:
@@ -134,11 +133,11 @@ def semi_affine(q: int, p: int) -> PermutationGroup:
             "semi_affine(q, p) needs distinct primes, got q=%r p=%r" % (q, p)
         )
     n = q**p
-    if n > _SEMI_AFFINE_POINT_CAP:
+    if n > DEGREE_CAP:
         raise CapacityError(
             "semi_affine(%d, %d) would act on %d points" % (q, p, n),
-            cap_name="semi_affine_points",
-            cap_value=_SEMI_AFFINE_POINT_CAP,
+            cap_name="degree",
+            cap_value=DEGREE_CAP,
         )
     field = gf.IntField(q, p)
     translate = tuple(field.add(x, 1) for x in range(n))

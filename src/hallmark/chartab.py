@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .arith import is_power_of, require_prime
 from .cyclotomic import Cyc
@@ -311,17 +311,15 @@ class BlockPartition:
         self.principal_index = principal_index
         self.vacuous = vacuous
 
-    def to_json(self, table: Optional[CharacterTable] = None) -> dict:
-        out = {
+    def to_json(self, table: CharacterTable) -> dict:
+        degrees = table.degrees
+        return {
             "p": self.p,
             "vacuous": self.vacuous,
             "blocks": self.blocks,
             "principal_index": self.principal_index,
+            "block_degrees": [[degrees[i] for i in b] for b in self.blocks],
         }
-        if table is not None:
-            degrees = table.degrees
-            out["block_degrees"] = [[degrees[i] for i in b] for b in self.blocks]
-        return out
 
 
 def block_partition(table: CharacterTable, p: int) -> BlockPartition:

@@ -35,17 +35,6 @@ _TABLES_DIR = os.path.join(os.path.dirname(__file__), "data", "tables")
 TABLE_BACKED = ("a5", "c6", "d4", "psl2_7", "psl2_31", "s4")
 
 
-def _caps_for(args) -> Caps:
-    caps = default_caps()
-    if getattr(args, "extended", False):
-        caps = dataclasses.replace(
-            caps,
-            elements=max(caps.elements, 10_000_000),
-            subgroup_search_order=max(caps.subgroup_search_order, 200_000),
-        )
-    return caps
-
-
 def _load_group(source: str, extended: bool):
     if source.startswith("catalog:"):
         name = source[len("catalog:"):]
@@ -100,12 +89,12 @@ def _group_blurb(name: str, group) -> dict:
     return {"name": name, "order": group.order, "degree": group.degree}
 
 
-def _emit(args, command: str, inputs: dict, payload: dict, started: float,
-          caps: Caps = None, exit_code: int = EXIT_OK) -> int:
+def _emit(args, inputs: dict, payload: dict, caps: Caps = None,
+          exit_code: int = EXIT_OK) -> int:
     report = {
         "schema": REPORT_SCHEMA,
         "tool": {"name": "hallmark", "version": __version__},
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
     }
     if caps is not None:
@@ -113,7 +102,7 @@ def _emit(args, command: str, inputs: dict, payload: dict, started: float,
     report.update(payload)
     report["exit"] = exit_code
     if not args.no_timings:
-        report["timings"] = {"total_s": round(time.monotonic() - started, 3)}
+        report["timings"] = {"total_s": round(time.monotonic() - args.started, 3)}
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
     return exit_code
 
@@ -142,7 +131,6 @@ def _exit_for(tally: dict) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    started = time.monotonic()
     groups = [
         {
             "name": e.name,
@@ -153,13 +141,12 @@ def _cmd_catalog(args) -> int:
         }
         for e in sorted(catalog.entries(), key=lambda e: (e.order, e.name))
     ]
-    return _emit(args, "catalog", {}, {"groups": groups}, started)
+    return _emit(args, {}, {"groups": groups})
 
 
 def _cmd_classes(args) -> int:
-    started = time.monotonic()
     name, group = _load_group(args.group, args.extended)
-    caps = _caps_for(args)
+    caps = default_caps()
     table = class_table(group, caps)
     classes = [
         {
@@ -175,13 +162,12 @@ def _cmd_classes(args) -> int:
         "class_count": len(classes),
         "classes": classes,
     }
-    return _emit(args, "classes", {"group": args.group}, payload, started, caps)
+    return _emit(args, {"group": args.group}, payload, caps)
 
 
 def _cmd_hall(args) -> int:
-    started = time.monotonic()
     name, group = _load_group(args.group, args.extended)
-    caps = _caps_for(args)
+    caps = default_caps()
     pi = _parse_pi(args.pi)
     result = subgroups.hall_subgroup(group, pi, caps)
     payload = {
@@ -200,7 +186,7 @@ def _cmd_hall(args) -> int:
         payload["subgroup"] = None
     code = EXIT_CAPACITY if result.status == "inconclusive" else EXIT_OK
     inputs = {"group": args.group, "pi": sorted(pi)}
-    return _emit(args, "hall", inputs, payload, started, caps, code)
+    return _emit(args, inputs, payload, caps, code)
 
 
 def _block_hook(group_source: str, name: str, table_flag, group, caps: Caps):
@@ -235,9 +221,10 @@ def _class_shape(classes) -> list:
 
 
 def _cmd_check(args) -> int:
-    started = time.monotonic()
+    if args.table and args.theorem != "C":
+        raise MalformedInputError("--table applies to theorem C only, not %s" % args.theorem)
     name, group = _load_group(args.group, args.extended)
-    caps = _caps_for(args)
+    caps = default_caps()
     theorem = args.theorem
     hook = _block_hook(args.group, name, args.table, group, caps) if theorem == "C" else None
     pi = _parse_pi(args.pi) if args.pi else None
@@ -260,11 +247,10 @@ def _cmd_check(args) -> int:
     inputs = {"group": args.group, "theorem": theorem, "pi": pi}
     if args.table:
         inputs["table"] = args.table
-    return _emit(args, "check", inputs, payload, started, caps, _exit_for(tally))
+    return _emit(args, inputs, payload, caps, _exit_for(tally))
 
 
 def _cmd_ct_analyze(args) -> int:
-    started = time.monotonic()
     table = _load_table(args.table)
     pi = _parse_pi(args.pi)
     if args.theorem == "B":
@@ -280,11 +266,10 @@ def _cmd_ct_analyze(args) -> int:
     }
     code = EXIT_CAPACITY if verdict.is_undetermined else EXIT_OK
     inputs = {"table": args.table, "pi": sorted(pi), "theorem": args.theorem}
-    return _emit(args, "ct-analyze", inputs, payload, started, exit_code=code)
+    return _emit(args, inputs, payload, exit_code=code)
 
 
 def _cmd_ct_blocks(args) -> int:
-    started = time.monotonic()
     table = _load_table(args.table)
     partition = chartab.block_partition(table, args.prime)
     payload = {
@@ -293,30 +278,27 @@ def _cmd_ct_blocks(args) -> int:
         "partition": partition.to_json(table),
     }
     inputs = {"table": args.table, "p": args.prime}
-    return _emit(args, "ct-blocks", inputs, payload, started)
+    return _emit(args, inputs, payload)
 
 
 def _cmd_lie_verify(args) -> int:
-    started = time.monotonic()
     report = lieorders.verify_pair(args.family, args.n, args.q, args.r, args.s)
     code = EXIT_OK if report["consistent"] else EXIT_DISAGREE
     inputs = {"family": args.family, "n": args.n, "q": args.q,
               "r": args.r, "s": args.s}
-    return _emit(args, "lie-verify", inputs, {"pair": report}, started, exit_code=code)
+    return _emit(args, inputs, {"pair": report}, exit_code=code)
 
 
 def _cmd_lie_grid(args) -> int:
-    started = time.monotonic()
     manifest = lieorders.load_grid_manifest(args.manifest)
     report = lieorders.run_grid(manifest)
     code = EXIT_OK if report["ok"] else EXIT_DISAGREE
     inputs = {"manifest": args.manifest or "shipped"}
-    return _emit(args, "lie-grid", inputs, {"grid": report}, started, exit_code=code)
+    return _emit(args, inputs, {"grid": report}, exit_code=code)
 
 
 def _cmd_suite(args) -> int:
-    started = time.monotonic()
-    caps = _caps_for(args)
+    caps = default_caps()
     entries = sorted(
         catalog.entries(include_stretch=args.extended),
         key=lambda e: (e.order, e.name),
@@ -357,7 +339,7 @@ def _cmd_suite(args) -> int:
     }
     code = _exit_for(totals) if grid["ok"] else EXIT_DISAGREE
     inputs = {"extended": bool(args.extended)}
-    return _emit(args, "suite", inputs, payload, started, caps, code)
+    return _emit(args, inputs, payload, caps, code)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -368,7 +350,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--extended", action="store_true",
-        help="unlock the sporadic stretch entry and raise caps",
+        help="unlock the sporadic stretch entry (J1); the element cap is "
+        "raised only through HALLMARK_CAP_ELEMENTS",
     )
 
     parser = argparse.ArgumentParser(
@@ -440,6 +423,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.started = time.monotonic()
     try:
         return args.func(args)
     except CapacityError as exc:

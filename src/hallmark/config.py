@@ -1,9 +1,10 @@
 """Runtime caps.
 
 Every bound that stops a computation from running away lives here, so the
-CLI, the test-suite and library callers tune the same knobs.  The element
-cap can also be set through the HALLMARK_CAP_ELEMENTS environment variable,
-which must then be a positive integer.
+CLI, the test-suite and library callers tune the same knobs, one per bound.
+The element cap can also be set through the HALLMARK_CAP_ELEMENTS
+environment variable, which must then be a positive integer; no CLI option
+raises it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 from .errors import MalformedInputError
 
-# Permutations above this degree are rejected at construction.
+# Permutations above this degree are rejected at construction; so are
+# groups and coset actions that would act on more points.
 DEGREE_CAP = 1024
 
 # Trial division (arith.prime_factors) tries no divisor above this.
@@ -40,12 +42,8 @@ SIFT_CAP = 20_000
 class Caps:
     # full element enumeration of one group
     elements: int = 5_000_000
-    # number of cosets in a coset action
-    quotient_degree: int = 10_000
     # size of a full Sylow conjugation orbit
     sylow_conjugates: int = 50_000
-    # |G| bound for the exhaustive Hall subgroup search
-    subgroup_search_order: int = 100_000
     # elements materialized across all closures of one Hall search
     hall_candidates: int = 5_000_000
 

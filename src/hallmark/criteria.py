@@ -7,13 +7,13 @@ abelian Hall subgroups, normalizing pairs, or cores.  A check reports
 both verdicts and whether they agree; a capacity cap on either side
 degrades the answer to undetermined instead of guessing.
 
-A capped side runs through one guard, `_capped` ("<what> unavailable:
-<cap>"), and a criterion side reads its class table through `_on_table`,
-which guards the table but not the criterion; t4.2 keeps its own handler,
-since one message covers both of its sides.  `_pair_verdict` and
-`_hall_verdict` build the Sylow-pair and Hall verdicts, and
-`blocks_criterion` is theorem C's principal-block rule, shared with
-`chartab.table_criterion_c`.
+A capped side runs through one guard, `_capped`, and a criterion side
+reads its class table through `_on_table`, which guards the table but not
+the criterion; t4.2 keeps its own handler, since one verdict covers both
+of its sides.  All three build the verdict with `_unavailable`, which
+names the cap in its witnesses.  `_pair_verdict` and `_hall_verdict`
+build the Sylow-pair and Hall verdicts, and `blocks_criterion` is theorem
+C's principal-block rule, shared with `chartab.table_criterion_c`.
 """
 
 from __future__ import annotations
@@ -125,12 +125,20 @@ def sub_witness(sub) -> dict:
     }
 
 
+def _unavailable(what: str, exc: CapacityError) -> Verdict:
+    """Undetermined "<what> unavailable: <cap>", with the cap's name and
+    value as witnesses."""
+    return Verdict.undetermined(
+        "%s unavailable: %s" % (what, exc), cap_name=exc.cap_name, cap_value=exc.cap_value
+    )
+
+
 def _capped(what: str, side: Callable[[], Verdict]) -> Verdict:
     """side(), or undetermined naming what when a capacity cap stops it."""
     try:
         return side()
     except CapacityError as exc:
-        return Verdict.undetermined("%s unavailable: %s" % (what, exc))
+        return _unavailable(what, exc)
 
 
 def _on_table(
@@ -142,7 +150,7 @@ def _on_table(
     try:
         table = class_table(group, caps)
     except CapacityError as exc:
-        return Verdict.undetermined("class table unavailable: %s" % exc)
+        return _unavailable("class table", exc)
     return criterion(table)
 
 
@@ -293,7 +301,7 @@ def check_core_characterization(
             rhs = Verdict.no("quotient by the %d'-core has order divisible by %d" % (p, q), **orders)
         lhs = _normalizing_pair(group, p, q, caps)
     except CapacityError as exc:
-        lhs = rhs = Verdict.undetermined("core characterization unavailable: %s" % exc)
+        lhs = rhs = _unavailable("core characterization", exc)
     return TheoremCheck("t4.2", params, lhs, rhs)
 
 
@@ -387,18 +395,13 @@ def check_group(
     group: PermutationGroup,
     theorem: str,
     caps: Optional[Caps] = None,
-    pairs: Optional[Sequence[Tuple[int, int]]] = None,
-    prime_sets: Optional[Sequence[Sequence[int]]] = None,
     principal_block_clear=None,
 ) -> List[TheoremCheck]:
-    """All default checks of one theorem for one group.  pairs replaces the
-    defaults of the two-prime theorems, prime_sets those of B and C."""
+    """All default checks of one theorem for one group."""
     if theorem not in THEOREMS:
         raise PreconditionError("unknown theorem %r" % (theorem,))
     caps = caps or default_caps()
-    arity = THEOREMS[theorem].arity
-    chosen = pairs if arity == 2 else prime_sets if arity is None else None
     return [
         check_one(group, theorem, primes, caps, principal_block_clear)
-        for primes in chosen or THEOREMS[theorem].defaults(group.order)
+        for primes in THEOREMS[theorem].defaults(group.order)
     ]

@@ -442,16 +442,13 @@ class PermutationGroup:
             i += 1
         return H
 
-    def coset_action_quotient(
-        self, N: "PermutationGroup", cap: int | None = None
-    ) -> "PermutationGroup":
+    def coset_action_quotient(self, N: "PermutationGroup") -> "PermutationGroup":
         """G acting on the right cosets of the normal subgroup N.
 
         Points of the result are cosets, numbered by the lexicographic order
-        of their least elements, so the output is reproducible.
+        of their least elements, so the output is reproducible.  An index
+        above DEGREE_CAP is refused before the coset walk.
         """
-        if cap is None:
-            cap = default_caps().quotient_degree
         if N.parent is not self:
             raise PreconditionError("subgroup belongs to a different group")
         for n in N.generators:
@@ -459,11 +456,11 @@ class PermutationGroup:
                 if not N.is_member(n.conjugate(g)):
                     raise PreconditionError("coset action requires a normal subgroup")
         index = self.order // N.order
-        if index > cap:
+        if index > DEGREE_CAP:
             raise CapacityError(
-                f"coset count {index} exceeds the quotient cap {cap}",
-                cap_name="quotient_degree",
-                cap_value=cap,
+                f"coset count {index} exceeds the supported maximum degree {DEGREE_CAP}",
+                cap_name="degree",
+                cap_value=DEGREE_CAP,
             )
         n_rows = N.element_rows()
         gen_rows = [kernel.pack(g.images) for g in self.generators]

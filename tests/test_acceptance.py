@@ -210,22 +210,18 @@ def test_c8_lie_grid_and_cross_check():
 
 @pytest.mark.extended
 def test_c9_extended_j1():
-    import dataclasses
-
     started = time.monotonic()
-    caps = dataclasses.replace(CAPS, elements=10_000_000,
-                               subgroup_search_order=200_000)
     group = catalog.build("j1")
     assert group.order == 175560
-    chk = criteria.check_theorem_b(group, [3, 5], caps)
+    chk = criteria.check_theorem_b(group, [3, 5], CAPS)
     assert chk.lhs.holds is True
     assert chk.rhs.holds is True
     assert chk.agree is True
-    result = subgroups.hall_subgroup(group, [3, 5], caps)
+    result = subgroups.hall_subgroup(group, [3, 5], CAPS)
     assert result.status == "found"
     assert result.subgroup.order == 15
     # Order-15 groups are cyclic, so nilpotent + abelian pins the shape.
-    assert subgroups.is_nilpotent(result.subgroup, caps)
+    assert subgroups.is_nilpotent(result.subgroup, CAPS)
     assert subgroups.is_abelian(result.subgroup)
     print("criterion 9 PASS: J1 holds for {3,5} with a cyclic Hall subgroup "
           "of order 15 (%.1fs)" % (time.monotonic() - started))

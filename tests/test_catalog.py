@@ -6,7 +6,8 @@ import pytest
 
 import oracles
 from hallmark import catalog
-from hallmark.errors import MalformedInputError
+from hallmark.config import DEGREE_CAP
+from hallmark.errors import CapacityError, MalformedInputError
 
 
 class TestBuilders:
@@ -54,6 +55,12 @@ class TestBuilders:
         group = catalog.semi_affine(q, p)
         assert group.order == order
         assert group.degree == q ** p
+
+    def test_semi_affine_above_the_degree_cap(self):
+        # 2^17 points: refused by the degree cap before any field is built
+        with pytest.raises(CapacityError) as info:
+            catalog.semi_affine(2, 17)
+        assert (info.value.cap_name, info.value.cap_value) == ("degree", DEGREE_CAP)
 
     @pytest.mark.parametrize("n,k,order", [(5, 4, 20), (7, 3, 21), (7, 6, 42)])
     def test_frobenius(self, n, k, order):

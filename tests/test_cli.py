@@ -80,6 +80,14 @@ class TestClassesCommand:
             assert c["size"] * c["centralizer_order"] == 24
         assert rep["caps"]["degree_cap"] == 1024
 
+    def test_caps_block_names_each_bound_once(self, capsys):
+        _, rep, _ = run(capsys, "classes", "catalog:a5", "--no-timings")
+        assert list(rep["caps"]) == ["degree_cap", "elements", "sylow_conjugates",
+                                     "hall_candidates"]
+        # --extended unlocks J1 and raises no cap
+        _, extended, _ = run(capsys, "classes", "catalog:a5", "--no-timings", "--extended")
+        assert extended["caps"] == rep["caps"]
+
     def test_group_file(self, capsys, tmp_path):
         path = tmp_path / "c4.json"
         path.write_text(json.dumps(
@@ -217,6 +225,25 @@ class TestCheckCommand:
                            "--no-timings")
         assert code == 3
         assert rep["summary"]["undetermined"] == 1
+
+    @pytest.mark.parametrize("theorem", ["A", "B", "t4.1", "t4.2", "t4.3"])
+    def test_table_outside_theorem_c_is_refused(self, capsys, theorem):
+        code, rep, err = run(capsys, "check", "--theorem", theorem,
+                             "--group", "catalog:a5", "--table", "catalog:a5",
+                             "--no-timings")
+        assert code == 2
+        assert rep is None
+        assert err.startswith("error:") and "theorem C only" in err
+
+    def test_undetermined_sides_name_their_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("HALLMARK_CAP_ELEMENTS", "50")
+        code, rep, _ = run(capsys, "check", "--theorem", "B", "--group", "catalog:a5",
+                           "--pi", "2,3", "--no-timings")
+        assert code == 3
+        (check,) = rep["checks"]
+        for side in (check["criterion"], check["witness"]):
+            assert side["verdict"] == "undetermined"
+            assert side["witnesses"] == {"cap_name": "elements", "cap_value": 50}
 
     def test_precondition_failures_count_as_skipped(self, capsys):
         # a5 is not p-solvable for any p dividing its order.
@@ -415,12 +442,14 @@ class TestTableCommands:
         ["ct-blocks", "{missing}", "-p", "2"],
         ["ct-analyze", "{missing}", "--pi", "3"],
         ["check", "--theorem", "C", "--group", "catalog:a5", "--table", "{missing}"],
+        ["check", "--theorem", "A", "--group", "catalog:a5", "--table", "{missing}"],
         ["ct-blocks", "{dir}", "-p", "2"],
         ["classes", "{deep}"],
         ["ct-blocks", "{deep}", "-p", "2"],
         ["lie-grid", "{deep}"],
         ["classes", "{latin}"],
-    ], ids=["blocks-missing", "analyze-missing", "check-table-missing", "blocks-dir",
+    ], ids=["blocks-missing", "analyze-missing", "check-table-missing",
+            "check-a-table-missing", "blocks-dir",
             "classes-deep", "blocks-deep", "grid-deep", "classes-not-utf8"])
     def test_unreadable_input_is_usage_error(self, capsys, tmp_path, argv):
         deep = tmp_path / "deep.json"

@@ -282,9 +282,8 @@ class TestCheckGroup:
             criteria.check_group(group("c6"), "Z")
 
     def test_pair_override(self):
-        checks = criteria.check_group(group("a5"), "A", pairs=[(2, 5)])
-        assert len(checks) == 1
-        assert checks[0].params == {"p": 2, "q": 5}
+        check = criteria.check_one(group("a5"), "A", (2, 5))
+        assert check.params == {"p": 2, "q": 5}
 
     def test_default_prime_sets(self):
         assert criteria.default_prime_sets(60) == [(2, 3), (2, 5), (3, 5), (2, 3, 5)]
@@ -397,7 +396,6 @@ class TestGroupFacts:
 
     @pytest.mark.parametrize("name, small", [
         ("s5", Caps(elements=100)),
-        ("a5xc7", Caps(quotient_degree=30)),
         ("a5xc7", Caps(elements=60)),
     ])
     def test_smaller_caps_after_default_caps_match_a_fresh_group(self, name, small):

@@ -125,6 +125,13 @@ class TestPermutationGroup:
         # a quotient acts on new points: no parent, its own ambient group
         assert quotient.parent is None and quotient.ambient is quotient
 
+    def test_coset_action_above_the_degree_cap(self):
+        # C33 x C35 over its trivial subgroup has 1155 cosets
+        group = catalog.direct_product(catalog.cyclic(33), catalog.cyclic(35))
+        with pytest.raises(CapacityError) as info:
+            group.coset_action_quotient(group.subgroup([]))
+        assert (info.value.cap_name, info.value.cap_value) == ("degree", DEGREE_CAP)
+
     def test_coset_action_rejects_non_normal(self):
         group = s4()
         sub = group.subgroup([from_cycles(4, (0, 1))])
