@@ -6,7 +6,10 @@ A row is a permutation's image tuple, the same tuple that
 centralizer and normalizer scans walk a group's full element list, which
 perms builds from the stabilizer chain with `compose`; `close_group`
 closes only generator lists that have no chain (the Sylow climb,
-nilpotent_hall and the Hall search).  The compiled kernel in _kernel_cy
+nilpotent_hall and the Hall search).  `conjugacy_partition` needs its
+rows to be the sorted elements of a group: it keys each row by its
+images of the points 0..L-1, with L read off rows[1], and gives the ids
+a search over whole rows would give.  The compiled kernel in _kernel_cy
 offers the same functions on its own row encoding; both agree after
 `unpack`, and rows of equal degree sort the same way in both.
 """
@@ -80,9 +83,24 @@ def close_group(gens, degree: int, cap: int):
 
 
 def conjugacy_partition(rows, gens) -> list:
-    """Class id per row; ids are numbered by least member, rows sorted."""
-    idx = {r: i for i, r in enumerate(rows)}
-    ginv = [inverse(g) for g in gens]
+    """Class id per row; ids are numbered by least member.
+
+    The rows must be the sorted elements of a group, so rows[0] is the
+    identity and rows[1] the least other element.  If rows[1] first moves
+    point b, no element but the identity fixes 0..b (it would sort below
+    rows[1]), so 0..b is a base: each row is determined by its first
+    L = b + 1 images, and no shorter prefix tells rows[1] from the
+    identity.  The row of g^-1 x g has the prefix g[x[g^-1[i]]] for i < L,
+    read with two itemgetters and no full compose.  Only the key changes:
+    the search and its visiting order are those of a search over whole
+    rows, so the ids are too.
+    """
+    if len(rows) < 2:  # one class; a trivial group has no rows[1] to read L from
+        return [0] * len(rows)
+    # at least 2: itemgetter of one index returns a bare item, not a tuple
+    L = max(2, next(i for i, v in enumerate(rows[1]) if v != i) + 1)
+    idx = {r[:L]: i for i, r in enumerate(rows)}
+    steps = [(g, itemgetter(*inverse(g)[:L])) for g in gens]
     cid = [-1] * len(rows)
     c = 0
     for i in range(len(rows)):
@@ -92,12 +110,11 @@ def conjugacy_partition(rows, gens) -> list:
         stack = [rows[i]]
         while stack:
             x = stack.pop()
-            for g, gi in zip(gens, ginv):
-                y = compose(compose(gi, x), g)
-                j = idx[y]
+            for g, pick in steps:
+                j = idx[itemgetter(*pick(x))(g)]
                 if cid[j] < 0:
                     cid[j] = c
-                    stack.append(y)
+                    stack.append(rows[j])
         c += 1
     return cid
 

@@ -3,8 +3,8 @@
 One test per criterion, so `pytest -v tests/test_acceptance.py` prints
 one pass/fail line for each.  Criteria 1-8 run on the default catalog
 and finish in well under the ten-minute budget; criterion 9 builds the
-sporadic stretch entry and only runs with --run-extended (about 2 s on
-the compiled kernel, 12 s on the pure one).
+sporadic stretch entry and only runs with --run-extended (about 1 s on
+the compiled kernel, 2-3 s on the pure one).
 """
 
 import itertools

@@ -3,8 +3,12 @@
 Each backend keeps its own row encoding, so every test packs with the
 backend's own `pack` and compares what `unpack` gives back.  The oracle
 tests run on every backend that imports, so the pure kernel is always
-tested; the parity tests need the compiled extension.
+tested; the parity tests read the compiled kernel from the
+`compiled_kernel` fixture (see conftest), which builds the shipped C
+when no extension is installed.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +26,6 @@ except ImportError:
 BACKENDS = [_kernel_py] + ([_kernel_cy] if _kernel_cy is not None else [])
 GROUPS = ["s4", "d6", "a5", "frob20", "psl2_7"]
 
-needs_compiled = pytest.mark.skipif(_kernel_cy is None, reason="compiled extension not built")
 each_backend = pytest.mark.parametrize("k", BACKENDS, ids=lambda k: k.BACKEND)
 
 perm_images = st.integers(min_value=0, max_value=40).flatmap(
@@ -189,34 +192,103 @@ def test_close_group_cap(k):
     assert len(k.close_group(gens, 4, 24)) == 24
 
 
+def _generators(group, key=None):
+    """The group's generator images, conjugated by a point permutation
+    seeded by key when a key is given."""
+    images = [g.images for g in group.generators]
+    if key is None:
+        return images
+    sigma = list(range(group.degree))
+    random.Random(key).shuffle(sigma)
+    out = []
+    for g in images:
+        row = [0] * group.degree
+        for x in range(group.degree):
+            row[sigma[x]] = sigma[g[x]]
+        out.append(tuple(row))
+    return out
+
+
+# name -> (group builder, relabeling key or None, the prefix length L the
+# partition reads, or None where the relabeling decides it).  L is one
+# more than the first point the least non-identity element moves, and at
+# least 2.
+BASE_SHAPES = {
+    # relabeled: points 0..L-1 are no longer the catalog's own base
+    **{name + "~": (lambda name=name: catalog.build(name), name, None)
+       for name in ("frob42", "psl2_11", "aff32", "psl2_31", "a5xc7")},
+    # intransitive: the least element moves only the C_7 orbit 5..11
+    "a5xc7": (lambda: catalog.build("a5xc7"), None, 6),
+    # regular cyclic: every element moves point 0, so L = 1 before the clamp
+    "c12": (lambda: catalog.cyclic(12), None, 2),
+    "c2": (lambda: catalog.cyclic(2), None, 2),
+    # S_n: the least element is the transposition (n-2 n-1), so L = n - 1
+    "s3": (lambda: catalog.symmetric(3), None, 2),
+    "s6": (lambda: catalog.symmetric(6), None, 5),
+}
+
+
+@each_backend
+@pytest.mark.parametrize("name", BASE_SHAPES)
+def test_conjugacy_partition_on_base_shapes(k, name):
+    build, key, prefix = BASE_SHAPES[name]
+    group = build()
+    images = _generators(group, key)
+    elems = oracles.close(images, group.degree)
+    rows = sorted(k.pack(e) for e in elems)
+    if prefix is not None:
+        least = k.unpack(rows[1])
+        assert max(2, next(i for i, v in enumerate(least) if v != i) + 1) == prefix
+    cids = k.conjugacy_partition(rows, [k.pack(g) for g in images])
+    first_seen = list(dict.fromkeys(cids))  # ids are numbered by least member
+    assert first_seen == list(range(len(first_seen)))
+    classes = {}
+    for row, c in zip(rows, cids):
+        classes.setdefault(c, set()).add(k.unpack(row))
+    assert sorted(map(sorted, classes.values())) == sorted(
+        map(sorted, oracles.conjugacy_classes(elems))
+    )
+
+
+@each_backend
+@pytest.mark.parametrize("degree", [1, 2, 5])
+def test_conjugacy_partition_of_the_trivial_group(k, degree):
+    rows = [k.identity_row(degree)]
+    assert k.conjugacy_partition(rows, []) == [0]
+    assert k.conjugacy_partition(rows, rows) == [0]
+
+
 # -- the compiled backend against the pure one ----------------------------
 
-
-@needs_compiled
-def test_compiled_backend_tag():
-    assert _kernel_cy.BACKEND == "compiled"
+# name, relabeling key (None: the catalog's own points)
+PARITY_GROUPS = [(name, None) for name in GROUPS] + [("aff32", "parity")]
 
 
-@needs_compiled
-@given(perm_images, st.randoms())
-def test_rows_sort_alike(images, rng):
+def test_compiled_backend_tag(compiled_kernel):
+    assert compiled_kernel.BACKEND == "compiled"
+
+
+@given(images=perm_images, rng=st.randoms())
+def test_rows_sort_alike(compiled_kernel, images, rng):
     images = tuple(images)
     other = list(range(len(images)))
     rng.shuffle(other)
     other = tuple(other)
     py = _kernel_py.pack(images) < _kernel_py.pack(other)
-    assert py == (_kernel_cy.pack(images) < _kernel_cy.pack(other))
+    assert py == (compiled_kernel.pack(images) < compiled_kernel.pack(other))
 
 
-@needs_compiled
-@pytest.mark.parametrize("name", GROUPS)
-def test_group_kernels_agree(name):
+@pytest.mark.parametrize(
+    "name,key", PARITY_GROUPS, ids=[name + ("~" if key else "") for name, key in PARITY_GROUPS]
+)
+def test_group_kernels_agree(compiled_kernel, name, key):
     group = catalog.build(name)
     degree = group.degree
+    images = _generators(group, key)
     cap = group.order + 1
     results = []
-    for k in (_kernel_py, _kernel_cy):
-        gens = [k.pack(g.images) for g in group.generators]
+    for k in (_kernel_py, compiled_kernel):
+        gens = [k.pack(g) for g in images]
         rows = k.close_group(gens, degree, cap)
         sub_rows = k.close_group(gens[:1], degree, cap)
         results.append((
