@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Time the suite, the J1 check body and Tier-1 on two source trees.
+"""Time the suite, the J1 check body and Tier-1 on two source trees, or
+the suite and the J1 body on both kernels of one tree.
 
 Run from anywhere:  python3 benchmarks/bench_suite.py OLD NEW
+               or:  python3 benchmarks/bench_suite.py --backends TREE
 
 OLD and NEW are each a checkout: a directory holding src/hallmark and
 tests.  Each tree runs on whichever kernel it imports, so a checkout with
@@ -24,12 +26,25 @@ It prints one JSON object, the `suite_and_j1` block of a BENCH file:
 speedup (OLD median over NEW median) and `outputs_identical`, which
 compares the suite report bytes and the J1 verdicts and Hall witness of
 every run; `tier1_<backend>` holds each tree's time and pytest summary.
+
+With --backends, TREE's suite and J1 body run in pure/compiled pairs
+instead, the backend that runs first alternating from pair to pair (5
+and 3 pairs).  The compiled side runs on a copy of TREE's src/hallmark
+in a temp dir, with the shipped `_kernel_cy.c` built into it by `gcc
+-O2 -shared -fPIC`, as tests/conftest.py's `compiled_kernel` builds it;
+nothing is written under TREE.  It prints the `item3_gate` block of a
+BENCH file: `suite` and `j1` hold the runs, the medians and
+`pure_over_compiled` (pure median over compiled median), and
+`outputs_identical` compares the outputs across both backends.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+import sysconfig
+import tempfile
 import time
 from statistics import median
 
@@ -67,10 +82,11 @@ def _j1_body() -> None:
     }))
 
 
-def _child(tree: str, argv: list, strict: bool = True) -> tuple:
-    """(seconds, stdout) of one child process on tree's src; a strict
-    child that fails ends the bench."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+def _child(tree: str, argv: list, strict: bool = True, src: str = None) -> tuple:
+    """(seconds, stdout) of one child process in tree, importing hallmark
+    from src (tree's src by default); a strict child that fails ends the
+    bench."""
+    env = dict(os.environ, PYTHONPATH=src or os.path.join(tree, "src"))
     started = time.perf_counter()
     done = subprocess.run([sys.executable] + argv, cwd=tree, env=env,
                           capture_output=True, text=True, check=False)
@@ -80,34 +96,75 @@ def _child(tree: str, argv: list, strict: bool = True) -> tuple:
     return elapsed, done.stdout
 
 
-def _suite(tree: str) -> tuple:
-    elapsed, out = _child(tree, ["-m", "hallmark.cli", "suite", "--no-timings"])
+def _suite(tree: str, src: str = None) -> tuple:
+    elapsed, out = _child(tree, ["-m", "hallmark.cli", "suite", "--no-timings"], src=src)
     return {"elapsed_s": round(elapsed, 3)}, out
 
 
-def _j1(tree: str) -> tuple:
-    _, out = _child(tree, [os.path.abspath(__file__), "--j1"])
+def _j1(tree: str, src: str = None) -> tuple:
+    _, out = _child(tree, [os.path.abspath(__file__), "--j1"], src=src)
     run = json.loads(out)
     return run, run.pop("output")
 
 
-def _alternate(trees: list, pairs: int, measure) -> dict:
-    """Runs of measure on both trees, the first tree of each pair
-    alternating; outputs_identical when every output is the same."""
-    runs = {"parent": [], "change": []}
+def _alternate(sides: list, pairs: int, measure, ratio: str) -> dict:
+    """Runs of measure on both sides, each a (label, tree, src) triple,
+    the first side of each pair alternating; `ratio` names the first
+    side's median over the second's, and outputs_identical holds when
+    every output is the same."""
+    runs = {label: [] for label, _, _ in sides}
     outputs = set()
     for k in range(pairs):
-        order = [0, 1] if k % 2 == 0 else [1, 0]
-        for side in order:
-            run, output = measure(trees[side])
-            runs[("parent", "change")[side]].append(run)
+        for label, tree, src in sides if k % 2 == 0 else sides[::-1]:
+            run, output = measure(tree, src)
+            runs[label].append(run)
             outputs.add(json.dumps(output, sort_keys=True))
-    med = {side: median(r["elapsed_s"] for r in rs) for side, rs in runs.items()}
+    med = {label: median(r["elapsed_s"] for r in rs) for label, rs in runs.items()}
+    first, second = (label for label, _, _ in sides)
     return {
         "runs": runs,
         "median_s": med,
-        "speedup": round(med["parent"] / med["change"], 3),
+        ratio: round(med[first] / med[second], 3),
         "outputs_identical": len(outputs) == 1,
+    }
+
+
+def _compiled_copy(tree: str, where: str) -> str:
+    """Copy tree's src/hallmark under where and build the shipped
+    _kernel_cy.c into the copy; the directory to put on PYTHONPATH."""
+    gcc = shutil.which("gcc")
+    include = sysconfig.get_paths()["include"]
+    if gcc is None or not os.path.exists(os.path.join(include, "Python.h")):
+        sys.exit("bench_suite: building _kernel_cy.c needs gcc and %s/Python.h" % include)
+    package = os.path.join(where, "hallmark")
+    shutil.copytree(os.path.join(tree, "src", "hallmark"), package,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    target = os.path.join(package, "_kernel_cy" + sysconfig.get_config_var("EXT_SUFFIX"))
+    built = subprocess.run([gcc, "-O2", "-shared", "-fPIC", "-I", include,
+                            os.path.join(package, "_kernel_cy.c"), "-o", target],
+                           capture_output=True, text=True, check=False)
+    if built.returncode:
+        sys.exit("bench_suite: gcc could not build _kernel_cy.c:\n" + built.stderr)
+    return where
+
+
+def _backends(tree: str) -> dict:
+    """The item3_gate block: tree's suite and J1 body, pure and compiled
+    alternating."""
+    probe = ["-c", "from hallmark.kernels import BACKEND; print(BACKEND)"]
+    with tempfile.TemporaryDirectory(prefix="bench_suite_") as where:
+        sides = [("pure", tree, None), ("compiled", tree, _compiled_copy(tree, where))]
+        for label, _, src in sides:
+            backend = _child(tree, probe, src=src)[1].strip()
+            if backend != label:
+                sys.exit("bench_suite: the %s side imports the %s kernel" % (label, backend))
+        suite = _alternate(sides, SUITE_PAIRS, _suite, "pure_over_compiled")
+        j1 = _alternate(sides, J1_PAIRS, _j1, "pure_over_compiled")
+    return {
+        "suite": suite,
+        "j1": j1,
+        "note": "deletion gate: pure over compiled at most 1.25 for the suite and at most "
+                "2 for the J1 body, on one commit",
     }
 
 
@@ -125,18 +182,23 @@ def main(argv) -> int:
         return 0
     if len(argv) != 2:
         sys.exit(__doc__.split("\n\n")[1])
-    trees = [os.path.abspath(t) for t in argv]
+    backends_mode = argv[0] == "--backends"
+    trees = [os.path.abspath(t) for t in argv[backends_mode:]]
     for tree in trees:
         if not os.path.isdir(os.path.join(tree, "src", "hallmark")):
             sys.exit("bench_suite: no src/hallmark under %s" % tree)
+    if backends_mode:
+        sys.stdout.write(json.dumps(_backends(trees[0]), indent=1) + "\n")
+        return 0
     probe = ["-c", "from hallmark.kernels import BACKEND; print(BACKEND)"]
     backends = {_child(tree, probe)[1].strip() for tree in trees}
     if len(backends) != 1:
         sys.exit("bench_suite: the trees import different kernels %s" % sorted(backends))
     backend = backends.pop()
+    sides = [("parent", trees[0], None), ("change", trees[1], None)]
     block = {
-        "suite_" + backend: _alternate(trees, SUITE_PAIRS, _suite),
-        "j1_" + backend: _alternate(trees, J1_PAIRS, _j1),
+        "suite_" + backend: _alternate(sides, SUITE_PAIRS, _suite, "speedup"),
+        "j1_" + backend: _alternate(sides, J1_PAIRS, _j1, "speedup"),
         "tier1_" + backend: {
             side: _tier1(tree) for side, tree in zip(("parent", "change"), trees)
         },

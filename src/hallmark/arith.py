@@ -1,4 +1,4 @@
-"""Integer arithmetic: prime factors, divisors, p-parts and multiplicative orders.
+"""Integer arithmetic: prime factors, p-parts and multiplicative orders.
 
 Every factoring and primality question in the package goes through
 prime_factors, whose trial division tries no divisor above
@@ -39,18 +39,6 @@ def prime_factors(n: int) -> Tuple[int, ...]:
     if rest > 1:
         out.append(rest)
     return tuple(out)
-
-
-def divisors(n: int) -> list:
-    """Every positive divisor of n, in increasing order."""
-    out = [1]
-    for p in prime_factors(n):
-        e = len(out)
-        q = p
-        while n % q == 0:
-            out.extend(d * q for d in out[:e])
-            q *= p
-    return sorted(out)
 
 
 def is_prime(n: int) -> bool:

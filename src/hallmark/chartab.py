@@ -22,11 +22,13 @@ as far as a verdict.
 
 Block partitions follow the classical central-character route: chi and
 psi share a p-block exactly when the reductions of omega_chi(K) and
-omega_psi(K) agree modulo a fixed prime ideal over p for every class K.
-The ideal is pinned by CycReducer (the kernel of its fixed map onto
-F_{p^d}), so reduced values are reproducible.  The partition does not
-depend on that choice: any two ideals over p differ by a Galois
-automorphism, and p-blocks are Galois-stable.
+omega_psi(K) agree modulo a prime ideal over p for every class K.
+CycReducer maps the values into Z[zeta_m]/p, m the p'-part of their root
+orders, which is the product of the residue fields at all the prime
+ideals over p at once, so equal images mean equal reductions modulo
+every one of them.  Any two such ideals differ by a Galois automorphism
+and p-blocks are Galois-stable, so this gives the same partition as any
+one ideal would.
 """
 
 from __future__ import annotations
@@ -323,7 +325,8 @@ class BlockPartition:
 
 
 def block_partition(table: CharacterTable, p: int) -> BlockPartition:
-    """Group irreducibles by congruence of all central characters mod p.
+    """Group irreducibles by congruence of all central characters mod p,
+    read as equal images in Z[zeta_m]/p under CycReducer.
 
     For p not dividing the order the notion is vacuous and everything
     lands in one flagged block.
@@ -333,7 +336,7 @@ def block_partition(table: CharacterTable, p: int) -> BlockPartition:
     if table.order % p:
         return BlockPartition(p, [list(range(k))], 0, True)
     # The values' root orders all divide the declared exponent, and their lcm
-    # may be far smaller: it alone decides the field the reducer builds.
+    # may be far smaller: it alone decides the ring the reducer maps into.
     reducer = CycReducer(lcm(*(v.n for row in table.rows for v in row)), p)
     signature_to_block: Dict[tuple, int] = {}
     blocks: List[List[int]] = []

@@ -21,7 +21,10 @@ DEGREE_CAP = 1024
 # Trial division (arith.prime_factors) tries no divisor above this.
 FACTOR_CAP = 2**20
 
-# modp.CycReducer builds no field F_{p^d} with d above this.
+# modp.CycReducer refuses a conductor whose p'-part m needs residue fields
+# F_{p^d} of degree d above this (d the order of p mod m).  The reducer
+# builds no field, so the cap bounds the degree of the residue fields of
+# Z[zeta_m]/p, not any work that is done.
 FIELD_DEGREE_CAP = 100
 
 # lieorders checks no classical group of rank above this (a grid's

@@ -166,3 +166,34 @@ def sylow_climb(elements, p):
         ))
         current = close(gens, degree)
     return current
+
+
+def osima_blocks(table, p):
+    """The p-blocks of a character table by Osima's criterion.
+
+    chi and psi are linked when the sum over the p-regular classes K of
+    |K| * chi(g_K) * conj(psi(g_K)) is not zero; the blocks are the
+    connected components of that relation (Navarro, Characters and Blocks
+    of Finite Groups, ch. 3).  The sums are exact cyclotomic values (the
+    table's own Cyc arithmetic, the one thing shared with the package):
+    no central character is formed and nothing is reduced mod p.  Blocks
+    are listed by least member, each in increasing order.
+    """
+    regular = [k for k, c in enumerate(table.classes) if c.element_order % p]
+    rows = table.rows
+    count = len(rows)
+    owner = list(range(count))
+
+    def root(i):
+        while owner[i] != i:
+            i = owner[i]
+        return i
+
+    for i, j in combinations(range(count), 2):
+        total = sum(rows[i][k] * rows[j][k].conjugate() * table.classes[k].size for k in regular)
+        if not total.is_zero():
+            owner[max(root(i), root(j))] = min(root(i), root(j))
+    blocks = {}
+    for i in range(count):
+        blocks.setdefault(root(i), []).append(i)
+    return [blocks[r] for r in sorted(blocks)]

@@ -5,16 +5,20 @@ do not depend on this code: a character sits alone in its block exactly
 when the p-part of its degree is the full p-part of the order, the
 trivial character sits in the principal block, and the degree multisets
 follow the classical values for the groups shipped.  Galois stability
-pins independence from the choice of prime ideal inside the reducer.
+pins independence from the choice of prime ideal inside the reducer, and
+Osima's criterion (tests/oracles.py), which reduces nothing mod p, checks
+every partition of every shipped table.
 """
 
 import json
+import random
 from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 
 import hallmark
+import oracles
 from hallmark import catalog, chartab, criteria
 from hallmark.arith import p_part, prime_factors
 from hallmark.classdata import ClassTable
@@ -77,6 +81,26 @@ def c3_doc():
 
 def parse(doc):
     return chartab.parse_table(json.dumps(doc))
+
+
+def galois_twist(t, k):
+    """The table with zeta -> zeta^k applied to every value."""
+    doc = t.to_json()
+    doc["irreducibles"] = [[chartab.encode_value(v.galois(k)) for v in row] for row in t.rows]
+    return parse(doc)
+
+
+def shuffled(t, seed):
+    """The table with its rows and its classes in a seeded random order."""
+    rng = random.Random(seed)
+    doc = t.to_json()
+    rows = list(range(len(t.rows)))
+    cols = list(range(len(t.classes)))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    doc["classes"] = [doc["classes"][c] for c in cols]
+    doc["irreducibles"] = [[doc["irreducibles"][r][c] for c in cols] for r in rows]
+    return parse(doc)
 
 
 class TestParsing:
@@ -324,16 +348,26 @@ class TestBlockPartitions:
             t = table(name)
             for k in ks:
                 assert gcd(k, t.exponent) == 1
-                doc = t.to_json()
-                doc["irreducibles"] = [
-                    [chartab.encode_value(v.galois(k)) for v in row] for row in t.rows
-                ]
-                twisted = parse(doc)
+                twisted = galois_twist(t, k)
                 for p in prime_factors(t.order):
                     assert (
                         chartab.block_partition(twisted, p).blocks
                         == chartab.block_partition(t, p).blocks
                     ), (name, k, p)
+
+    def test_osima_oracle(self):
+        # Osima's criterion links characters by exact sums over the p-regular
+        # classes, with no reduction mod p; the shipped table, a shuffled copy
+        # and a Galois twist must each give the oracle's blocks
+        for name in SHIPPED:
+            t = table(name)
+            k = next(k for k in range(2, t.exponent + 2) if gcd(k, t.exponent) == 1)
+            for variant in (t, shuffled(t, 19), galois_twist(t, k)):
+                for p in prime_factors(t.order):
+                    assert (
+                        chartab.block_partition(variant, p).blocks
+                        == oracles.osima_blocks(variant, p)
+                    ), (name, p)
 
 
 class TestTableCriteria:

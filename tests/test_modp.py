@@ -1,9 +1,9 @@
-"""Prime-field reduction of cyclotomic integers.
+"""Reduction of cyclotomic integers mod p, and prime-field arithmetic.
 
-cyclotomic_mod is checked against the integer-coefficient oracle from
-test_cyclotomic (Moebius product here, plain division there), CycReducer
-against the ring axioms it exists to satisfy and against cyclotomic_mod,
-and the packed multiplication in gf against schoolbook arithmetic.
+CycReducer is checked against the ring-map axioms it exists to satisfy,
+with products and sums of images taken back in Q(zeta_m), and against
+the separability of x^m - 1 mod p; the packed multiplication in gf
+against schoolbook arithmetic.
 """
 
 from array import array
@@ -23,27 +23,14 @@ from hallmark.gf import (
     IntField,
     _pack,
     _unpack,
-    add,
     is_irreducible,
     least_irreducible,
     mul,
     trim,
 )
-from hallmark.modp import CycReducer, cyclotomic_mod
+from hallmark.modp import CycReducer
 
 from test_cyclotomic import cyclotomic_poly, term_lists
-
-
-class TestCyclotomicMod:
-    def test_matches_integer_oracle(self):
-        for m in range(1, 31):
-            reference = cyclotomic_poly(m)
-            for p in (2, 3, 5, 7, 11):
-                assert cyclotomic_mod(m, p) == tuple(c % p for c in reference)
-
-    def test_rejects_bad_index(self):
-        with pytest.raises(PreconditionError):
-            cyclotomic_mod(0, 5)
 
 
 _REDUCERS = {}
@@ -73,66 +60,80 @@ def reduction_cases(draw):
     return n, p, value(n), value(draw(divisors_of(n)))
 
 
+def representative(image, m):
+    """The value of Q(zeta_m) whose coordinates are the image's."""
+    return Cyc(m, dict(image))
+
+
 class TestCycReducer:
     @given(reduction_cases())
     @settings(max_examples=150, deadline=None)
     def test_is_a_ring_map(self, case):
+        # the reducer at conductor m sends zeta_m^e to itself, so it reduces
+        # the representatives' sum and product in Z[zeta_m]/p
         n, p, a, b = case
         red = reducer(n, p)
-        ra, rb = red.reduce(a), red.reduce(b)
-        assert red.reduce(a + b) == add(ra, rb, p)
-        assert red.reduce(a * b) == red.field.mul(ra, rb)
+        inner = reducer(red.m, p)
+        ra, rb = representative(red.reduce(a), red.m), representative(red.reduce(b), red.m)
+        assert red.reduce(a + b) == inner.reduce(ra + rb)
+        assert red.reduce(a * b) == inner.reduce(ra * rb)
 
     @given(reduction_cases(), st.integers(-30, 30))
     @settings(max_examples=100, deadline=None)
     def test_integers_and_scalars(self, case, k):
         n, p, a, _ = case
         red = reducer(n, p)
-        assert red.reduce(k) == trim((k % p,))
-        assert red.reduce(k + a) == add(trim((k % p,)), red.reduce(a), p)
+        inner = reducer(red.m, p)
+        assert red.reduce(k) == (((0, k % p),) if k % p else ())
+        assert red.reduce(k) == red.reduce(Cyc.integer(k, n))
+        assert red.reduce(k + a) == inner.reduce(k + representative(red.reduce(a), red.m))
+        assert red.reduce(k * a) == inner.reduce(k * representative(red.reduce(a), red.m))
         assert red.reduce(a - a) == ()
-
-    def test_image_of_root_has_full_prime_to_p_order(self):
-        for n, p in [(5, 2), (8, 7), (12, 5), (7, 3), (6, 5)]:
-            red = reducer(n, p)
-            image = red.reduce(Cyc.root(n))
-            assert red.field.element_order(image, n) == n
 
     def test_p_power_part_collapses(self):
         # reduction mod p factors through zeta^(p-part) -> 1
-        assert reducer(12, 2).reduce(Cyc.root(4)) == (1,)
-        assert reducer(12, 3).reduce(Cyc.root(3)) == (1,)
+        assert reducer(12, 2).reduce(Cyc.root(4)) == reducer(12, 2).reduce(1)
+        assert reducer(12, 3).reduce(Cyc.root(3)) == reducer(12, 3).reduce(1)
         assert reducer(12, 2).reduce(Cyc.root(12)) == reducer(12, 2).reduce(
             Cyc.root(12, 1 + 4 * 3)
         )
 
-    def test_degree_one_modulus(self):
-        # conductor 6 at p = 3 leaves m = 2, and 3 has order 1 mod 2: the
-        # field is F_3 = F_3[t]/(t), and zeta_6 goes to the constant 2
-        red = CycReducer(6, 3)
-        assert red.modulus == least_irreducible(3, 1)
-        assert red.reduce(Cyc.root(6)) == (2,)
-        assert red.reduce(Cyc.root(6) * Cyc.root(6)) == (1,)
-        assert red.reduce(Cyc.root(3)) == (1,)
+    def test_image_of_root_has_full_prime_to_p_order(self):
+        # zeta_n^k reduces to 1 exactly when the p'-part m of n divides k
+        for n, p, m in [(5, 2, 5), (8, 7, 8), (12, 5, 12), (7, 3, 7), (6, 5, 6),
+                        (12, 2, 3), (6, 3, 2)]:
+            red = reducer(n, p)
+            assert red.m == m
+            one = red.reduce(1)
+            for k in range(1, 2 * n + 1):
+                assert (red.reduce(Cyc.root(n, k)) == one) == (k % m == 0)
+
+    def test_root_image_is_a_cyclotomic_root(self):
+        # the image of zeta_m is a root of Phi_m in Z[zeta_m]/p, and x^m - 1
+        # has no repeated root mod p, so zeta_m^k and 1 stay apart for
+        # 0 < k < m, and so do any two of the m roots
+        for n, p, m in [(2, 3, 2), (6, 3, 2), (8, 7, 8), (15, 2, 15), (12, 5, 12),
+                        (7440, 3, 2480)]:
+            red = reducer(n, p)
+            assert red.m == m
+            images = [red.reduce(Cyc.root(m, k)) for k in range(m)]
+            if m <= 15:
+                phi = sum(
+                    (c * Cyc.root(m, i) for i, c in enumerate(cyclotomic_poly(m))),
+                    Cyc.zero(m),
+                )
+                assert red.reduce(phi) == ()
+            one = red.reduce(1)
+            assert images[0] == one
+            assert all(image != one for image in images[1:])
+            assert len(set(images)) == m
+            assert red.reduce(Cyc.root(m, m)) == one
 
     def test_equal_values_reduce_equally(self):
         red = reducer(6, 5)
         assert red.reduce(Cyc.root(6)) == red.reduce(1 + Cyc.root(3))
         orbit = sum((Cyc.root(7, e) for e in range(7)), Cyc.zero(7))
         assert CycReducer(7, 2).reduce(orbit) == ()
-
-    def test_root_image_is_a_cyclotomic_root(self):
-        # the image of zeta_m is a root of the m-th cyclotomic polynomial
-        # mod p (Horner in the reducer's field) of exact order m
-        for n, p, m in [(2, 3, 2), (8, 7, 8), (15, 2, 15), (12, 5, 12), (7440, 3, 2480)]:
-            red = CycReducer(n, p)
-            assert red.m == m
-            image = red.reduce(Cyc.root(m))
-            value = ()
-            for c in reversed(cyclotomic_mod(m, p)):
-                value = add(red.field.mul(value, image), trim((c,)), p)
-            assert value == ()
-            assert red.field.element_order(image, m) == m
 
     def test_input_validation(self):
         with pytest.raises(PreconditionError):
