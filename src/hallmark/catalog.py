@@ -6,7 +6,8 @@ numberings and downstream class orderings are stable across runs.
 
 Groups built from field arithmetic (projective lines, semilinear affine
 maps) encode field elements as integers via gf.IntField, whose power
-basis comes from the lexicographically least irreducible polynomial.
+basis comes from the least monic irreducible polynomial: least by the
+base-p value of its lower coefficients, constant term least significant.
 """
 
 from __future__ import annotations

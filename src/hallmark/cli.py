@@ -41,8 +41,8 @@ def _load_group(source: str, extended: bool):
         entry = catalog.get_entry(name)
         if "sporadic-stretch" in entry.tags and not extended:
             raise CapacityError(
-                "catalog entry %s is gated behind --extended (about 2 s with "
-                "the compiled kernel, 12 s with the pure one)" % name,
+                "catalog entry %s (order %d) is gated behind --extended"
+                % (name, entry.order),
                 cap_name="extended",
                 cap_value=0,
             )

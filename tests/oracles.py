@@ -5,7 +5,7 @@ with plain tuples, dicts, and sets, sharing no arithmetic with the
 package.  Slow on purpose; use only at desk scale.
 """
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 
 def compose(a, b):
@@ -197,3 +197,30 @@ def osima_blocks(table, p):
     for i in range(count):
         blocks.setdefault(root(i), []).append(i)
     return [blocks[r] for r in sorted(blocks)]
+
+
+def poly_mul_mod(a, b, f, p):
+    """a * b mod the monic f over F_p, on little-endian coefficient tuples
+    of length deg f: a schoolbook product, then long division."""
+    e = len(f) - 1
+    prod = [0] * (2 * e)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(len(prod) - 1, e - 1, -1):
+        c = prod[top]
+        for j, fc in enumerate(f):
+            prod[top - e + j] = (prod[top - e + j] - c * fc) % p
+    return tuple(prod[:e])
+
+
+def is_irreducible(f, p):
+    """Whether the monic f is irreducible over F_p, by brute force:
+    F_p[x]/f has no two nonzero residues whose product is zero.  A unit
+    multiple of a zero divisor is one too, so both are taken monic."""
+    e = len(f) - 1
+    zero = (0,) * e
+    monic = [a for a in product(range(p), repeat=e) if a != zero and [c for c in a if c][-1] == 1]
+    return all(
+        poly_mul_mod(a, b, f, p) != zero for a, b in combinations_with_replacement(monic, 2)
+    )

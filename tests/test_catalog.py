@@ -37,7 +37,9 @@ class TestBuilders:
 
     @pytest.mark.parametrize(
         "q,order",
-        [(4, 60), (5, 60), (7, 168), (8, 504), (9, 360), (11, 660), (13, 1092), (31, 14880)],
+        [(4, 60), (5, 60), (7, 168), (8, 504), (9, 360), (11, 660), (13, 1092), (16, 4080),
+         (17, 2448), (19, 3420), (23, 6072), (25, 7800), (27, 9828), (29, 12180), (31, 14880),
+         (32, 32736)],
     )
     def test_psl2_orders(self, q, order):
         # |PSL(2,q)| = q(q^2-1)/gcd(2, q-1)
@@ -49,7 +51,11 @@ class TestBuilders:
         with pytest.raises(MalformedInputError):
             catalog.psl2(6)
 
-    @pytest.mark.parametrize("q,p,order", [(2, 3, 168), (3, 2, 144), (2, 5, 4960)])
+    @pytest.mark.parametrize(
+        "q,p,order",
+        [(2, 3, 168), (3, 2, 144), (2, 5, 4960), (5, 2, 1200), (2, 7, 113792),
+         (3, 5, 294030), (7, 2, 4704)],
+    )
     def test_semi_affine_orders(self, q, p, order):
         # order q^p * (q^p - 1) * p, acting on q^p field points
         group = catalog.semi_affine(q, p)

@@ -1,12 +1,10 @@
-"""Reduction of cyclotomic integers mod p, and prime-field arithmetic.
+"""Reduction of cyclotomic integers mod p, and multiplicative orders mod n.
 
 CycReducer is checked against the ring-map axioms it exists to satisfy,
 with products and sums of images taken back in Q(zeta_m), and against
-the separability of x^m - 1 mod p; the packed multiplication in gf
-against schoolbook arithmetic.
+the separability of x^m - 1 mod p.
 """
 
-from array import array
 from math import gcd
 
 import pytest
@@ -17,17 +15,6 @@ from hallmark.arith import multiplicative_order
 from hallmark.cyclotomic import Cyc
 from hallmark.config import FIELD_DEGREE_CAP
 from hallmark.errors import CapacityError, PreconditionError
-from hallmark.gf import (
-    _WORD,
-    FField,
-    IntField,
-    _pack,
-    _unpack,
-    is_irreducible,
-    least_irreducible,
-    mul,
-    trim,
-)
 from hallmark.modp import CycReducer
 
 from test_cyclotomic import cyclotomic_poly, term_lists
@@ -170,103 +157,3 @@ class TestMultiplicativeOrder:
     def test_rejects_bad_modulus(self):
         with pytest.raises(PreconditionError):
             multiplicative_order(2, 0)
-
-
-class TestFieldBasics:
-    def test_least_irreducible_is_deterministic(self):
-        assert least_irreducible(2, 1) == (0, 1)
-        assert least_irreducible(2, 2) == (1, 1, 1)
-        assert least_irreducible(3, 2) == (1, 0, 1)
-
-    def test_irreducibility_witnesses(self):
-        assert is_irreducible((1, 1, 1), 2)
-        assert not is_irreducible((1, 0, 1), 2)  # (x + 1)^2
-
-    def test_f4_arithmetic(self):
-        field = FField(2, (1, 1, 1))
-        t = (0, 1)
-        assert field.mul(t, t) == (1, 1)
-        assert field.inv(t) == (1, 1)
-        assert field.pow(t, 3) == (1,)
-        assert field.element_order(t, 3) == 3
-        with pytest.raises(PreconditionError):
-            field.element_order(t, 4)
-        with pytest.raises(PreconditionError):
-            field.inv(())
-
-    @given(st.integers(0, 24), st.integers(0, 24), st.integers(0, 24))
-    @settings(max_examples=150, deadline=None)
-    def test_f25_field_laws(self, a, b, c):
-        field = IntField(5, 2)
-        assert field.mul(a, b) == field.mul(b, a)
-        assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
-        assert field.mul(a, field.add(b, c)) == field.add(
-            field.mul(a, b), field.mul(a, c)
-        )
-        assert field.add(a, field.neg(a)) == 0
-        if a:
-            assert field.mul(a, field.inv(a)) == 1
-        assert field.frobenius(field.frobenius(a)) == a
-
-    def test_int_field_encoding(self):
-        field = IntField(2, 2)
-        assert field.mul(2, 2) == 3  # t^2 = t + 1 under the digit encoding
-        assert field.multiplicative_generator() == 2
-        assert IntField(5, 1).mul(3, 4) == 2
-
-
-def schoolbook_mul(a, b, p):
-    out = [0] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return trim(out)
-
-
-def long_division_rem(a, f, p):
-    # f monic
-    rem = list(a)
-    deg = len(f) - 1
-    for i in range(len(rem) - 1, deg - 1, -1):
-        q = rem[i]
-        for j, c in enumerate(f):
-            rem[i - deg + j] = (rem[i - deg + j] - q * c) % p
-    return trim(rem[:deg])
-
-
-@st.composite
-def packed_cases(draw):
-    p = draw(st.sampled_from([2, 3, 31, 65521]))
-    deg = draw(st.integers(1, 200))
-    coeff = st.integers(0, p - 1)
-    f = tuple(draw(st.lists(coeff, min_size=deg, max_size=deg))) + (1,)
-    a = trim(draw(st.lists(coeff, max_size=deg)))
-    b = trim(draw(st.lists(coeff, max_size=deg)))
-    return p, f, a, b
-
-
-class TestPackedArithmetic:
-    @given(packed_cases())
-    @settings(max_examples=100, deadline=None)
-    def test_matches_schoolbook(self, case):
-        p, f, a, b = case
-        assert mul(a, b, p) == schoolbook_mul(a, b, p)
-        # mul_mod needs a monic modulus, not an irreducible one
-        field = FField(p, f)
-        assert field.mul(a, b) == long_division_rem(schoolbook_mul(a, b, p), f, p)
-
-    def test_word_layout(self):
-        assert array("Q").itemsize == _WORD
-        assert _pack([1, 2]) == 1 + (2 << 64)
-        assert _unpack(1 + (2 << 64) + (7 << 128), 3, 5) == (1, 2, 2)
-
-    def test_guard_at_word_bound(self):
-        # (p-1)^2 < 2**64 for p = 2**32: one term fits a word, two do not
-        p = 1 << 32
-        assert mul((p - 1,), (p - 1,), p) == (1,)
-        with pytest.raises(PreconditionError):
-            mul((p - 1, p - 1), (p - 1, p - 1), p)
-        with pytest.raises(PreconditionError):
-            mul((1,), (1,), p + 1)
-        with pytest.raises(PreconditionError):
-            FField(p, (0, 0, 1))

@@ -7,7 +7,7 @@ OLD and NEW are each a checkout (a directory holding src/hallmark) or a
 src directory.  For each tree one child process imports that tree's
 hallmark and runs, with --no-timings:
 
-  - `suite`;
+  - `suite` and `catalog`;
   - `classes` for every catalog group outside the sporadic stretch;
   - `hall` for every such group and every set of at least two of the
     primes dividing its order;
@@ -15,6 +15,8 @@ hallmark and runs, with --no-timings:
   - `ct-analyze --theorem B` and `--theorem C` for every shipped
     character table and every nonempty set of the primes dividing its
     order;
+  - `ct-blocks -p P` for every shipped character table and every prime
+    P dividing its order;
   - `lie-verify --family F --n N --q Q --r R --s S` for every family, N
     in 1..8, Q in {2, 3, 4, 5, 7, 8, 9} and every pair R < S from
     {3, 5, 7, 11, 13} of primes not dividing Q, so that the value of each
@@ -53,7 +55,7 @@ def _commands():
     from hallmark.arith import prime_factors
 
     groups = catalog.entries(include_stretch=False)
-    out = [["suite"]]
+    out = [["suite"], ["catalog"]]
     out += [["classes", "catalog:" + e.name] for e in groups]
     for e in groups:
         primes = prime_factors(e.order)
@@ -73,6 +75,7 @@ def _commands():
                 for theorem in ("B", "C"):
                     out.append(["ct-analyze", "catalog:" + name, "--theorem", theorem,
                                 "--pi", ",".join(map(str, pi))])
+        out += [["ct-blocks", "catalog:" + name, "-p", str(p)] for p in primes]
     for family in lieorders.FAMILIES:
         for n in range(1, 9):
             for q in (2, 3, 4, 5, 7, 8, 9):
