@@ -41,13 +41,18 @@ def prime_factors(n: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def is_int(value) -> bool:
+    """Whether value is an int and not a bool, as every input check reads it."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_prime(n: int) -> bool:
     return n >= 2 and prime_factors(n) == (n,)
 
 
 def require_prime(p, role: str = "p") -> None:
     """Raise PreconditionError unless p is an int (not a bool) and prime."""
-    if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+    if not is_int(p) or not is_prime(p):
         raise PreconditionError("%s must be a prime, got %r" % (role, p))
 
 

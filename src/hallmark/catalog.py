@@ -18,7 +18,7 @@ from math import gcd
 from typing import Callable, Dict, List, Tuple
 
 from . import gf
-from .arith import is_prime, multiplicative_order, prime_power
+from .arith import is_int, is_prime, multiplicative_order, prime_power
 from .config import DEGREE_CAP
 from .errors import CapacityError, MalformedInputError, PreconditionError
 from .perms import PermutationGroup
@@ -200,7 +200,7 @@ def parse_group_json(obj: object, source: str = "<group>") -> Tuple[str, Permuta
     if not isinstance(name, str) or not name:
         raise MalformedInputError("%s: \"name\" must be a nonempty string" % source)
     degree = obj.get("degree")
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
+    if not is_int(degree) or degree < 0:
         raise MalformedInputError("%s: \"degree\" must be a nonnegative integer" % source)
     gens_raw = obj.get("generators")
     if not isinstance(gens_raw, list):
@@ -216,7 +216,7 @@ def parse_group_json(obj: object, source: str = "<group>") -> Tuple[str, Permuta
         seen = [False] * degree
         images = []
         for pos, img in enumerate(row, start=1):
-            if not isinstance(img, int) or isinstance(img, bool) or not 1 <= img <= degree:
+            if not is_int(img) or not 1 <= img <= degree:
                 raise MalformedInputError(
                     "%s: generator %d, position %d: image %r outside 1..%d"
                     % (source, gi, pos, img, degree)

@@ -37,7 +37,7 @@ import json
 from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .arith import is_power_of, require_prime
+from .arith import is_int, is_power_of, require_prime
 from .cyclotomic import Cyc
 from .errors import (
     TableCorruptError,
@@ -63,10 +63,6 @@ __all__ = [
     "table_criterion_b",
     "table_criterion_c",
 ]
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class _Column:
@@ -137,14 +133,14 @@ def encode_value(v: Cyc):
 
 
 def _decode_value(obj, where: str, exponent: int) -> Cyc:
-    if _is_int(obj):
+    if is_int(obj):
         return Cyc.integer(obj)
     if not isinstance(obj, dict):
         raise TableSchemaError("%s: expected an integer or an {n, terms} object" % where)
     if set(obj) != {"n", "terms"}:
         raise TableSchemaError("%s: value object keys must be exactly n and terms" % where)
     n = obj["n"]
-    if not _is_int(n) or n < 1:
+    if not is_int(n) or n < 1:
         raise TableSchemaError("%s: n must be a positive integer" % where)
     if exponent % n:
         raise TableSchemaError("%s: root order %d does not divide the exponent %d" % (where, n, exponent))
@@ -156,9 +152,9 @@ def _decode_value(obj, where: str, exponent: int) -> Cyc:
         if not isinstance(term, list) or len(term) != 2:
             raise TableSchemaError("%s: terms[%d] must be a [coeff, exponent] pair" % (where, t))
         c, e = term
-        if not _is_int(c) or c == 0:
+        if not is_int(c) or c == 0:
             raise TableSchemaError("%s: terms[%d] coefficient must be a nonzero integer" % (where, t))
-        if not _is_int(e) or not 0 <= e < n:
+        if not is_int(e) or not 0 <= e < n:
             raise TableSchemaError("%s: terms[%d] exponent must lie in 0..%d" % (where, t, n - 1))
         if e in coeffs:
             raise TableSchemaError("%s: terms[%d] repeats exponent %d" % (where, t, e))
@@ -195,10 +191,10 @@ def parse_table(data) -> CharacterTable:
     if not isinstance(name, str) or not name:
         raise TableSchemaError("name must be a nonempty string")
     order = doc["order"]
-    if not _is_int(order) or order < 1:
+    if not is_int(order) or order < 1:
         raise TableSchemaError("order must be a positive integer")
     exponent = doc["exponent"]
-    if not _is_int(exponent) or exponent < 1:
+    if not is_int(exponent) or exponent < 1:
         raise TableSchemaError("exponent must be a positive integer")
 
     raw_classes = doc["classes"]
@@ -217,10 +213,10 @@ def parse_table(data) -> CharacterTable:
             raise TableSchemaError("%s: duplicate label %r" % (where, label))
         labels.add(label)
         size = obj["size"]
-        if not _is_int(size) or size < 1:
+        if not is_int(size) or size < 1:
             raise TableSchemaError("%s: size must be a positive integer" % where)
         o = obj["element_order"]
-        if not _is_int(o) or o < 1:
+        if not is_int(o) or o < 1:
             raise TableSchemaError("%s: element_order must be a positive integer" % where)
         if exponent % o:
             raise TableCorruptError("%s: element order %d does not divide the exponent %d" % (where, o, exponent))

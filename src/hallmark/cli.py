@@ -150,7 +150,7 @@ def _cmd_classes(args) -> int:
     table = class_table(group, caps)
     classes = [
         {
-            "rep": ci.representative().cycle_string() or "()",
+            "rep": ci.representative().cycle_string(),
             "size": ci.size,
             "element_order": ci.element_order,
             "centralizer_order": ci.centralizer_order,

@@ -21,11 +21,15 @@ DEGREE_CAP = 1024
 # Trial division (arith.prime_factors) tries no divisor above this.
 FACTOR_CAP = 2**20
 
-# modp.CycReducer refuses a conductor whose p'-part m needs residue fields
-# F_{p^d} of degree d above this (d the order of p mod m).  The reducer
-# builds no field, so the cap bounds the degree of the residue fields of
-# Z[zeta_m]/p, not any work that is done.
-FIELD_DEGREE_CAP = 100
+# A canonical form in Q(zeta_n) (cyclotomic._canonicalize) holds at most
+# this many coordinates; each rewrite of a term is checked before it is
+# made.  One term of a prime conductor r becomes r - 1 terms, and these
+# multiply across n's prime factors, so without the cap a 30-byte table
+# value can ask for gigabytes.  The cap admits every full form of
+# Q(zeta_n) with phi(n) <= 2^16, such as all prime conductors up to
+# 65537, and filling it takes about 0.03 s; values of the shipped tables
+# need at most 16 coordinates.
+CYCLOTOMIC_FORM_CAP = 2**16
 
 # lieorders checks no classical group of rank above this (a grid's
 # max_rank, lie-verify's n).  At the cap, a grid of the shipped shape (six

@@ -121,7 +121,7 @@ def sub_witness(sub) -> dict:
     """A subgroup as report data: its order and generators in cycle notation."""
     return {
         "order": sub.order,
-        "generators": [g.cycle_string() or "()" for g in sub.generators],
+        "generators": [g.cycle_string() for g in sub.generators],
     }
 
 

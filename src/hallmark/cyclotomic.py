@@ -18,10 +18,11 @@ any floating point.
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from .arith import prime_factors
-from .errors import PreconditionError
+from .config import CYCLOTOMIC_FORM_CAP
+from .errors import CapacityError, PreconditionError
 
 
 class Cyc:
@@ -172,13 +173,17 @@ def _canonicalize(n: int, coeffs: Dict[int, int]) -> Dict[int, int]:
     """Reduce to the tensor basis over the prime-power factors of n.
 
     Each exponent e mod n splits by CRT into residues mod each prime
-    power q = r^a dividing n.  For each factor the residues with
-    e_q mod q in the top layer (e_q >= q - q/r ... handled via the
-    relation on r-th roots of the quotient) are rewritten; concretely,
-    exponents whose residue divided by q/r equals r-1 are expanded as
-    minus the sum over the other r-1 choices.  Iterating to a fixed
-    point yields coordinates whose factor residues all avoid the
-    dropped layer, which is a basis of Q(zeta_n).
+    power q = r^a dividing n.  The factor-q component of zeta_n^e is
+    zeta_q^(e mod q); writing e mod q = d * (q/r) + s with 0 <= s < q/r,
+    a term with top digit d = r-1 is eliminated via
+    1 + zeta_r + ... + zeta_r^(r-1) = 0: it equals minus the sum over
+    the other r-1 digits, reached by adding multiples of n/r.  These
+    replacements never disturb the other factors' digits (the stride is
+    a multiple of every other prime power) and never re-enter this
+    factor's dropped layer, so one pass per factor leaves coordinates
+    whose factor residues all avoid the dropped layer, which is a basis
+    of Q(zeta_n).  Before each rewrite the form's size is checked
+    against config.CYCLOTOMIC_FORM_CAP.
     """
     factors = []
     m = n
@@ -190,36 +195,21 @@ def _canonicalize(n: int, coeffs: Dict[int, int]) -> Dict[int, int]:
         factors.append((r, q))
     work = {e: c for e, c in coeffs.items() if c}
     for r, q in factors:
-        # replacements for one factor never disturb the other factors'
-        # digits (the stride is a multiple of every other prime power),
-        # and never re-enter this factor's dropped layer
+        stride, top = n // r, q // r
         for e in list(work):
-            c = work.get(e, 0)
-            if not c:
+            c = work[e]
+            if not c or (e % q) // top != r - 1:
                 continue
-            dropped, others = _layer_split(e, n, q, r)
-            if dropped:
-                del work[e]
-                for e2 in others:
-                    work[e2] = work.get(e2, 0) - c
+            if len(work) + r - 2 > CYCLOTOMIC_FORM_CAP:
+                raise CapacityError(
+                    "a value in Q(zeta_%d) needs a canonical form of more than %d "
+                    "coordinates, the cyclotomic form cap" % (n, CYCLOTOMIC_FORM_CAP),
+                    cap_name="cyclotomic_form",
+                    cap_value=CYCLOTOMIC_FORM_CAP,
+                )
+            del work[e]
+            for k in range(1, r):
+                e2 = (e + k * stride) % n
+                work[e2] = work.get(e2, 0) - c
         work = {e: c for e, c in work.items() if c}
     return work
-
-
-def _layer_split(e: int, n: int, q: int, r: int):
-    """Whether exponent e sits in the dropped layer of the factor q = r^a.
-
-    The factor-q component of zeta_n^e is zeta_q^(e mod q).  Writing
-    e mod q = d * (q/r) + s with 0 <= s < q/r, the top digit d = r-1 is
-    eliminated via 1 + zeta_r + ... + zeta_r^(r-1) = 0: the element
-    equals minus the sum over the other digits.  Returns (True, list of
-    replacement exponents) or (False, ()).
-    """
-    stride = n // r  # adding stride bumps the factor-q top digit by one
-    d = (e % q) // (q // r)
-    if d != r - 1:
-        return False, ()
-    out = []
-    for k in range(1, r):
-        out.append((e + k * stride) % n)
-    return True, out

@@ -32,10 +32,10 @@ from itertools import combinations
 from math import prod
 
 from .arith import (
+    is_int,
     is_prime,
     order_dividing,
     p_part,
-    prime_factors,
     prime_power,
     require_prime,
     require_prime_power,
@@ -50,8 +50,6 @@ __all__ = [
     "class_size_so",
     "class_size_sp",
     "class_size_su",
-    "cyclotomic_value",
-    "exceptional_rows",
     "group_order",
     "load_grid_manifest",
     "run_grid",
@@ -101,7 +99,7 @@ def _check_family(family: str, n) -> None:
         raise MalformedInputError(
             "unknown family %r; expected one of %s" % (family, ", ".join(FAMILIES))
         )
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise MalformedInputError("rank must be a positive integer, got %r" % (n,))
 
 
@@ -143,24 +141,6 @@ def _family_order_of_q(family: str, r: int, q: int) -> int:
     # unitary family tracks powers of -q, everything else powers of q.  r is
     # prime, so the order divides r - 1 and r itself is not factored again.
     return order_dividing((-q if family == "GU" else q) % r, r, r - 1)
-
-
-def cyclotomic_value(n: int, q: int) -> int:
-    """Value of the n-th cyclotomic polynomial at the integer q."""
-    if n < 1:
-        raise PreconditionError("cyclotomic index must be >= 1, got %r" % (n,))
-    if q < 2:
-        raise PreconditionError("evaluation point must be >= 2, got %r" % (q,))
-    primes = prime_factors(n)
-    num = den = 1
-    for size in range(len(primes) + 1):
-        for subset in combinations(primes, size):
-            term = q ** (n // prod(subset, start=1)) - 1
-            if size % 2 == 0:
-                num *= term
-            else:
-                den *= term
-    return _exact_div(num, den)
 
 
 def _block_exponent(base: int, r: int, n: int) -> int:
@@ -627,18 +607,18 @@ def _check_grid(manifest, source: str = "grid manifest") -> None:
         if family not in FAMILIES:
             raise MalformedInputError("%s names unknown family %r" % (source, family))
     for q in manifest["prime_powers"]:
-        if not _is_int(q) or prime_power(q) is None:
+        if not is_int(q) or prime_power(q) is None:
             raise MalformedInputError(
                 "%s: prime_powers entry %r is not a prime power" % (source, q)
             )
     primes = manifest["primes"]
     for p in primes:
-        if not _is_int(p) or not is_prime(p):
+        if not is_int(p) or not is_prime(p):
             raise MalformedInputError("%s: primes entry %r is not a prime" % (source, p))
     if len(set(primes)) != len(primes):
         raise MalformedInputError("%s lists a prime twice: %r" % (source, primes))
     rank = manifest["max_rank"]
-    if not _is_int(rank) or rank < 1:
+    if not is_int(rank) or rank < 1:
         raise MalformedInputError(
             "%s: max_rank must be a positive integer, got %r" % (source, rank)
         )
@@ -652,10 +632,6 @@ def _check_rank(rank: int, what: str) -> None:
             cap_name="rank",
             cap_value=RANK_CAP,
         )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_grid_manifest(path: str = None) -> dict:
@@ -731,27 +707,3 @@ def run_grid(manifest: dict) -> dict:
         "failures": failures,
         "ok": not failures,
     }
-
-
-def _evaluate_factor(coeffs, q) -> int:
-    return sum(c * q ** i for i, c in enumerate(coeffs))
-
-
-def evaluate_q_product(entry: dict, q: int) -> int:
-    """Evaluate a stored q-power times polynomial-factor product at q."""
-    value = q ** entry["q_exponent"]
-    for coeffs in entry["factors"]:
-        value *= _evaluate_factor(coeffs, q)
-    return value
-
-
-def exceptional_rows() -> list:
-    """Rows documenting the twisted and exceptional groups whose relevant
-    tori are not maximal, with their generic orders and the centralizer
-    orders attached; data only, consumed by divisibility checks."""
-    path = os.path.join(_DATA_DIR, "exceptional_tori.json")
-    with open(path, "rb") as handle:
-        doc = json.load(handle)
-    if doc.get("schema") != "hallmark-exceptional-tori/1":
-        raise MalformedInputError("unexpected schema in %s" % path)
-    return doc["rows"]

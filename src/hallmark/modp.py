@@ -18,10 +18,9 @@ from all of them at once as here, are the same.
 
 from __future__ import annotations
 
-from .arith import multiplicative_order, require_prime
-from .config import FIELD_DEGREE_CAP
+from .arith import require_prime
 from .cyclotomic import Cyc
-from .errors import CapacityError, PreconditionError
+from .errors import PreconditionError
 
 __all__ = ["CycReducer"]
 
@@ -29,8 +28,6 @@ __all__ = ["CycReducer"]
 class CycReducer:
     """Ring map Z[zeta_N] -> Z[zeta_m]/p fixed by the conductor and the prime.
 
-    A CapacityError is raised when d, the order of p mod m (the degree of
-    the residue fields of Z[zeta_m]/p), exceeds config.FIELD_DEGREE_CAP.
     reduce() accepts plain ints and Cyc values whose conductor divides N;
     an image is the sorted tuple of (exponent, coefficient mod p) pairs of
     its nonzero tensor-basis coordinates in Q(zeta_m), so images hash and
@@ -49,14 +46,6 @@ class CycReducer:
         while m % p == 0:
             m //= p
         self.m = m
-        degree = multiplicative_order(p, m)
-        if degree > FIELD_DEGREE_CAP:
-            raise CapacityError(
-                "roots of unity of order %d mod %d need a field of degree %d, above the "
-                "field degree cap %d" % (m, p, degree, FIELD_DEGREE_CAP),
-                cap_name="field_degree",
-                cap_value=FIELD_DEGREE_CAP,
-            )
 
     def reduce(self, value) -> tuple:
         if isinstance(value, int):

@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ._kernel_py import compose, inverse, order_of
+from .arith import is_int
 from .config import DEGREE_CAP, SIFT_CAP, default_caps
 from .errors import CapacityError, MalformedInputError, PreconditionError
 from .kernels import Row, kernel
@@ -56,7 +57,7 @@ class Permutation:
             )
         seen = bytearray(n)
         for pos, v in enumerate(imgs):
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not is_int(v):
                 raise MalformedInputError(f"image at position {pos} is not an integer")
             if v < 0 or v >= n:
                 raise MalformedInputError(
@@ -71,16 +72,6 @@ class Permutation:
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
         return cls(range(degree))
-
-    @classmethod
-    def from_cycles(cls, degree: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
-        imgs = list(range(degree))
-        for cyc in cycles:
-            for pos, pt in enumerate(cyc):
-                if not 0 <= pt < degree:
-                    raise MalformedInputError(f"cycle point {pt} outside 0..{degree - 1}")
-                imgs[pt] = cyc[(pos + 1) % len(cyc)]
-        return cls(imgs)
 
     @property
     def degree(self) -> int:

@@ -293,11 +293,11 @@ class TestBounds:
         assert rep["pair"]["consistent"] is True
 
     @staticmethod
-    def _a5_table(tmp_path, exponent, trivial_at_class_1):
+    def _a5_table(tmp_path, exponent, trivial_value, at_class=1):
         with open(os.path.join(cli._TABLES_DIR, "a5.json")) as fh:
             doc = json.load(fh)
         doc["exponent"] = exponent
-        doc["irreducibles"][0][1] = trivial_at_class_1
+        doc["irreducibles"][0][at_class] = trivial_value
         path = tmp_path / "a5_copy.json"
         path.write_text(json.dumps(doc))
         return str(path)
@@ -309,16 +309,16 @@ class TestBounds:
         assert code == 0
         assert rep["partition"]["blocks"] == [[0, 1, 2, 4], [3]]
 
-    def test_value_root_order_hits_the_field_degree_cap(self, capsys, tmp_path):
-        # the value 1, written in Q(zeta_1009), still asks for F_{2^504}
+    def test_value_root_order_of_large_field_degree_finishes(self, capsys, tmp_path):
+        # the value 1, written in Q(zeta_1009): the residue fields of
+        # Z[zeta_1009]/2 are F_{2^504}, but the reducer builds none of them
         path = self._a5_table(tmp_path, 30270, {"n": 1009, "terms": [[1, 0]]})
-        code, rep, err = run(capsys, "ct-blocks", path, "-p", "2", "--no-timings")
-        assert code == 3
-        assert rep is None
-        assert "capacity:" in err and "field degree cap" in err
+        code, rep, _ = run(capsys, "ct-blocks", path, "-p", "2", "--no-timings")
+        assert code == 0
+        assert rep["partition"]["blocks"] == [[0, 1, 2, 4], [3]]
 
     @pytest.mark.parametrize("bits", [20, 40])
-    def test_huge_root_order_below_the_field_degree_cap_finishes(self, capsys, tmp_path, bits):
+    def test_huge_root_order_finishes(self, capsys, tmp_path, bits):
         # the value 1, written in Q(zeta_n) for n = 2^bits - 1: F_{2^bits} holds
         # the roots, but there are n of them
         n = 2**bits - 1
@@ -326,6 +326,18 @@ class TestBounds:
         code, rep, _ = run(capsys, "ct-blocks", path, "-p", "2", "--no-timings")
         assert code == 0
         assert rep["partition"]["blocks"] == [[0, 1, 2, 4], [3]]
+
+    def test_prime_conductor_hits_the_cyclotomic_form_cap(self, capsys, tmp_path):
+        # the degree at the identity written as zeta_n^(n-1), n a prime near
+        # 10^10: its canonical form would hold n - 1 coordinates
+        n = 10000000019
+        path = self._a5_table(tmp_path, 30 * n, {"n": n, "terms": [[1, n - 1]]}, at_class=0)
+        started = time.monotonic()
+        code, rep, err = run(capsys, "ct-blocks", path, "-p", "2", "--no-timings")
+        assert time.monotonic() - started < 2
+        assert code == 3
+        assert rep is None
+        assert "capacity:" in err and "cyclotomic form cap" in err
 
     @staticmethod
     def _grid(tmp_path, max_rank):

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hallmark.config import CYCLOTOMIC_FORM_CAP
 from hallmark.cyclotomic import Cyc
-from hallmark.errors import PreconditionError
+from hallmark.errors import CapacityError, PreconditionError
 
 # -- oracle ----------------------------------------------------------------
 
@@ -268,3 +269,22 @@ class TestKnownIdentities:
     def test_hash_respects_equality(self):
         assert hash(Cyc.root(6)) == hash(1 + Cyc.root(6, 2))
         assert len({Cyc.root(8, e) for e in range(16)}) == 8
+
+
+class TestFormCap:
+    def test_a_form_of_cap_size_is_built(self):
+        # 65537 is prime and zeta^65536 is minus the sum of the other 65536
+        # roots, one coordinate each: exactly the cap
+        r = 65537
+        canon = Cyc.root(r, r - 1).canonical()
+        assert len(canon) == CYCLOTOMIC_FORM_CAP
+        assert set(canon.values()) == {-1}
+
+    def test_a_larger_form_is_refused_before_it_is_built(self):
+        # 65539 is the next prime; the same rewrite would hold 65538 coordinates
+        r = 65539
+        with pytest.raises(CapacityError) as info:
+            Cyc.root(r, r - 1).canonical()
+        assert (info.value.cap_name, info.value.cap_value) == (
+            "cyclotomic_form", CYCLOTOMIC_FORM_CAP
+        )

@@ -10,6 +10,7 @@ with zero failures.
 """
 
 import json
+import os
 import time
 
 import pytest
@@ -24,9 +25,6 @@ from hallmark.lieorders import (
     class_size_so,
     class_size_sp,
     class_size_su,
-    cyclotomic_value,
-    evaluate_q_product,
-    exceptional_rows,
     group_order,
     load_grid_manifest,
     run_grid,
@@ -93,6 +91,8 @@ class TestGroupOrder:
             group_order("GL", 0, 2)
         with pytest.raises(MalformedInputError, match="rank"):
             group_order("GL", -1, 2)
+        with pytest.raises(MalformedInputError, match="rank"):
+            group_order("GL", True, 2)
         with pytest.raises(PreconditionError, match="prime power"):
             group_order("GL", 2, 6)
         with pytest.raises(PreconditionError, match="prime power"):
@@ -161,36 +161,6 @@ class TestMultiplicativeOrders:
             class_size_su(2, 2, 9)
         with pytest.raises(PreconditionError, match="divides q"):
             class_size_sl(2, 25, 5)
-
-
-class TestCyclotomicValue:
-    def test_frozen_values(self):
-        assert cyclotomic_value(12, 2) == 13
-        assert cyclotomic_value(1, 5) == 4
-        assert cyclotomic_value(2, 5) == 6
-        assert cyclotomic_value(6, 2) == 3
-
-    def test_matches_polynomial_oracle(self):
-        for n in range(1, 25):
-            coeffs = cyclotomic_poly(n)
-            for q in (2, 3, 4):
-                expect = sum(c * q**i for i, c in enumerate(coeffs))
-                assert cyclotomic_value(n, q) == expect
-
-    def test_divisor_product_recovers_q_power(self):
-        for n in (1, 2, 3, 4, 6, 8, 12, 15, 20, 30):
-            for q in (2, 3, 5):
-                prod = 1
-                for d in range(1, n + 1):
-                    if n % d == 0:
-                        prod *= cyclotomic_value(d, q)
-                assert prod == q**n - 1
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(PreconditionError):
-            cyclotomic_value(0, 3)
-        with pytest.raises(PreconditionError):
-            cyclotomic_value(3, 1)
 
 
 class TestCrossCheckAgainstEnumeration:
@@ -572,6 +542,8 @@ class TestVerifyPair:
             verify_pair("GL", 2, 2, 2, 5)
         with pytest.raises(PreconditionError, match="divides q"):
             verify_pair("GL", 2, 9, 3, 5)
+        with pytest.raises(MalformedInputError, match="rank"):
+            verify_pair("GL", True, 2, 3, 7)
 
     @given(
         family=st.sampled_from(FAMILIES),
@@ -775,6 +747,30 @@ class TestGrid:
         assert run_grid({**good, "prime_powers": [9], "primes": [3, 5, 7]})["points"] == 2
 
 
+def _evaluate_factor(coeffs, q):
+    return sum(c * q**i for i, c in enumerate(coeffs))
+
+
+def evaluate_q_product(entry, q):
+    """Evaluate a stored q-power times polynomial-factor product at q."""
+    value = q ** entry["q_exponent"]
+    for coeffs in entry["factors"]:
+        value *= _evaluate_factor(coeffs, q)
+    return value
+
+
+def exceptional_rows():
+    """Rows documenting the twisted and exceptional groups whose relevant
+    tori are not maximal, with their generic orders and the centralizer
+    orders attached; data only, consumed by the divisibility checks of
+    TestExceptionalTori."""
+    path = os.path.join(os.path.dirname(__file__), "exceptional_tori.json")
+    with open(path, "rb") as handle:
+        doc = json.load(handle)
+    assert doc.get("schema") == "hallmark-exceptional-tori/1", path
+    return doc["rows"]
+
+
 class TestExceptionalTori:
     def test_rows_present(self):
         rows = exceptional_rows()
@@ -793,7 +789,10 @@ class TestExceptionalTori:
         centralizers = [
             ambient % evaluate_q_product(c, q) == 0 for c in row["centralizers"]
         ]
-        cyclotomic = [ambient % cyclotomic_value(d, q) == 0 for d in row["torus_orders_d"]]
+        cyclotomic = [
+            ambient % _evaluate_factor(cyclotomic_poly(d), q) == 0
+            for d in row["torus_orders_d"]
+        ]
         return ambient, centralizers, cyclotomic
 
     def test_all_rows_divide(self):

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from hallmark.arith import multiplicative_order
 from hallmark.cyclotomic import Cyc
-from hallmark.config import FIELD_DEGREE_CAP
-from hallmark.errors import CapacityError, PreconditionError
+from hallmark.errors import PreconditionError
 from hallmark.modp import CycReducer
 
 from test_cyclotomic import cyclotomic_poly, term_lists
@@ -100,7 +99,7 @@ class TestCycReducer:
         # has no repeated root mod p, so zeta_m^k and 1 stay apart for
         # 0 < k < m, and so do any two of the m roots
         for n, p, m in [(2, 3, 2), (6, 3, 2), (8, 7, 8), (15, 2, 15), (12, 5, 12),
-                        (7440, 3, 2480)]:
+                        (7440, 3, 2480), (211, 2, 211)]:
             red = reducer(n, p)
             assert red.m == m
             images = [red.reduce(Cyc.root(m, k)) for k in range(m)]
@@ -134,12 +133,6 @@ class TestCycReducer:
             reducer(6, 5).reduce(Cyc.root(4))
         with pytest.raises(PreconditionError):
             reducer(6, 5).reduce("zeta")
-
-    def test_field_degree_cap(self):
-        # 2 has order 210 mod 211; the cap stops the build before any field work
-        with pytest.raises(CapacityError) as info:
-            CycReducer(211, 2)
-        assert (info.value.cap_name, info.value.cap_value) == ("field_degree", FIELD_DEGREE_CAP)
 
 
 class TestMultiplicativeOrder:

@@ -21,6 +21,15 @@ hallmark and runs, with --no-timings:
     in 1..8, Q in {2, 3, 4, 5, 7, 8, 9} and every pair R < S from
     {3, 5, 7, 11, 13} of primes not dividing Q, so that the value of each
     block witness is compared, not only the grid's counts;
+  - `ct-blocks -p 2` and `ct-analyze --theorem C --pi 3,5` on three
+    copies of the shipped a5 table that ask for large root orders: one
+    declares the exponent 30270 = 30 * 1009, and two write the trivial
+    character's value 1 at its second class in Q(zeta_1009) and in
+    Q(zeta_n), n = 2^20 - 1.  The parent process writes the copies into
+    one temporary directory and both children read them there, so the
+    path in each report is the same on both sides.  No copy holds a
+    value whose canonical form is large, since a tree without a bound on
+    canonical forms would then run out of memory;
   - the `check` commands again with HALLMARK_CAP_ELEMENTS=700, which
     puts every class table above 700 elements out of reach and so
     exercises the undetermined texts (all but t4.1's "solvability test
@@ -42,15 +51,40 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from itertools import combinations
 
 
 # the environment setting of the capped pass
 CAPPED = ("HALLMARK_CAP_ELEMENTS", "700")
 
+# name: (declared exponent, the trivial character's value at class 1) of
+# each copy of the a5 table
+A5_VARIANTS = {
+    "a5_exponent_30270": (30270, 1),
+    "a5_one_in_zeta_1009": (30270, {"n": 1009, "terms": [[1, 0]]}),
+    "a5_one_in_zeta_1048575": (30 * 1048575, {"n": 1048575, "terms": [[1, 0]]}),
+}
 
-def _commands():
-    """(environment setting or None, argv) for every report."""
+
+def _write_tables(tree: str, directory: str) -> list:
+    """Write the A5_VARIANTS copies of tree's a5 table; return their paths."""
+    with open(os.path.join(_src_dir(tree), "hallmark", "data", "tables", "a5.json")) as fh:
+        doc = json.load(fh)
+    paths = []
+    for name, (exponent, value) in A5_VARIANTS.items():
+        doc["exponent"] = exponent
+        doc["irreducibles"][0][1] = value
+        path = os.path.join(directory, name + ".json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        paths.append(path)
+    return paths
+
+
+def _commands(tables):
+    """(environment setting or None, argv) for every report; tables are
+    the paths of the table copies."""
     from hallmark import catalog, cli, criteria, lieorders
     from hallmark.arith import prime_factors
 
@@ -83,10 +117,13 @@ def _commands():
                 for r, s in combinations(usable, 2):
                     out.append(["lie-verify", "--family", family, "--n", str(n),
                                 "--q", str(q), "--r", str(r), "--s", str(s)])
+    for path in tables:
+        out.append(["ct-blocks", path, "-p", "2"])
+        out.append(["ct-analyze", path, "--theorem", "C", "--pi", "3,5"])
     return [(None, argv) for argv in out] + [(CAPPED, argv) for argv in checks]
 
 
-def _collect() -> None:
+def _collect(tables) -> None:
     """Child side: run every command in this interpreter and print one
     JSON object {command line: [exit, stdout, stderr]}."""
     import contextlib
@@ -95,7 +132,7 @@ def _collect() -> None:
     from hallmark import cli
 
     reports = {}
-    for setting, argv in _commands():
+    for setting, argv in _commands(tables):
         key = " ".join(argv)
         if setting is not None:
             os.environ[setting[0]] = setting[1]
@@ -121,10 +158,10 @@ def _src_dir(tree: str) -> str:
     return os.path.abspath(path)
 
 
-def _reports(tree: str) -> dict:
+def _reports(tree: str, tables) -> dict:
     env = dict(os.environ, PYTHONPATH=_src_dir(tree))
     done = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--collect"],
+        [sys.executable, os.path.abspath(__file__), "--collect", *tables],
         env=env, capture_output=True, text=True, check=False,
     )
     if done.returncode:
@@ -133,12 +170,14 @@ def _reports(tree: str) -> dict:
 
 
 def main(argv) -> int:
-    if argv == ["--collect"]:
-        _collect()
+    if argv[:1] == ["--collect"]:
+        _collect(argv[1:])
         return 0
     if len(argv) != 2:
         sys.exit(__doc__.split("\n\n")[1])
-    old, new = (_reports(tree) for tree in argv)
+    with tempfile.TemporaryDirectory() as directory:
+        tables = _write_tables(argv[0], directory)
+        old, new = (_reports(tree, tables) for tree in argv)
     differ = [cmd for cmd in sorted(set(old) | set(new)) if old.get(cmd) != new.get(cmd)]
     for cmd in differ:
         if cmd not in old or cmd not in new:
