@@ -25,9 +25,6 @@ from .perms import PermutationGroup
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data", "groups")
 
-_SYMMETRIC_RANGE = (1, 12)
-_PSL2_RANGE = (4, 32)
-
 
 def cyclic(n: int) -> PermutationGroup:
     """Cyclic group of order n on n points."""
@@ -48,8 +45,9 @@ def dihedral(n: int) -> PermutationGroup:
 
 
 def symmetric(n: int) -> PermutationGroup:
-    """Symmetric group on n points, 1 <= n <= 12."""
-    _check_sym_range("symmetric", n)
+    """Symmetric group on n >= 1 points."""
+    if not is_int(n) or n < 1:
+        raise MalformedInputError("symmetric(n) needs an integer n >= 1, got %r" % (n,))
     if n == 1:
         return PermutationGroup(1, [])
     gens = [(1, 0) + tuple(range(2, n)), tuple((i + 1) % n for i in range(n))]
@@ -57,8 +55,9 @@ def symmetric(n: int) -> PermutationGroup:
 
 
 def alternating(n: int) -> PermutationGroup:
-    """Alternating group on n points, 1 <= n <= 12."""
-    _check_sym_range("alternating", n)
+    """Alternating group on n >= 1 points."""
+    if not is_int(n) or n < 1:
+        raise MalformedInputError("alternating(n) needs an integer n >= 1, got %r" % (n,))
     if n <= 2:
         return PermutationGroup(n, [])
     if n == 3:
@@ -71,18 +70,6 @@ def alternating(n: int) -> PermutationGroup:
     return PermutationGroup(n, [three, big])
 
 
-def _check_sym_range(kind: str, n: int) -> None:
-    lo, hi = _SYMMETRIC_RANGE
-    if not isinstance(n, int):
-        raise MalformedInputError("%s(n) needs an integer, got %r" % (kind, n))
-    if not lo <= n <= hi:
-        raise CapacityError(
-            "%s(%d) outside supported range %d..%d" % (kind, n, lo, hi),
-            cap_name="symmetric_degree",
-            cap_value=hi,
-        )
-
-
 def psl2(q: int) -> PermutationGroup:
     """PSL(2, q) on the q+1 points of the projective line.
 
@@ -90,12 +77,9 @@ def psl2(q: int) -> PermutationGroup:
     for x in 0..q-1 and [1 : 0] is point q.  Generators are the Moebius
     maps x -> x+1, x -> gx for g a generating square, and x -> -1/x.
     """
-    lo, hi = _PSL2_RANGE
-    pp = prime_power(q) if isinstance(q, int) and lo <= q <= hi else None
+    pp = prime_power(q) if is_int(q) else None
     if pp is None:
-        raise MalformedInputError(
-            "psl2(q) needs a prime power q with %d <= q <= %d, got %r" % (lo, hi, q)
-        )
+        raise MalformedInputError("psl2(q) needs a prime power q >= 2, got %r" % (q,))
     p, e = pp
     field = gf.IntField(p, e)
     inf = q

@@ -176,6 +176,9 @@ def _cmd_hall(args) -> int:
         "status": result.status,
         "reason": result.reason,
     }
+    if result.status == "inconclusive":
+        payload["cap_name"] = result.cap_name
+        payload["cap_value"] = result.cap_value
     if result.subgroup is not None:
         sub = result.subgroup
         payload["subgroup"] = criteria.sub_witness(sub)

@@ -1,10 +1,10 @@
 """Runtime caps.
 
-Every bound that stops a computation from running away lives here, so the
-CLI, the test-suite and library callers tune the same knobs, one per bound.
-The element cap can also be set through the HALLMARK_CAP_ELEMENTS
-environment variable, which must then be a positive integer; no CLI option
-raises it.
+Every bound that stops a computation from running away lives here, one
+per bound.  All of them but the element cap are module constants.  The
+element cap is the only one a caller passes, as Caps(elements=...); the
+CLI reads it from the HALLMARK_CAP_ELEMENTS environment variable, which
+must then be a positive integer, and no CLI option raises it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ FACTOR_CAP = 2**20
 # value can ask for gigabytes.  The cap admits every full form of
 # Q(zeta_n) with phi(n) <= 2^16, such as all prime conductors up to
 # 65537, and filling it takes about 0.03 s; values of the shipped tables
-# need at most 16 coordinates.
+# need at most 16 coordinates.  A product of two values (Cyc.__mul__) makes
+# at most this many term products, checked before the first.
 CYCLOTOMIC_FORM_CAP = 2**16
 
 # lieorders checks no classical group of rank above this (a grid's
@@ -44,15 +45,19 @@ RANK_CAP = 32
 # degree 200 and 9.4 s at degree 1000.
 SIFT_CAP = 20_000
 
+# The anchored Hall search (subgroups._anchored_search) lists at most
+# SYLOW_CONJUGATE_CAP conjugates of one Sylow subgroup and materializes at
+# most HALL_CANDIDATE_CAP elements across all its closures.  Over the
+# catalog the longest list has 960 entries (a8's Sylow 7-subgroups) and
+# the largest search, a8 with pi = {2, 5, 7}, 731,472 elements.
+SYLOW_CONJUGATE_CAP = 50_000
+HALL_CANDIDATE_CAP = 5_000_000
+
 
 @dataclass(frozen=True)
 class Caps:
     # full element enumeration of one group
     elements: int = 5_000_000
-    # size of a full Sylow conjugation orbit
-    sylow_conjugates: int = 50_000
-    # elements materialized across all closures of one Hall search
-    hall_candidates: int = 5_000_000
 
 
 def default_caps() -> Caps:

@@ -93,8 +93,16 @@ class Cyc:
     def __mul__(self, other) -> "Cyc":
         other = _coerce(other)
         a, b = self._common(other)
-        out: Dict[int, int] = {}
         n = a.n
+        if len(a.coeffs) * len(b.coeffs) > CYCLOTOMIC_FORM_CAP:
+            raise CapacityError(
+                "a product of %d by %d terms in Q(zeta_%d) makes more than %d term "
+                "products, the cyclotomic form cap"
+                % (len(a.coeffs), len(b.coeffs), n, CYCLOTOMIC_FORM_CAP),
+                cap_name="cyclotomic_form",
+                cap_value=CYCLOTOMIC_FORM_CAP,
+            )
+        out: Dict[int, int] = {}
         for e1, c1 in a.coeffs.items():
             for e2, c2 in b.coeffs.items():
                 e = e1 + e2

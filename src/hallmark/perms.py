@@ -81,9 +81,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == v for i, v in enumerate(self.images))
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.degree != other.degree:
             raise MalformedInputError("cannot compose permutations of different degrees")
@@ -97,9 +94,6 @@ class Permutation:
         p.images = inverse(self.images)
         p._hash = hash(p.images)
         return p
-
-    def __invert__(self) -> "Permutation":
-        return self.inverse()
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -145,9 +139,6 @@ class Permutation:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
 
     def __hash__(self) -> int:
         return self._hash
@@ -247,8 +238,8 @@ class PermutationGroup:
     def memo(self, key, compute):
         """The fact stored under key, from compute() on first use.
 
-        A fact that depends on caps must carry them in its key, or the
-        caller must repeat the cap check a fresh computation would make.
+        No key holds caps: before it reads a fact, the caller repeats the
+        cap check that a fresh computation would make.
         """
         if key not in self._facts:
             self._facts[key] = compute()
@@ -345,10 +336,6 @@ class PermutationGroup:
         return True
 
     # -- queries ---------------------------------------------------------
-
-    @property
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
 
     def is_member(self, g: Permutation) -> bool:
         if not isinstance(g, Permutation):

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arith import is_power_of, is_prime, p_part, pi_part, prime_factors, require_prime
 from .classdata import ClassTable, class_table
-from .config import Caps, default_caps
+from .config import HALL_CANDIDATE_CAP, SYLOW_CONJUGATE_CAP, Caps, default_caps
 from .errors import CapacityError, PreconditionError
 from .kernels import Row, kernel
 from .perms import Permutation, PermutationGroup
@@ -176,11 +176,11 @@ def all_sylow(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> L
             for g, gi in zip(gen_rows, gen_invs):
                 conj = tuple(sorted(kernel.compose(kernel.compose(gi, r), g) for r in rows))
                 if conj not in seen:
-                    if len(seen) >= caps.sylow_conjugates:
+                    if len(seen) >= SYLOW_CONJUGATE_CAP:
                         raise CapacityError(
                             "Sylow conjugate orbit exceeds cap",
                             cap_name="sylow_conjugates",
-                            cap_value=caps.sylow_conjugates,
+                            cap_value=SYLOW_CONJUGATE_CAP,
                         )
                     seen[conj] = [
                         kernel.compose(kernel.compose(gi, s), g) for s in seen[rows]
@@ -358,15 +358,15 @@ def op_prime_core(
     Greedy absorption over class representatives of p'-order is complete:
     a representative belongs to the core exactly when the normal closure
     of it together with everything absorbed so far stays free of p.  Kept
-    on the group per p and caps.
+    on the group per p, after a class table under the element cap, which
+    every call checks again.
     """
-    caps = caps or default_caps()
     require_prime(p)
-    return group.memo(("op_prime_core", p, caps), lambda: _op_prime_core(group, p, caps))
-
-
-def _op_prime_core(group: PermutationGroup, p: int, caps: Caps) -> PermutationGroup:
     table = class_table(group, caps)
+    return group.memo(("op_prime_core", p), lambda: _op_prime_core(group, p, table))
+
+
+def _op_prime_core(group: PermutationGroup, p: int, table: ClassTable) -> PermutationGroup:
     core = group.subgroup([])
     for ci in table.classes:
         if ci.element_order == 1 or ci.element_order % p == 0:
@@ -381,18 +381,23 @@ def _op_prime_core(group: PermutationGroup, p: int, caps: Caps) -> PermutationGr
 
 
 class HallSearch:
-    """Outcome of a Hall subgroup search."""
+    """Outcome of a Hall subgroup search; an inconclusive one keeps the
+    cap_name and cap_value of the cap that stopped it."""
 
-    __slots__ = ("status", "subgroup", "reason")
+    __slots__ = ("status", "subgroup", "reason", "cap_name", "cap_value")
 
-    def __init__(self, status: str, subgroup: Optional[PermutationGroup], reason: str):
+    def __init__(
+        self,
+        status: str,
+        subgroup: Optional[PermutationGroup],
+        reason: str,
+        cap: Optional[CapacityError] = None,
+    ):
         self.status = status
         self.subgroup = subgroup
         self.reason = reason
-
-    @property
-    def found(self) -> bool:
-        return self.status == "found"
+        self.cap_name = cap.cap_name if cap else None
+        self.cap_value = cap.cap_value if cap else None
 
     def __repr__(self) -> str:
         return "HallSearch(%s: %s)" % (self.status, self.reason)
@@ -496,10 +501,10 @@ def _anchored_search(
     try:
         lists = {p: all_sylow(group, p, caps) for p in others}
     except CapacityError as exc:
-        return HallSearch("inconclusive", None, "Sylow enumeration hit a cap: %s" % exc)
+        return HallSearch("inconclusive", None, "Sylow enumeration hit a cap: %s" % exc, exc)
     seed = sylow(group, anchor, caps)
     degree = group.degree
-    budget = caps.hall_candidates
+    budget = HALL_CANDIDATE_CAP
 
     def extend(
         gens: List[Row], rows: List[Row], remaining: Tuple[int, ...]
@@ -519,7 +524,7 @@ def _anchored_search(
                 raise CapacityError(
                     "Hall search budget exhausted",
                     cap_name="hall_candidates",
-                    cap_value=caps.hall_candidates,
+                    cap_value=HALL_CANDIDATE_CAP,
                 )
             budget -= charge
             if merged is None or target % len(merged):
@@ -532,7 +537,7 @@ def _anchored_search(
     try:
         result = extend(_gen_rows(seed), seed.element_rows(caps.elements), tuple(others))
     except CapacityError as exc:
-        return HallSearch("inconclusive", None, str(exc))
+        return HallSearch("inconclusive", None, str(exc), exc)
     if result is not None:
         sub = group.subgroup_from_rows(result)
         return HallSearch("found", sub, "anchored Sylow closure search")

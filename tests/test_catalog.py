@@ -27,11 +27,11 @@ class TestBuilders:
         with pytest.raises(MalformedInputError):
             catalog.dihedral(2)
 
-    @pytest.mark.parametrize("n,order", [(3, 6), (4, 24), (5, 120)])
+    @pytest.mark.parametrize("n,order", [(3, 6), (4, 24), (5, 120), (13, 6227020800)])
     def test_symmetric(self, n, order):
         assert catalog.symmetric(n).order == order
 
-    @pytest.mark.parametrize("n,order", [(3, 3), (4, 12), (5, 60), (7, 2520)])
+    @pytest.mark.parametrize("n,order", [(3, 3), (4, 12), (5, 60), (7, 2520), (13, 3113510400)])
     def test_alternating(self, n, order):
         assert catalog.alternating(n).order == order
 
@@ -39,7 +39,7 @@ class TestBuilders:
         "q,order",
         [(4, 60), (5, 60), (7, 168), (8, 504), (9, 360), (11, 660), (13, 1092), (16, 4080),
          (17, 2448), (19, 3420), (23, 6072), (25, 7800), (27, 9828), (29, 12180), (31, 14880),
-         (32, 32736)],
+         (32, 32736), (2, 6), (3, 12), (37, 25308), (49, 58800), (64, 262080)],
     )
     def test_psl2_orders(self, q, order):
         # |PSL(2,q)| = q(q^2-1)/gcd(2, q-1)
@@ -50,6 +50,23 @@ class TestBuilders:
     def test_psl2_rejects_bad_q(self):
         with pytest.raises(MalformedInputError):
             catalog.psl2(6)
+
+    def test_psl2_above_the_degree_cap(self):
+        # 1025 points on the projective line over F_1024
+        with pytest.raises(CapacityError) as info:
+            catalog.psl2(1024)
+        assert (info.value.cap_name, info.value.cap_value) == ("degree", DEGREE_CAP)
+
+    @pytest.mark.parametrize("build,arg", [
+        (catalog.symmetric, 0),
+        (catalog.alternating, 0),
+        (catalog.symmetric, True),
+        (catalog.psl2, 1),
+        (catalog.psl2, True),
+    ])
+    def test_builders_reject_bad_parameters(self, build, arg):
+        with pytest.raises(MalformedInputError):
+            build(arg)
 
     @pytest.mark.parametrize(
         "q,p,order",

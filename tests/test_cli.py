@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from hallmark import catalog, cli, lieorders
+from hallmark import catalog, cli, lieorders, subgroups
 from hallmark.config import RANK_CAP, SIFT_CAP
 from hallmark.errors import CapacityError
 
@@ -82,8 +82,7 @@ class TestClassesCommand:
 
     def test_caps_block_names_each_bound_once(self, capsys):
         _, rep, _ = run(capsys, "classes", "catalog:a5", "--no-timings")
-        assert list(rep["caps"]) == ["degree_cap", "elements", "sylow_conjugates",
-                                     "hall_candidates"]
+        assert list(rep["caps"]) == ["degree_cap", "elements"]
         # --extended unlocks J1 and raises no cap
         _, extended, _ = run(capsys, "classes", "catalog:a5", "--no-timings", "--extended")
         assert extended["caps"] == rep["caps"]
@@ -140,6 +139,23 @@ class TestHallCommand:
             code, rep, err = run(capsys, "hall", "catalog:a5", "--pi", bad)
             assert code == 2, bad
             assert "error:" in err
+
+    @pytest.mark.parametrize("group,pi,constant,value,cap_name", [
+        # psl3_3's {2, 3} search needs a budget of 406
+        ("psl3_3", "2,3", "HALL_CANDIDATE_CAP", 405, "hall_candidates"),
+        # a8 has 336 Sylow 5-subgroups and 960 Sylow 7-subgroups
+        ("a8", "5,7", "SYLOW_CONJUGATE_CAP", 10, "sylow_conjugates"),
+    ])
+    def test_inconclusive_search_names_its_cap(
+        self, capsys, monkeypatch, group, pi, constant, value, cap_name
+    ):
+        monkeypatch.setattr(subgroups, constant, value)
+        code, rep, _ = run(capsys, "hall", "catalog:" + group, "--pi", pi, "--no-timings")
+        assert code == 3
+        assert rep["status"] == "inconclusive"
+        assert (rep["cap_name"], rep["cap_value"]) == (cap_name, value)
+        assert rep["subgroup"] is None
+        assert list(rep["caps"]) == ["degree_cap", "elements"]
 
 
 class TestCheckCommand:
@@ -335,6 +351,19 @@ class TestBounds:
         started = time.monotonic()
         code, rep, err = run(capsys, "ct-blocks", path, "-p", "2", "--no-timings")
         assert time.monotonic() - started < 2
+        assert code == 3
+        assert rep is None
+        assert "capacity:" in err and "cyclotomic form cap" in err
+
+    def test_long_value_product_hits_the_cyclotomic_form_cap(self, capsys, tmp_path):
+        # 4000 distinct terms in Q(zeta_65537): the table's orthogonality
+        # check would multiply them by themselves, 16 million term products
+        n = 65537
+        value = {"n": n, "terms": [[1, e] for e in range(1, 4001)]}
+        path = self._a5_table(tmp_path, 30 * n, value)
+        started = time.monotonic()
+        code, rep, err = run(capsys, "ct-blocks", path, "-p", "2", "--no-timings")
+        assert time.monotonic() - started < 1
         assert code == 3
         assert rep is None
         assert "capacity:" in err and "cyclotomic form cap" in err

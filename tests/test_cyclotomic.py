@@ -280,6 +280,21 @@ class TestFormCap:
         assert len(canon) == CYCLOTOMIC_FORM_CAP
         assert set(canon.values()) == {-1}
 
+    def test_a_product_of_cap_size_is_made(self):
+        # 256 x 256 term products is exactly the cap
+        a = Cyc(65537, {e: 1 for e in range(256)})
+        b = Cyc(65537, {256 * e: 1 for e in range(256)})
+        assert (a * b).coeffs == {e: 1 for e in range(65536)}
+
+    def test_a_larger_product_is_refused_before_it_is_made(self):
+        a = Cyc(65537, {e: 1 for e in range(256)})
+        b = Cyc(65537, {256 * e: 1 for e in range(257)})
+        with pytest.raises(CapacityError) as info:
+            a * b
+        assert (info.value.cap_name, info.value.cap_value) == (
+            "cyclotomic_form", CYCLOTOMIC_FORM_CAP
+        )
+
     def test_a_larger_form_is_refused_before_it_is_built(self):
         # 65539 is the next prime; the same rewrite would hold 65538 coordinates
         r = 65539

@@ -512,13 +512,15 @@ class TestHallWitnesses:
         assert result.subgroup is None
 
     @pytest.mark.parametrize("name,least", [("a5", 9), ("psl2_7", 85), ("psl3_3", 406)])
-    def test_least_budget_that_completes(self, name, least):
+    def test_least_budget_that_completes(self, name, least, monkeypatch):
         # the least hall_candidates budget under which the {2, 3} search
         # finds its witness; one less runs out
         def search(budget):
-            return subgroups.hall_subgroup(catalog.build(name), (2, 3), Caps(hall_candidates=budget))
+            monkeypatch.setattr(subgroups, "HALL_CANDIDATE_CAP", budget)
+            return subgroups.hall_subgroup(catalog.build(name), (2, 3))
 
         assert search(least).status == "found"
         short = search(least - 1)
         assert (short.status, short.reason) == ("inconclusive", "Hall search budget exhausted")
+        assert (short.cap_name, short.cap_value) == ("hall_candidates", least - 1)
         assert short.subgroup is None

@@ -30,12 +30,15 @@ hallmark and runs, with --no-timings:
     path in each report is the same on both sides.  No copy holds a
     value whose canonical form is large, since a tree without a bound on
     canonical forms would then run out of memory;
-  - the `check` commands again with HALLMARK_CAP_ELEMENTS=700, which
-    puts every class table above 700 elements out of reach and so
-    exercises the undetermined texts (all but t4.1's "solvability test
-    unavailable", which only the sift cap reaches).  The variable is set
-    in the child's environment around each such call and removed after
-    it, and these reports are keyed "HALLMARK_CAP_ELEMENTS=700 check ...".
+  - the `classes`, `hall` and `check` commands again with
+    HALLMARK_CAP_ELEMENTS=700, which puts every class table above 700
+    elements out of reach: `classes` and `hall` then exit 3 with the
+    element cap's stderr line, and `check` exercises the undetermined
+    texts (all but t4.1's "solvability test unavailable", which only the
+    sift cap reaches).  The variable is set in the child's environment
+    around each such call and removed after it, and these reports are
+    keyed "HALLMARK_CAP_ELEMENTS=700 classes ...", "... hall ..." and
+    "... check ...".
 
 Each command's stdout, stderr and exit code is its report.  The commands
 run one after another inside the child through `hallmark.cli.main`, so a
@@ -89,19 +92,18 @@ def _commands(tables):
     from hallmark.arith import prime_factors
 
     groups = catalog.entries(include_stretch=False)
-    out = [["suite"], ["catalog"]]
-    out += [["classes", "catalog:" + e.name] for e in groups]
+    capped = [["classes", "catalog:" + e.name] for e in groups]
     for e in groups:
         primes = prime_factors(e.order)
         for k in range(2, len(primes) + 1):
             for pi in combinations(primes, k):
-                out.append(["hall", "catalog:" + e.name, "--pi", ",".join(map(str, pi))])
-    checks = [
+                capped.append(["hall", "catalog:" + e.name, "--pi", ",".join(map(str, pi))])
+    capped += [
         ["check", "--theorem", theorem, "--group", "catalog:" + e.name]
         for e in groups
         for theorem in criteria.THEOREMS
     ]
-    out += checks
+    out = [["suite"], ["catalog"]] + capped
     for name in cli.TABLE_BACKED:
         primes = prime_factors(catalog.get_entry(name).order)
         for k in range(1, len(primes) + 1):
@@ -120,7 +122,7 @@ def _commands(tables):
     for path in tables:
         out.append(["ct-blocks", path, "-p", "2"])
         out.append(["ct-analyze", path, "--theorem", "C", "--pi", "3,5"])
-    return [(None, argv) for argv in out] + [(CAPPED, argv) for argv in checks]
+    return [(None, argv) for argv in out] + [(CAPPED, argv) for argv in capped]
 
 
 def _collect(tables) -> None:
