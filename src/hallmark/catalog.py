@@ -28,14 +28,14 @@ _DATA_DIR = os.path.join(os.path.dirname(__file__), "data", "groups")
 
 def cyclic(n: int) -> PermutationGroup:
     """Cyclic group of order n on n points."""
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise MalformedInputError("cyclic(n) needs an integer n >= 1, got %r" % (n,))
     return PermutationGroup(n, [tuple((i + 1) % n for i in range(n))])
 
 
 def dihedral(n: int) -> PermutationGroup:
     """Dihedral group of order 2n acting on the n vertices of an n-gon."""
-    if not isinstance(n, int) or n < 3:
+    if not is_int(n) or n < 3:
         raise MalformedInputError(
             "dihedral(n) needs an integer n >= 3 for a faithful vertex action, got %r" % (n,)
         )
@@ -111,7 +111,7 @@ def semi_affine(q: int, p: int) -> PermutationGroup:
     Generated by translation x -> x+1, scaling x -> gx by a multiplicative
     generator g, and the field automorphism x -> x^q.  Order q^p(q^p-1)p.
     """
-    if not (isinstance(q, int) and isinstance(p, int)):
+    if not (is_int(q) and is_int(p)):
         raise MalformedInputError("semi_affine(q, p) needs integers, got %r, %r" % (q, p))
     if not (is_prime(q) and is_prime(p) and q != p):
         raise MalformedInputError(
@@ -138,7 +138,7 @@ def frobenius(n: int, k: int) -> PermutationGroup:
     u is the least unit of multiplicative order exactly k modulo n; the
     parameters are rejected when no such unit exists.
     """
-    if not (isinstance(n, int) and isinstance(k, int)) or n < 2 or k < 2:
+    if not (is_int(n) and is_int(k)) or n < 2 or k < 2:
         raise MalformedInputError("frobenius(n, k) needs integers n, k >= 2, got %r, %r" % (n, k))
     u = None
     for cand in range(2, n):

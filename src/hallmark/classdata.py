@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .arith import is_power_of, require_prime
-from .config import Caps, default_caps
 from .errors import PreconditionError
 from .kernels import Row, kernel
 from .perms import Permutation, PermutationGroup
@@ -59,11 +58,10 @@ class ClassTable:
     table of the subgroup's ambient group (see subgroups).
     """
 
-    def __init__(self, group, caps: Optional[Caps] = None):
+    def __init__(self, group, caps: Optional[int] = None):
         group = _as_group(group)
-        caps = caps or default_caps()
         self.group = group
-        rows = group.element_rows(caps.elements)
+        rows = group.element_rows(caps)
         gen_rows = [kernel.pack(g.images) for g in group.generators]
         cids = kernel.conjugacy_partition(rows, gen_rows)
         nclasses = max(cids) + 1 if cids else 0
@@ -115,9 +113,8 @@ class ClassTable:
         return {row: orders[cid] for row, cid in zip(self._rows, self._cids) if orders[cid]}
 
 
-def class_table(group, caps: Optional[Caps] = None) -> ClassTable:
+def class_table(group, caps: Optional[int] = None) -> ClassTable:
     """The group's ClassTable, built on first use and kept on the group."""
     group = _as_group(group)
-    caps = caps or default_caps()
-    group.element_rows(caps.elements)  # the cap check a fresh build makes
+    group.element_rows(caps)  # the cap check a fresh build makes
     return group.memo("class_table", lambda: ClassTable(group, caps))

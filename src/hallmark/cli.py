@@ -9,7 +9,6 @@ identical inputs produce byte-identical output.
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -18,7 +17,7 @@ import time
 from . import __version__
 from . import catalog, chartab, criteria, lieorders, subgroups
 from .classdata import class_table
-from .config import DEGREE_CAP, Caps, default_caps
+from .config import DEGREE_CAP, default_caps
 from .errors import CapacityError, MalformedInputError, PreconditionError
 
 REPORT_SCHEMA = "hallmark-report/1"
@@ -89,7 +88,7 @@ def _group_blurb(name: str, group) -> dict:
     return {"name": name, "order": group.order, "degree": group.degree}
 
 
-def _emit(args, inputs: dict, payload: dict, caps: Caps = None,
+def _emit(args, inputs: dict, payload: dict, caps: int = None,
           exit_code: int = EXIT_OK) -> int:
     report = {
         "schema": REPORT_SCHEMA,
@@ -98,7 +97,7 @@ def _emit(args, inputs: dict, payload: dict, caps: Caps = None,
         "inputs": inputs,
     }
     if caps is not None:
-        report["caps"] = {"degree_cap": DEGREE_CAP, **dataclasses.asdict(caps)}
+        report["caps"] = {"degree_cap": DEGREE_CAP, "elements": caps}
     report.update(payload)
     report["exit"] = exit_code
     if not args.no_timings:
@@ -192,7 +191,7 @@ def _cmd_hall(args) -> int:
     return _emit(args, inputs, payload, caps, code)
 
 
-def _block_hook(group_source: str, name: str, table_flag, group, caps: Caps):
+def _block_hook(group_source: str, name: str, table_flag, group, caps: int):
     """Principal-block data for theorem C: an explicit --table wins, a
     catalog entry with a shipped table is wired automatically, and file
     groups without --table run with the block side undetermined.  A table

@@ -1,18 +1,24 @@
 """Runtime caps.
 
 Every bound that stops a computation from running away lives here, one
-per bound.  All of them but the element cap are module constants.  The
-element cap is the only one a caller passes, as Caps(elements=...); the
-CLI reads it from the HALLMARK_CAP_ELEMENTS environment variable, which
-must then be a positive integer, and no CLI option raises it.
+per bound, as a module constant.  The element cap is the only one a
+caller passes: an int, the `caps` argument of the library's entry points.
+Every layer hands it on unchanged, and a missing one (None) is resolved
+only where it is read, by default_caps(): the HALLMARK_CAP_ELEMENTS
+environment variable, which must then be a positive integer, or
+ELEMENT_CAP when that is unset.  The CLI always passes default_caps(), and
+no CLI option raises it.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .errors import MalformedInputError
+
+# No group of more than this many elements is enumerated (the default of
+# the element cap; see default_caps).
+ELEMENT_CAP = 5_000_000
 
 # Permutations above this degree are rejected at construction; so are
 # groups and coset actions that would act on more points.
@@ -54,16 +60,11 @@ SYLOW_CONJUGATE_CAP = 50_000
 HALL_CANDIDATE_CAP = 5_000_000
 
 
-@dataclass(frozen=True)
-class Caps:
-    # full element enumeration of one group
-    elements: int = 5_000_000
-
-
-def default_caps() -> Caps:
+def default_caps() -> int:
+    """The element cap: HALLMARK_CAP_ELEMENTS if set, else ELEMENT_CAP."""
     raw = os.environ.get("HALLMARK_CAP_ELEMENTS")
     if not raw:
-        return Caps()
+        return ELEMENT_CAP
     try:
         elements = int(raw)
     except ValueError:
@@ -72,4 +73,4 @@ def default_caps() -> Caps:
         raise MalformedInputError(
             "HALLMARK_CAP_ELEMENTS must be a positive integer, got %r" % raw
         )
-    return Caps(elements=elements)
+    return elements

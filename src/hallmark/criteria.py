@@ -24,7 +24,6 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 from . import subgroups
 from .arith import p_part, prime_factors
 from .classdata import ClassTable, class_table
-from .config import Caps, default_caps
 from .errors import CapacityError, PreconditionError
 from .perms import PermutationGroup
 from .verdicts import Verdict, agreement
@@ -142,7 +141,7 @@ def _capped(what: str, side: Callable[[], Verdict]) -> Verdict:
 
 
 def _on_table(
-    group: PermutationGroup, caps: Caps, criterion: Callable[[ClassTable], Verdict]
+    group: PermutationGroup, caps: Optional[int], criterion: Callable[[ClassTable], Verdict]
 ) -> Verdict:
     """criterion on the group's class table, undetermined when a cap stops
     the table.  A cap the criterion itself hits (the factor cap on a huge
@@ -162,7 +161,7 @@ def _pair_verdict(found: Tuple[bool, Optional[tuple]], yes: str, no: str) -> Ver
     return Verdict.no(no)
 
 
-def _normalizing_pair(group: PermutationGroup, p: int, q: int, caps: Caps) -> Verdict:
+def _normalizing_pair(group: PermutationGroup, p: int, q: int, caps: Optional[int]) -> Verdict:
     return _pair_verdict(
         subgroups.exists_normalizing_sylow_pair(group, p, q, caps),
         "a Sylow %d-subgroup normalizes a Sylow %d-subgroup" % (p, q),
@@ -170,7 +169,9 @@ def _normalizing_pair(group: PermutationGroup, p: int, q: int, caps: Caps) -> Ve
     )
 
 
-def _hall_verdict(group: PermutationGroup, primes: List[int], caps: Caps, abelian: bool) -> Verdict:
+def _hall_verdict(
+    group: PermutationGroup, primes: List[int], caps: Optional[int], abelian: bool
+) -> Verdict:
     """A nilpotent Hall pi-subgroup exists (and, if abelian, is abelian)."""
     hall = subgroups.nilpotent_hall(group, primes, caps)
     if hall is None:
@@ -203,10 +204,9 @@ def blocks_criterion(
 
 
 def check_theorem_a(
-    group: PermutationGroup, p: int, q: int, caps: Optional[Caps] = None
+    group: PermutationGroup, p: int, q: int, caps: Optional[int] = None
 ) -> TheoremCheck:
     """Commuting Sylow p/q pair iff the pair class-size condition holds."""
-    caps = caps or default_caps()
     lhs = _on_table(group, caps, lambda table: pair_criterion(table, p, q))
     rhs = _capped("pair search", lambda: _pair_verdict(
         subgroups.exists_commuting_sylow_pair(group, p, q, caps),
@@ -217,10 +217,9 @@ def check_theorem_a(
 
 
 def check_theorem_b(
-    group: PermutationGroup, pi: Sequence[int], caps: Optional[Caps] = None
+    group: PermutationGroup, pi: Sequence[int], caps: Optional[int] = None
 ) -> TheoremCheck:
     """Nilpotent Hall pi-subgroup iff the pairwise class-size condition."""
-    caps = caps or default_caps()
     primes = sorted(pi)
     lhs = _on_table(group, caps, lambda table: pairwise_criterion(table, primes))
     rhs = _capped("Hall search", lambda: _hall_verdict(group, primes, caps, abelian=False))
@@ -230,7 +229,7 @@ def check_theorem_b(
 def check_theorem_c(
     group: PermutationGroup,
     pi: Sequence[int],
-    caps: Optional[Caps] = None,
+    caps: Optional[int] = None,
     principal_block_clear=None,
 ) -> TheoremCheck:
     """Abelian Hall pi-subgroup iff pi-prime sizes plus the block condition.
@@ -241,7 +240,6 @@ def check_theorem_c(
     supplied by the table layer, or None when no table is available, in
     which case groups where the condition matters come out undetermined.
     """
-    caps = caps or default_caps()
     primes = sorted(pi)
     lhs = _on_table(group, caps, lambda table: pi_prime_sizes_criterion(table, primes))
     if lhs.holds:
@@ -251,11 +249,10 @@ def check_theorem_c(
 
 
 def check_sylow_normalization(
-    group: PermutationGroup, p: int, q: int, caps: Optional[Caps] = None
+    group: PermutationGroup, p: int, q: int, caps: Optional[int] = None
 ) -> TheoremCheck:
     """One-sided: coprime q-element sizes plus p- or q-solvability force
     a Sylow p-subgroup normalizing a Sylow q-subgroup."""
-    caps = caps or default_caps()
     sized = _on_table(group, caps, lambda table: sizes_coprime_criterion(table, q, p))
     premise = sized
     if sized.holds:
@@ -281,11 +278,10 @@ def _implication_check(name: str, params: dict, premise: Verdict, conclusion: Ve
 
 
 def check_core_characterization(
-    group: PermutationGroup, p: int, q: int, caps: Optional[Caps] = None
+    group: PermutationGroup, p: int, q: int, caps: Optional[int] = None
 ) -> TheoremCheck:
     """For p-solvable groups: a Sylow p-subgroup normalizes some Sylow
     q-subgroup iff the quotient by the p'-core has order prime to q."""
-    caps = caps or default_caps()
     params = {"p": p, "q": q}
     try:
         if not subgroups.is_p_solvable(group, p, caps):
@@ -306,12 +302,11 @@ def check_core_characterization(
 
 
 def check_odd_sizes_solvability(
-    group: PermutationGroup, q: int, caps: Optional[Caps] = None
+    group: PermutationGroup, q: int, caps: Optional[int] = None
 ) -> TheoremCheck:
     """Odd q (q odd prime): all q-element class sizes odd forces
     q-solvability, and then a Sylow 2-subgroup normalizes a Sylow
     q-subgroup."""
-    caps = caps or default_caps()
     if q == 2:
         raise PreconditionError("q must be an odd prime")
     premise = _on_table(group, caps, lambda table: sizes_coprime_criterion(table, q, 2))
@@ -377,7 +372,7 @@ def check_one(
     group: PermutationGroup,
     theorem: str,
     primes: Sequence[int],
-    caps: Optional[Caps] = None,
+    caps: Optional[int] = None,
     principal_block_clear=None,
 ) -> TheoremCheck:
     """One check of theorem on primes: a pair, one odd prime, or a prime
@@ -394,13 +389,12 @@ def check_one(
 def check_group(
     group: PermutationGroup,
     theorem: str,
-    caps: Optional[Caps] = None,
+    caps: Optional[int] = None,
     principal_block_clear=None,
 ) -> List[TheoremCheck]:
     """All default checks of one theorem for one group."""
     if theorem not in THEOREMS:
         raise PreconditionError("unknown theorem %r" % (theorem,))
-    caps = caps or default_caps()
     return [
         check_one(group, theorem, primes, caps, principal_block_clear)
         for primes in THEOREMS[theorem].defaults(group.order)

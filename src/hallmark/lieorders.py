@@ -20,9 +20,9 @@ the class_size_* functions check the family, rank, q and primes (the
 primes odd and prime to q), and run_grid checks its manifest.  Each then
 computes k, the order of q (of -q for GU) modulo the prime, and hands it
 to one of two witness builders, _linear (GL, GU) and _orthogonal (SO, and
-Sp read as SO_2n+1).  A builder checks only what its case needs of k and
-n; it factors no number, so the grid's many witnesses cost no primality
-or order test each.
+Sp read as SO_2n+1), which build the one block witness of that prime.  A
+builder checks only that the block fits in rank n; it factors no number,
+so the grid's many witnesses cost no primality or order test each.
 """
 
 import json
@@ -188,16 +188,12 @@ class ClassSize:
         return "ClassSize(%s/%s, value=%d)" % (self.family, self.case, self.value)
 
 
-def _linear(family: str, n: int, q: int, r: int, k: int,
-            case: str = "block") -> ClassSize:
+def _linear(family: str, n: int, q: int, r: int, k: int) -> ClassSize:
     """Witness of GL_n(q) or GU_n(q); k is the order of q (of -q for GU) mod r.
 
-    "block" puts GL_1(q^top) or GU_1(q^top) on top = k * r^m dimensions, m
-    maximal with top <= n; its divisor is prod(tor(j), j < top) with
-    tor(j) = q^j - (+-1)^j.  "excess" and "pair" cover the boundary where
-    r divides the torus of rank one (k = 1): the first needs room
-    n >= r+1, the second is the tight square n == r whose witness pairs an
-    eigenvalue with its inverse and has class size divisible by r itself.
+    The block GL_1(q^top) or GU_1(q^top) sits on top = k * r^m dimensions,
+    m maximal with top <= n; its divisor is prod(tor(j), j < top) with
+    tor(j) = q^j - (+-1)^j.
     """
     unitary = family == "GU"
 
@@ -210,35 +206,15 @@ def _linear(family: str, n: int, q: int, r: int, k: int,
             "r = %d does not divide the group order in rank %d (k = %d > n)" % (r, n, k)
         )
     ambient = _order(family, n, q)
-    params = {"n": n, "q": q, "r": r, "k": k}
-    if case == "block":
-        m = _block_exponent(k, r, n)
-        top = k * r ** m
-        value = _exact_div(ambient, tor(top) * _order(family, n - top, q))
-        # An even k for GU means GL_1(q^(2*kappa)) on 2*kappa dimensions.
-        kappa = top // 2 if unitary and k % 2 == 0 else top
-        params.update(m=m, kappa=kappa, ambient="%s_%d(%d)" % (family, n, q))
-        divisor = prod(tor(j) for j in range(1, top))
-        return ClassSize(family, case, params, value, divisor, ambient)
-    if case not in ("excess", "pair"):
-        raise MalformedInputError("unknown %s case %r" % (family, case))
-    if k != 1:
-        raise PreconditionError(
-            "case %r needs k = 1 (r dividing q %s 1), got k = %d"
-            % (case, "+" if unitary else "-", k)
-        )
-    special = _exact_div(ambient, tor(1))
-    params["ambient"] = "%s_%d(%d)" % ("SU" if unitary else "SL", n, q)
-    if case == "excess":
-        if n < r + 1:
-            raise PreconditionError("case 'excess' needs n >= r + 1, got n=%d r=%d" % (n, r))
-        value = _exact_div(special, tor(r) * _order(family, n - r - 1, q))
-        divisor = prod(tor(j) for j in range(2, r)) * tor(r + 1)
-        return ClassSize(family, case, params, value, divisor, special)
-    if n != r:
-        raise PreconditionError("case 'pair' needs n == r, got n=%d r=%d" % (n, r))
-    value = _exact_div(special, tor(1) * _order(family, n - 2, q))
-    return ClassSize(family, case, params, value, r, special)
+    m = _block_exponent(k, r, n)
+    top = k * r ** m
+    value = _exact_div(ambient, tor(top) * _order(family, n - top, q))
+    # An even k for GU means GL_1(q^(2*kappa)) on 2*kappa dimensions.
+    kappa = top // 2 if unitary and k % 2 == 0 else top
+    params = {"n": n, "q": q, "r": r, "k": k, "m": m, "kappa": kappa,
+              "ambient": "%s_%d(%d)" % (family, n, q)}
+    divisor = prod(tor(j) for j in range(1, top))
+    return ClassSize(family, "block", params, value, divisor, ambient)
 
 
 def _stacked(d: int, eps: int, q: int, big_k: int, a: int):
@@ -253,8 +229,7 @@ def _stacked(d: int, eps: int, q: int, big_k: int, a: int):
     return value, divisor
 
 
-def _orthogonal(family: str, n: int, q: int, r: int, k: int,
-                case: str = "auto") -> ClassSize:
+def _orthogonal(family: str, n: int, q: int, r: int, k: int) -> ClassSize:
     """Witness of Sp_2n(q) or SO^eps_d(q); k is the order of q mod r.
 
     Sp_2n(q) is read as SO_2n+1(q): the two have the same order and the
@@ -263,61 +238,28 @@ def _orthogonal(family: str, n: int, q: int, r: int, k: int,
     "twisted" block GU_1(q^kappa) on a minus-type one: kappa = K * r^m with
     K = k or k/2, and the torus is q^kappa - 1 or q^kappa + 1.  Removing a
     plus-type block keeps eps, removing a minus-type block flips it.  The
-    "-drop" cases step the block down by one power of r; they exist
-    because the group can be the one form with no room for the undropped
-    block (SO^- of dimension 2*kappa for split, SO^+ for twisted).
-    "twisted-stack" repeats the twisted block a = floor(n/K) times, which
-    needs a < r so no block index collapses.
+    group can be the one form with no room for that block (SO^- of
+    dimension 2*kappa for split, SO^+ for twisted); its "-drop" witness
+    then steps the block down by one power of r.
     """
     d, eps = _form(family, n)
-    kind, sign, big_k = ("split", 1, k) if k % 2 else ("twisted", -1, k // 2)
-    cases = ("auto", "split", "twisted", "twisted-stack")
-    if case not in (cases if family == "Sp" else cases + ("split-drop", "twisted-drop")):
-        raise MalformedInputError("unknown %s case %r" % (family[:2], case))
-    if case != "auto" and not case.startswith(kind):
-        raise PreconditionError(
-            "case %r needs k %s, got k = %d" % (case, "odd" if sign == -1 else "even", k)
-        )
+    case, sign, big_k = ("split", 1, k) if k % 2 else ("twisted", -1, k // 2)
     if big_k > n:
         what = "k" if sign == 1 else "k/2"
         raise PreconditionError(
-            "%s cases need %s <= n, got %s=%d n=%d" % (kind, what, what, big_k, n)
+            "%s cases need %s <= n, got %s=%d n=%d" % (case, what, what, big_k, n)
         )
     ambient = _so_order(d, eps, q)
     m = _block_exponent(big_k, r, n)
     kappa = big_k * r ** m
-    drop = d == 2 * kappa and eps == -sign
-    if case == "auto":
-        case = kind + "-drop" if drop else kind
     block = {"m": m, "kappa": kappa}
-    if case == kind and drop:
-        raise PreconditionError(
-            "no %s-type block of dimension %d inside SO^%s_%d"
-            % ("plus" if sign == 1 else "minus", 2 * kappa, "-" if sign == 1 else "+", d)
-        )
     size = kappa
-    if case.endswith("-drop"):
-        if not drop:
-            raise PreconditionError(
-                "case %r needs the group to be SO^%s of dimension 2*kappa"
-                % (case, "-" if sign == 1 else "+")
-            )
+    if d == 2 * kappa and eps == -sign:
+        case += "-drop"
         if m < 1:
             raise PreconditionError("case %r needs m >= 1, got m = 0" % (case,))
         size = block["kappa1"] = kappa // r
-    if case == "twisted-stack":
-        a = n // big_k
-        if a >= r:
-            raise PreconditionError(
-                "case 'twisted-stack' needs floor(n/(k/2)) < r, got %d >= %d" % (a, r)
-            )
-        if d == 2 * a * big_k and eps == -(-1) ** a:
-            raise PreconditionError(
-                "stacked blocks exhaust SO^%+d of dimension %d" % (eps, d)
-            )
-        value, divisor = _stacked(d, eps, q, big_k, a)
-        block = {"a": a, "kappa": big_k}
-    elif case == "twisted-drop":
+    if case == "twisted-drop":
         # r - 1 twisted blocks one power of r down fill the form exactly.
         value, divisor = _stacked(d, eps, q, size, r - 1)
     else:
@@ -345,17 +287,17 @@ def _checked_k(family: str, n, q, r) -> int:
     return _family_order_of_q(family, r, q)
 
 
-def class_size_sl(n: int, q: int, r: int, case: str = "block") -> ClassSize:
+def class_size_sl(n: int, q: int, r: int) -> ClassSize:
     """Class size of the distinguished r-element block witness in GL_n(q).
 
-    The default "block" witness is a cyclic GL_1(q^kappa) block padded by
-    the identity, kappa = k * r^m with k = ord_r(q) and m maximal subject
-    to k * r^m <= n; its class size is divisible by prod(q^j - 1, j < kappa).
+    The witness is a cyclic GL_1(q^kappa) block padded by the identity,
+    kappa = k * r^m with k = ord_r(q) and m maximal subject to
+    k * r^m <= n; its class size is divisible by prod(q^j - 1, j < kappa).
     """
-    return _linear("GL", n, q, r, _checked_k("GL", n, q, r), case)
+    return _linear("GL", n, q, r, _checked_k("GL", n, q, r))
 
 
-def class_size_su(n: int, q: int, r: int, case: str = "block") -> ClassSize:
+def class_size_su(n: int, q: int, r: int) -> ClassSize:
     """Class size of the distinguished r-element block witness in GU_n(q).
 
     The block sits on k * r^m dimensions, k = ord_r(-q) and m maximal with
@@ -363,33 +305,30 @@ def class_size_su(n: int, q: int, r: int, case: str = "block") -> ClassSize:
     k it is the cyclic GL_1(q^(2*kappa)), kappa = (k/2) * r^m.  Both carry
     divisor prod(q^j - (-1)^j) over j below the block's dimension.
     """
-    return _linear("GU", n, q, r, _checked_k("GU", n, q, r), case)
+    return _linear("GU", n, q, r, _checked_k("GU", n, q, r))
 
 
-def class_size_sp(n: int, q: int, r: int, case: str = "auto") -> ClassSize:
+def class_size_sp(n: int, q: int, r: int) -> ClassSize:
     """Class size of the distinguished r-element block witness in Sp_2n(q).
 
-    Sp as SO_2n+1: the witnesses are those of class_size_so(2n+1, 0, q, r,
-    case) under the Sp label.  "split" (k = ord_r(q) odd) embeds
-    GL_1(q^kappa) on a plus-type 2*kappa subspace; "twisted" (k even)
-    embeds GU_1(q^kappa) on a minus-type one, kappa built from K = k/2.
-    "twisted-stack" repeats the twisted block a = floor(n/K) times, which
-    needs a < r so no block index collapses.
+    Sp as SO_2n+1: the witness is that of class_size_so(2n+1, 0, q, r)
+    under the Sp label.  For odd k = ord_r(q) it is "split", GL_1(q^kappa)
+    on a plus-type 2*kappa subspace; for even k it is "twisted",
+    GU_1(q^kappa) on a minus-type one, kappa built from K = k/2.
     """
-    return _orthogonal("Sp", n, q, r, _checked_k("Sp", n, q, r), case)
+    return _orthogonal("Sp", n, q, r, _checked_k("Sp", n, q, r))
 
 
-def class_size_so(d: int, eps: int, q: int, r: int, case: str = "auto") -> ClassSize:
+def class_size_so(d: int, eps: int, q: int, r: int) -> ClassSize:
     """Class size of the distinguished r-element block witness in SO_d(q).
 
-    Cases mirror the symplectic ones ("split", "twisted", "twisted-stack"),
-    except that the sign of the ambient form matters: removing a plus-type
-    block keeps eps, removing a minus-type block flips it.  The "-drop"
-    variants step the block size down by one power of r; they exist because
-    the whole group can coincide with the one form that has no room for the
-    undropped block (split needs a plus-type 2*kappa subspace, so SO^- of
-    dimension exactly 2*kappa falls back to "split-drop", and dually SO^+
-    to "twisted-drop").
+    The witness is the symplectic one ("split" or "twisted"), except that
+    the sign of the ambient form matters: removing a plus-type block keeps
+    eps, removing a minus-type block flips it.  The whole group can be the
+    one form with no room for the block (split needs a plus-type 2*kappa
+    subspace, so SO^- of dimension exactly 2*kappa, and dually SO^+ for
+    twisted); its witness is then "split-drop" or "twisted-drop", the
+    block stepped down by one power of r.
     """
     if d % 2 == 0:
         if eps not in (1, -1):
@@ -402,7 +341,7 @@ def class_size_so(d: int, eps: int, q: int, r: int, case: str = "auto") -> Class
     if n < 1:
         raise MalformedInputError("dimension %r leaves no rank" % (d,))
     family = "SOodd" if d % 2 else ("SOplus" if eps == 1 else "SOminus")
-    return _orthogonal(family, n, q, r, _checked_k(family, n, q, r), case)
+    return _orthogonal(family, n, q, r, _checked_k(family, n, q, r))
 
 
 def _chain_report(family: str, n: int, q: int, ambient: int, k: int, r: int,
@@ -454,18 +393,24 @@ def _chain_report(family: str, n: int, q: int, ambient: int, k: int, r: int,
 
 def _stack_value(family: str, n: int, q: int, prime: int, k: int) -> int:
     """Class size of the stacked twisted witness for `prime`, whose q has
-    even order k, one block fewer when the full stack would exhaust the
-    group (possible only for the even-dimension orthogonal forms)."""
+    even order k: a = floor(n/(k/2)) blocks GU_1(q^(k/2)), one fewer when
+    the full stack would exhaust the group (possible only for the
+    even-dimension orthogonal forms).  A full stack needs a < prime, so
+    no block index collapses."""
     d, eps = _form(family, n)
     big_k = k // 2
     a = n // big_k
     if d == 2 * a * big_k and eps == -(-1) ** a:
         return _stacked(d, eps, q, big_k, a - 1)[0]
-    return _orthogonal(family, n, q, prime, k, "twisted-stack").value
+    if a >= prime:
+        raise PreconditionError(
+            "case 'twisted-stack' needs floor(n/(k/2)) < r, got %d >= %d" % (a, prime)
+        )
+    return _stacked(d, eps, q, big_k, a)[0]
 
 
 def _block_witness(family: str, n: int, q: int, prime: int, k: int) -> ClassSize:
-    # The default-case witness of `prime`, whose order of q (of -q for GU) is k.
+    # The block witness of `prime`, whose order of q (of -q for GU) is k.
     build = _linear if family in ("GL", "GU") else _orthogonal
     return build(family, n, q, prime, k)
 

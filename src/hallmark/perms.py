@@ -44,7 +44,7 @@ class Permutation:
     Products read left to right: (p * q)(i) == q(p(i)).
     """
 
-    __slots__ = ("images", "_hash")
+    __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
         imgs = tuple(images)
@@ -67,7 +67,6 @@ class Permutation:
                 raise MalformedInputError(f"duplicate image {v} at position {pos}")
             seen[v] = 1
         self.images = imgs
-        self._hash = hash(imgs)
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -86,13 +85,11 @@ class Permutation:
             raise MalformedInputError("cannot compose permutations of different degrees")
         p = Permutation.__new__(Permutation)
         p.images = compose(self.images, other.images)
-        p._hash = hash(p.images)
         return p
 
     def inverse(self) -> "Permutation":
         p = Permutation.__new__(Permutation)
         p.images = inverse(self.images)
-        p._hash = hash(p.images)
         return p
 
     def __pow__(self, k: int) -> "Permutation":
@@ -141,7 +138,7 @@ class Permutation:
         return isinstance(other, Permutation) and self.images == other.images
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.images)
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
@@ -354,7 +351,7 @@ class PermutationGroup:
         """All elements as sorted kernel rows, each formed once as a product
         of one transversal element per level.  Cached after first call."""
         if cap is None:
-            cap = default_caps().elements
+            cap = default_caps()
         if self.order > cap:
             raise CapacityError(
                 f"group order {self.order} exceeds the element cap {cap}",
@@ -377,7 +374,6 @@ class PermutationGroup:
     def _perm_from_row(self, row: Row) -> Permutation:
         p = Permutation.__new__(Permutation)
         p.images = kernel.unpack(row)
-        p._hash = hash(p.images)
         return p
 
     # -- constructions ---------------------------------------------------

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arith import is_power_of, is_prime, p_part, pi_part, prime_factors, require_prime
 from .classdata import ClassTable, class_table
-from .config import HALL_CANDIDATE_CAP, SYLOW_CONJUGATE_CAP, Caps, default_caps
+from .config import HALL_CANDIDATE_CAP, SYLOW_CONJUGATE_CAP, default_caps
 from .errors import CapacityError, PreconditionError
 from .kernels import Row, kernel
 from .perms import Permutation, PermutationGroup
@@ -54,7 +54,7 @@ def _gen_rows(sub) -> List[Row]:
 
 
 def _p_element_orders(
-    host: PermutationGroup, rows: List[Row], p: int, caps: Caps
+    host: PermutationGroup, rows: List[Row], p: int, caps: Optional[int]
 ) -> Dict[Row, int]:
     """{row: element order} for host's nontrivial p-elements, in row
     order, where rows are host's rows.  Read from a map kept per p on
@@ -62,7 +62,7 @@ def _p_element_orders(
     group is over the element cap, so no climb raises a cap error that
     host's rows do not."""
     ambient = host.ambient
-    if ambient.order > caps.elements:
+    if ambient.order > (default_caps() if caps is None else caps):
         ambient = host
     known = ambient.memo(
         ("p_elements", p), lambda: class_table(ambient, caps).p_element_orders(p)
@@ -72,15 +72,14 @@ def _p_element_orders(
     return {row: known[row] for row in rows if row in known}
 
 
-def _rows(group, caps: Caps) -> List[Row]:
+def _rows(group, caps: Optional[int]) -> List[Row]:
     if not isinstance(group, PermutationGroup):
         raise PreconditionError("expected a permutation group")
-    return group.element_rows(caps.elements)
+    return group.element_rows(caps)
 
 
-def centralizer(group, target, caps: Optional[Caps] = None) -> PermutationGroup:
+def centralizer(group, target, caps: Optional[int] = None) -> PermutationGroup:
     """Centralizer of a subgroup or a Permutation inside group."""
-    caps = caps or default_caps()
     rows = _rows(group, caps)
     if isinstance(target, Permutation):
         xs = [kernel.pack(target.images)]
@@ -91,10 +90,9 @@ def centralizer(group, target, caps: Optional[Caps] = None) -> PermutationGroup:
     return group.subgroup_from_rows(kernel.centralizer_filter(rows, xs))
 
 
-def normalizer(group, sub: PermutationGroup, caps: Optional[Caps] = None) -> PermutationGroup:
-    caps = caps or default_caps()
+def normalizer(group, sub: PermutationGroup, caps: Optional[int] = None) -> PermutationGroup:
     rows = _rows(group, caps)
-    sub_rows = sub.element_rows(caps.elements)
+    sub_rows = sub.element_rows(caps)
     kept = kernel.normalizer_filter(rows, _gen_rows(sub), set(sub_rows))
     return group.subgroup_from_rows(kept)
 
@@ -134,10 +132,9 @@ def _sylow_rows(
         gens.append(normal[0])
 
 
-def sylow(group, p: int, caps: Optional[Caps] = None) -> PermutationGroup:
+def sylow(group, p: int, caps: Optional[int] = None) -> PermutationGroup:
     """A Sylow p-subgroup, as a subgroup of group; one per prime and
     group, kept on the group."""
-    caps = caps or default_caps()
     require_prime(p)
     rows = _rows(group, caps)
 
@@ -149,7 +146,7 @@ def sylow(group, p: int, caps: Optional[Caps] = None) -> PermutationGroup:
 
 
 def _sylow_and(
-    kind: str, group: PermutationGroup, q: int, caps: Caps
+    kind: str, group: PermutationGroup, q: int, caps: Optional[int]
 ) -> Tuple[PermutationGroup, PermutationGroup]:
     """sylow(group, q) and its "normalizer" or "centralizer" (kind), which
     is kept on group as ("sylow_" + kind, q)."""
@@ -158,14 +155,13 @@ def _sylow_and(
     return Q, group.memo(("sylow_" + kind, q), lambda: build(group, Q, caps))
 
 
-def all_sylow(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> List[List[Row]]:
+def all_sylow(group: PermutationGroup, p: int, caps: Optional[int] = None) -> List[List[Row]]:
     """Generator rows of every Sylow p-subgroup, from the conjugation orbit
     of one of them: each conjugate's generators are the seed's generators
     conjugated along the orbit's search tree, and the list is in the order
     of the conjugates' sorted element rows."""
-    caps = caps or default_caps()
     seed = sylow(group, p, caps)
-    seed_rows = tuple(seed.element_rows(caps.elements))
+    seed_rows = tuple(seed.element_rows(caps))
     gen_rows = _gen_rows(group)
     gen_invs = [kernel.inverse(g) for g in gen_rows]
     seen = {seed_rows: _gen_rows(seed)}
@@ -190,9 +186,8 @@ def all_sylow(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> L
     return [seen[rows] for rows in sorted(seen)]
 
 
-def sylow_count(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> int:
+def sylow_count(group: PermutationGroup, p: int, caps: Optional[int] = None) -> int:
     """Number of Sylow p-subgroups, via the normalizer index."""
-    caps = caps or default_caps()
     _, n = _sylow_and("normalizer", group, p, caps)
     return group.order // n.order
 
@@ -206,14 +201,13 @@ def is_abelian(sub) -> bool:
     return True
 
 
-def is_nilpotent(sub, caps: Optional[Caps] = None) -> bool:
+def is_nilpotent(sub, caps: Optional[int] = None) -> bool:
     """Nilpotent iff every Sylow subgroup is normal."""
-    caps = caps or default_caps()
     return all(sylow_count(sub, p, caps) == 1 for p in prime_factors(sub.order))
 
 
 def exists_commuting_sylow_pair(
-    group: PermutationGroup, p: int, q: int, caps: Optional[Caps] = None
+    group: PermutationGroup, p: int, q: int, caps: Optional[int] = None
 ) -> Tuple[bool, Optional[Tuple[PermutationGroup, PermutationGroup]]]:
     """Whether some Sylow p- and q-subgroups commute elementwise.
 
@@ -221,7 +215,6 @@ def exists_commuting_sylow_pair(
     the centralizer of P contains a full Sylow q-subgroup of the group
     (conjugate any commuting pair so its p-half becomes P).
     """
-    caps = caps or default_caps()
     require_prime(p)
     require_prime(q, "q")
     if p == q:
@@ -234,14 +227,13 @@ def exists_commuting_sylow_pair(
 
 
 def exists_normalizing_sylow_pair(
-    group: PermutationGroup, p: int, q: int, caps: Optional[Caps] = None
+    group: PermutationGroup, p: int, q: int, caps: Optional[int] = None
 ) -> Tuple[bool, Optional[Tuple[PermutationGroup, PermutationGroup]]]:
     """Whether some Sylow p-subgroup normalizes some Sylow q-subgroup.
 
     Checked on one fixed Sylow q-subgroup Q: such a pair exists iff the
     normalizer of Q contains a full Sylow p-subgroup of the group.
     """
-    caps = caps or default_caps()
     require_prime(p)
     require_prime(q, "q")
     if p == q:
@@ -254,7 +246,7 @@ def exists_normalizing_sylow_pair(
 
 
 def chief_series(
-    group: PermutationGroup, caps: Optional[Caps] = None
+    group: PermutationGroup, caps: Optional[int] = None
 ) -> Tuple[PermutationGroup, ...]:
     """A chief series 1 = N_0 < N_1 < ... < N_k = group, kept on the group.
 
@@ -289,7 +281,7 @@ def _chief_series(group: PermutationGroup, table: ClassTable) -> Tuple[Permutati
 
 
 def minimal_normal_subgroup(
-    group: PermutationGroup, caps: Optional[Caps] = None
+    group: PermutationGroup, caps: Optional[int] = None
 ) -> Optional[PermutationGroup]:
     """A minimal normal subgroup: the chief series' first term above 1,
     or None for the trivial group."""
@@ -297,7 +289,7 @@ def minimal_normal_subgroup(
     return series[1] if len(series) > 1 else None
 
 
-def is_simple(group: PermutationGroup, caps: Optional[Caps] = None) -> bool:
+def is_simple(group: PermutationGroup, caps: Optional[int] = None) -> bool:
     """Nontrivial, and its chief series has one factor."""
     if group.order == 1:
         return False
@@ -338,7 +330,7 @@ def _is_solvable(group: PermutationGroup) -> bool:
     return True
 
 
-def is_p_solvable(group: PermutationGroup, p: int, caps: Optional[Caps] = None) -> bool:
+def is_p_solvable(group: PermutationGroup, p: int, caps: Optional[int] = None) -> bool:
     """Every composition factor is a p-group or a p'-group; read from the
     chief factors."""
     require_prime(p)
@@ -351,7 +343,7 @@ def is_p_solvable(group: PermutationGroup, p: int, caps: Optional[Caps] = None) 
 
 
 def op_prime_core(
-    group: PermutationGroup, p: int, caps: Optional[Caps] = None
+    group: PermutationGroup, p: int, caps: Optional[int] = None
 ) -> PermutationGroup:
     """O_{p'}(group): the largest normal subgroup of order coprime to p.
 
@@ -414,7 +406,7 @@ def _check_pi(group_order: int, pi: Sequence[int]) -> Tuple[int, ...]:
 
 
 def nilpotent_hall(
-    group: PermutationGroup, pi: Sequence[int], caps: Optional[Caps] = None
+    group: PermutationGroup, pi: Sequence[int], caps: Optional[int] = None
 ) -> Optional[PermutationGroup]:
     """A nilpotent Hall pi-subgroup, or None if none exists.
 
@@ -427,7 +419,6 @@ def nilpotent_hall(
     centralizer, kept on the scope's group, so a later call walks the
     same subgroups without climbing again.
     """
-    caps = caps or default_caps()
     primes = _check_pi(group.order, pi)
     if not primes:
         return group.subgroup([])
@@ -446,10 +437,9 @@ def nilpotent_hall(
 
 
 def hall_subgroup(
-    group: PermutationGroup, pi: Sequence[int], caps: Optional[Caps] = None
+    group: PermutationGroup, pi: Sequence[int], caps: Optional[int] = None
 ) -> HallSearch:
     """Search for any Hall pi-subgroup; see the module docstring."""
-    caps = caps or default_caps()
     primes = _check_pi(group.order, pi)
     order = group.order
     target = pi_part(order, primes)
@@ -484,7 +474,7 @@ def _divides_factorial(n: int, m: int) -> bool:
 
 
 def _anchored_search(
-    group: PermutationGroup, primes: Tuple[int, ...], target: int, caps: Caps
+    group: PermutationGroup, primes: Tuple[int, ...], target: int, caps: Optional[int]
 ) -> HallSearch:
     """Closure search over Sylow choices, anchored at the scarcest prime.
 
@@ -535,7 +525,7 @@ def _anchored_search(
         return None
 
     try:
-        result = extend(_gen_rows(seed), seed.element_rows(caps.elements), tuple(others))
+        result = extend(_gen_rows(seed), seed.element_rows(caps), tuple(others))
     except CapacityError as exc:
         return HallSearch("inconclusive", None, str(exc), exc)
     if result is not None:

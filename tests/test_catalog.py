@@ -63,6 +63,12 @@ class TestBuilders:
         (catalog.symmetric, True),
         (catalog.psl2, 1),
         (catalog.psl2, True),
+        # a bool is an int but not an integer parameter
+        (catalog.cyclic, True),
+        (catalog.cyclic, 2.0),
+        (catalog.dihedral, True),
+        pytest.param(lambda n: catalog.frobenius(n, 2), True, id="frobenius-True"),
+        pytest.param(lambda q: catalog.semi_affine(q, 3), True, id="semi_affine-True"),
     ])
     def test_builders_reject_bad_parameters(self, build, arg):
         with pytest.raises(MalformedInputError):

@@ -3,9 +3,8 @@
 import pytest
 
 import oracles
-from hallmark import catalog
+from hallmark import catalog, config
 from hallmark.classdata import ClassTable, class_table
-from hallmark.config import Caps
 from hallmark.errors import CapacityError, PreconditionError
 
 def naive_class_data(group):
@@ -65,4 +64,20 @@ class TestClassTable:
 
     def test_caps_respected(self):
         with pytest.raises(CapacityError):
-            ClassTable(catalog.build("a5"), Caps(elements=59))
+            ClassTable(catalog.build("a5"), 59)
+
+    def test_missing_cap_is_read_from_the_environment(self, monkeypatch):
+        # No cap passed: the table's element enumeration resolves it.
+        monkeypatch.setenv("HALLMARK_CAP_ELEMENTS", "59")
+        with pytest.raises(CapacityError) as info:
+            class_table(catalog.build("a5"))
+        assert info.value.cap_value == 59
+        monkeypatch.delenv("HALLMARK_CAP_ELEMENTS")
+        assert len(class_table(catalog.build("a5")).classes) == 5
+
+    def test_default_caps_is_an_int(self, monkeypatch):
+        monkeypatch.delenv("HALLMARK_CAP_ELEMENTS", raising=False)
+        assert config.default_caps() == config.ELEMENT_CAP
+        monkeypatch.setenv("HALLMARK_CAP_ELEMENTS", "59")
+        cap = config.default_caps()
+        assert type(cap) is int and cap == 59

@@ -7,7 +7,6 @@ only, which is the statement under test; disagreement on any catalog
 group would falsify the implementation, not the sweep.
 """
 
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -15,7 +14,6 @@ import pytest
 from hallmark import catalog, classdata, criteria, subgroups
 from hallmark.arith import prime_factors
 from hallmark.classdata import ClassTable
-from hallmark.config import Caps, default_caps
 from hallmark.errors import CapacityError, PreconditionError
 from hallmark.kernels import kernel
 from hallmark.verdicts import Verdict, agreement
@@ -305,7 +303,7 @@ class TestCheckGroup:
 
 class TestCapacityDegradation:
     def test_both_sides_go_undetermined(self):
-        tiny = replace(default_caps(), elements=10)
+        tiny = 10
         check = criteria.check_theorem_a(group("a5"), 2, 3, caps=tiny)
         assert check.lhs.holds is None
         assert check.rhs.holds is None
@@ -379,7 +377,7 @@ class TestGroupFacts:
         for theorem in criteria.THEOREMS:
             criteria.check_group(warm, theorem)
         fresh = catalog.build("a5xc7")
-        small = Caps(elements=warm.order - 1)
+        small = warm.order - 1
         raised = []
         for grp in (warm, fresh):
             with pytest.raises(CapacityError) as info:
@@ -395,9 +393,9 @@ class TestGroupFacts:
         assert subgroups.sylow(norm, 7, small).element_rows() == kept.element_rows()
 
     @pytest.mark.parametrize("name, small", [
-        ("s5", Caps(elements=100)),
-        ("a5xc7", Caps(elements=60)),
-    ])
+        ("s5", 100),
+        ("a5xc7", 60),
+    ], ids=["s5-small0", "a5xc7-small1"])
     def test_smaller_caps_after_default_caps_match_a_fresh_group(self, name, small):
         warm = catalog.build(name)
         for theorem in criteria.THEOREMS:
@@ -417,10 +415,10 @@ class TestGroupFacts:
         subgroups.is_p_solvable(warm, 2)
         subgroups.op_prime_core(warm, 3)
         calls = [
-            lambda g: classdata.class_table(g, Caps(elements=100)),
-            lambda g: subgroups.sylow(g, 2, Caps(elements=100)),
-            lambda g: subgroups.is_p_solvable(g, 2, Caps(elements=100)),
-            lambda g: subgroups.op_prime_core(g, 3, Caps(elements=100)),
+            lambda g: classdata.class_table(g, 100),
+            lambda g: subgroups.sylow(g, 2, 100),
+            lambda g: subgroups.is_p_solvable(g, 2, 100),
+            lambda g: subgroups.op_prime_core(g, 3, 100),
         ]
         for call in calls:
             raised = []

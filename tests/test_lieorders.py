@@ -161,6 +161,9 @@ class TestMultiplicativeOrders:
             class_size_su(2, 2, 9)
         with pytest.raises(PreconditionError, match="divides q"):
             class_size_sl(2, 25, 5)
+        # ord_7(2) = 3 exceeds the rank
+        with pytest.raises(PreconditionError, match="does not divide"):
+            class_size_sl(2, 2, 7)
 
 
 class TestCrossCheckAgainstEnumeration:
@@ -257,77 +260,20 @@ class TestClassSizeReports:
         assert cs.ambient % cs.value == 0
 
 
-class TestPairAndExcessCases:
-    def test_gl_pair_closed_form(self):
-        # n = r and r | q - 1: the size collapses to a three-factor product.
-        for r, q in ((3, 4), (3, 7), (5, 11)):
-            cs = class_size_sl(r, q, r, case="pair")
-            closed = (
-                q ** (2 * r - 3)
-                * ((q**r - 1) // (q - 1))
-                * ((q ** (r - 1) - 1) // (q - 1))
-            )
-            assert cs.value == closed
-            assert cs.divisor == r
-            assert cs.divisor_holds and cs.divides_ambient
-
-    def test_su_pair_closed_form(self):
-        for r, q in ((3, 2), (3, 5), (5, 4)):
-            cs = class_size_su(r, q, r, case="pair")
-            closed = (
-                q ** (2 * r - 3)
-                * ((q**r + 1) // (q + 1))
-                * ((q ** (r - 1) - 1) // (q + 1))
-            )
-            assert cs.value == closed
-            assert cs.divisor == r
-
-    def test_excess_frozen(self):
-        # |SL_4(4)| / (4^3 - 1) = 987033600 / 63.
-        cs = class_size_sl(4, 4, 3, case="excess")
-        assert cs.value == 15667200
-        assert cs.divisor_holds and cs.divides_ambient
-        # |SU_4(2)| / (2^3 + 1) = 25920 / 9.
-        cs = class_size_su(4, 2, 3, case="excess")
-        assert cs.value == 2880
-        assert cs.divisor_holds and cs.divides_ambient
-
-    def test_case_preconditions(self):
-        with pytest.raises(PreconditionError, match="n >= r \\+ 1"):
-            class_size_sl(3, 4, 3, case="excess")
-        with pytest.raises(PreconditionError, match="n == r"):
-            class_size_sl(4, 4, 3, case="pair")
-        with pytest.raises(PreconditionError, match="k = 1"):
-            class_size_sl(3, 2, 3, case="pair")
-        with pytest.raises(MalformedInputError, match="unknown GL case"):
-            class_size_sl(3, 2, 7, case="orbit")
-        with pytest.raises(PreconditionError, match="does not divide"):
-            class_size_sl(2, 2, 7)
-
-
 class TestSymplecticAndOrthogonalCases:
     def test_sp_parity_dispatch(self):
         assert class_size_sp(1, 4, 3).to_json()["case"] == "split"
         assert class_size_sp(1, 4, 5).to_json()["case"] == "twisted"
-        with pytest.raises(PreconditionError, match="k even"):
-            class_size_sp(1, 4, 3, case="twisted")
-        with pytest.raises(PreconditionError, match="k odd"):
-            class_size_sp(1, 4, 5, case="split")
 
     def test_sp_twisted_stack(self):
-        cs = class_size_sp(2, 2, 3, case="twisted-stack")
-        rep = cs.to_json()
-        assert rep["case"] == "twisted-stack"
-        assert rep["params"]["a"] == 2
+        # ord_3(2) = 2: a = floor(2 / 1) = 2 blocks GU_1(2) stacked in Sp_4(2),
         # |Sp_4(2)| / |GU_2(2)| = 720 / 18.
-        assert cs.value == 40
-        assert cs.ambient == 720
-        assert cs.divides_ambient
+        assert lieorders._stack_value("Sp", 2, 2, 3, 2) == 40
         # The stack needs strictly fewer than r blocks.
         with pytest.raises(PreconditionError, match="floor"):
-            class_size_sp(3, 2, 3, case="twisted-stack")
+            lieorders._stack_value("Sp", 3, 2, 3, 2)
         with pytest.raises(PreconditionError, match="floor"):
-            class_size_sp(4, 2, 3, case="twisted-stack")
+            lieorders._stack_value("Sp", 4, 2, 3, 2)
 
     def test_so_drop_cases(self):
         # Minus type of dimension 2*kappa: the split torus eats the form.
@@ -396,7 +342,7 @@ class TestWitnessBuilders:
     def test_sp_is_odd_dimensional_so(self):
         # Sp_2n(q) and SO_2n+1(q) have the same order, so each witness of
         # one is a witness of the other: same case, value, divisor and
-        # ambient, and a case that does not apply fails alike in both.
+        # ambient, and a witness that does not fit fails alike in both.
         def outcome(build, *args):
             try:
                 cs = build(*args)
@@ -409,15 +355,11 @@ class TestWitnessBuilders:
             for r in (3, 5, 7, 11, 13):
                 if q % r == 0:
                     continue
-                k = ord_mod(r, q)
                 for n in range(1, 9):
-                    for case in ("auto", "split" if k % 2 else "twisted", "twisted-stack"):
-                        if case == "twisted-stack" and k % 2:
-                            continue
-                        sp = outcome(class_size_sp, n, q, r, case)
-                        assert sp == outcome(class_size_so, 2 * n + 1, 0, q, r, case)
-                        compared += sp != "precondition"
-        assert compared > 300
+                    sp = outcome(class_size_sp, n, q, r)
+                    assert sp == outcome(class_size_so, 2 * n + 1, 0, q, r)
+                    compared += sp != "precondition"
+        assert compared == 188
 
     @pytest.mark.parametrize("build", [
         lambda: class_size_sl(2, 3, 2),
@@ -430,16 +372,6 @@ class TestWitnessBuilders:
         with pytest.raises(PreconditionError, match="r must be odd, got 2"):
             build()
 
-    def test_case_parity_and_names(self):
-        # ord_7(2) = 3 is odd and ord_3(2) = 2 is even.
-        with pytest.raises(PreconditionError, match="'twisted' needs k even"):
-            class_size_so(7, 0, 2, 7, case="twisted")
-        with pytest.raises(PreconditionError, match="'split' needs k odd"):
-            class_size_so(6, 1, 2, 3, case="split")
-        with pytest.raises(MalformedInputError, match="unknown SO case"):
-            class_size_so(7, 0, 2, 7, case="orbit")
-        with pytest.raises(MalformedInputError, match="unknown Sp case"):
-            class_size_sp(3, 2, 7, case="split-drop")
 
 class TestVerifyPair:
     def test_vacuous_point(self):

@@ -64,6 +64,16 @@ class TestPermutation:
         g = from_cycles(4, (0, 2, 1, 3))
         assert p.conjugate(g) == g.inverse() * p * g
 
+    def test_equal_permutations_hash_alike(self):
+        # built by the constructor, a product, an inverse and from a row
+        p = from_cycles(5, (0, 1, 2))
+        q = from_cycles(5, (0, 2, 1)).inverse()
+        r = from_cycles(5, (1, 2)) * from_cycles(5, (0, 1))
+        s = PermutationGroup(5, [p]).elements()[1]
+        assert p == q == r == s
+        assert len({hash(x) for x in (p, q, r, s)}) == 1
+        assert {p, q, r, s} == {p}
+
     def test_rejects_non_bijections(self):
         with pytest.raises(MalformedInputError):
             Permutation([0, 0, 1])

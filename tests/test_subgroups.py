@@ -7,7 +7,6 @@ import pytest
 import oracles
 from hallmark import catalog, classdata, subgroups
 from hallmark.arith import p_part, pi_part, prime_factors
-from hallmark.config import Caps
 from hallmark.errors import CapacityError, PreconditionError
 from hallmark.kernels import kernel
 
@@ -92,7 +91,7 @@ class TestSylow:
 
     def test_sylow_cap(self):
         with pytest.raises(CapacityError):
-            subgroups.sylow(catalog.build("a5"), 2, Caps(elements=10))
+            subgroups.sylow(catalog.build("a5"), 2, 10)
 
 
 def unpacked_rows(sub):
