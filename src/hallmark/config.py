@@ -52,10 +52,13 @@ RANK_CAP = 32
 SIFT_CAP = 20_000
 
 # The anchored Hall search (subgroups._anchored_search) lists at most
-# SYLOW_CONJUGATE_CAP conjugates of one Sylow subgroup and materializes at
-# most HALL_CANDIDATE_CAP elements across all its closures.  Over the
-# catalog the longest list has 960 entries (a8's Sylow 7-subgroups) and
-# the largest search, a8 with pi = {2, 5, 7}, 731,472 elements.
+# SYLOW_CONJUGATE_CAP conjugates of one Sylow subgroup for every prime, the
+# anchor's included, and charges its candidates at most HALL_CANDIDATE_CAP
+# elements in all.  A candidate is charged the elements its closure adds;
+# one that element orders refute at the last prime is charged as an
+# overflowing closure without being closed.  Over the catalog the longest
+# list has 960 entries (a8's Sylow 7-subgroups) and the largest search, a8
+# with pi = {2, 5, 7}, is charged 731,472 elements.
 SYLOW_CONJUGATE_CAP = 50_000
 HALL_CANDIDATE_CAP = 5_000_000
 

@@ -32,6 +32,10 @@ orders, and no check builds a quotient group.  The Hall strategies:
   1. a centralizer chain that is complete for nilpotent Hall subgroups;
   2. an anchored closure search over Sylow combinations, complete but
      budgeted, so it reports "inconclusive" rather than running away.
+     It lists every Sylow subgroup of each prime of pi by all_sylow,
+     reads the Sylow counts off those lists, not off normalizers, and
+     refutes what candidates it can at the last prime by two element
+     orders before closing them.
 
 A found Hall subgroup is returned as a witness; absence claims state
 which strategy proved them.
@@ -158,32 +162,52 @@ def _sylow_and(
 def all_sylow(group: PermutationGroup, p: int, caps: Optional[int] = None) -> List[List[Row]]:
     """Generator rows of every Sylow p-subgroup, from the conjugation orbit
     of one of them: each conjugate's generators are the seed's generators
-    conjugated along the orbit's search tree, and the list is in the order
-    of the conjugates' sorted element rows."""
+    conjugated along the orbit's breadth-first search tree, and the list
+    is in the order of the conjugates' sorted element rows.
+
+    A step conjugates the generators first.  When they all lie in one
+    conjugate already found, that conjugate is the step's (the orders are
+    equal); only a new conjugate has its element rows conjugated.  The
+    conjugates holding a generator are read from an index of the
+    nontrivial rows: the first conjugate holding each row, and the later
+    ones for a row that several conjugates share."""
     seed = sylow(group, p, caps)
-    seed_rows = tuple(seed.element_rows(caps))
+    found = [tuple(seed.element_rows(caps))]
+    found_gens = [_gen_rows(seed)]
+    first = dict.fromkeys(found[0][1:], 0)
+    later: Dict[Row, List[int]] = {}
+
+    def holders(row: Row) -> set:
+        """The conjugates found so far that hold row, which is nontrivial."""
+        return {first[row], *later.get(row, ())} if row in first else set()
+
     gen_rows = _gen_rows(group)
     gen_invs = [kernel.inverse(g) for g in gen_rows]
-    seen = {seed_rows: _gen_rows(seed)}
-    frontier = [seed_rows]
+    frontier = [0]
     while frontier:
         nxt = []
-        for rows in frontier:
+        for k in frontier:
             for g, gi in zip(gen_rows, gen_invs):
-                conj = tuple(sorted(kernel.compose(kernel.compose(gi, r), g) for r in rows))
-                if conj not in seen:
-                    if len(seen) >= SYLOW_CONJUGATE_CAP:
-                        raise CapacityError(
-                            "Sylow conjugate orbit exceeds cap",
-                            cap_name="sylow_conjugates",
-                            cap_value=SYLOW_CONJUGATE_CAP,
-                        )
-                    seen[conj] = [
-                        kernel.compose(kernel.compose(gi, s), g) for s in seen[rows]
-                    ]
-                    nxt.append(conj)
+                gens = [kernel.compose(kernel.compose(gi, s), g) for s in found_gens[k]]
+                if not gens or set.intersection(*map(holders, gens)):
+                    continue
+                if len(found) >= SYLOW_CONJUGATE_CAP:
+                    raise CapacityError(
+                        "Sylow conjugate orbit exceeds cap",
+                        cap_name="sylow_conjugates",
+                        cap_value=SYLOW_CONJUGATE_CAP,
+                    )
+                conj = tuple(sorted(kernel.compose(kernel.compose(gi, r), g) for r in found[k]))
+                for r in conj[1:]:
+                    if r in first:
+                        later.setdefault(r, []).append(len(found))
+                    else:
+                        first[r] = len(found)
+                nxt.append(len(found))
+                found.append(conj)
+                found_gens.append(gens)
         frontier = nxt
-    return [seen[rows] for rows in sorted(seen)]
+    return [found_gens[k] for k in sorted(range(len(found)), key=found.__getitem__)]
 
 
 def sylow_count(group: PermutationGroup, p: int, caps: Optional[int] = None) -> int:
@@ -473,6 +497,12 @@ def _divides_factorial(n: int, m: int) -> bool:
     return f % n == 0
 
 
+def _orders_divide(a: Row, b: Row, n: int) -> bool:
+    """Whether the orders of ab and ab^2 both divide n."""
+    ab = kernel.compose(a, b)
+    return n % kernel.order_of(ab) == 0 and n % kernel.order_of(kernel.compose(ab, b)) == 0
+
+
 def _anchored_search(
     group: PermutationGroup, primes: Tuple[int, ...], target: int, caps: Optional[int]
 ) -> HallSearch:
@@ -480,18 +510,21 @@ def _anchored_search(
 
     Any Hall pi-subgroup contains full Sylow subgroups for each prime in
     pi and is generated by them; conjugating it to contain the fixed
-    anchor leaves the other primes' Sylow subgroups to enumerate.  Sound
-    for both existence and absence; bounded by the candidate budget.
+    anchor leaves the other primes' Sylow subgroups to enumerate.  Every
+    prime's conjugates are listed, under SYLOW_CONJUGATE_CAP, and a
+    list's length is the prime's Sylow count, so the anchor is the prime
+    with the shortest list.  Each Sylow subgroup is climbed before the
+    lists, so an element-cap error propagates as it does from sylow().
+    Sound for both existence and absence; bounded by the candidate budget.
     """
-    counts: Dict[int, int] = {}
     for p in primes:
-        counts[p] = sylow_count(group, p, caps)
-    anchor = min(primes, key=lambda p: (counts[p], p))
-    others = sorted((p for p in primes if p != anchor), key=lambda p: (counts[p], p))
+        sylow(group, p, caps)
     try:
-        lists = {p: all_sylow(group, p, caps) for p in others}
+        lists = {p: all_sylow(group, p, caps) for p in primes}
     except CapacityError as exc:
         return HallSearch("inconclusive", None, "Sylow enumeration hit a cap: %s" % exc, exc)
+    anchor = min(primes, key=lambda p: (len(lists[p]), p))
+    others = sorted((p for p in primes if p != anchor), key=lambda p: (len(lists[p]), p))
     seed = sylow(group, anchor, caps)
     degree = group.degree
     budget = HALL_CANDIDATE_CAP
@@ -501,14 +534,22 @@ def _anchored_search(
     ) -> Optional[List[Row]]:
         """Rows of a Hall subgroup generated by gens, whose closure is
         rows, and one Sylow subgroup per remaining prime; or None.  A
-        candidate costs the elements its closure adds to rows, counting
-        at most one past target."""
+        candidate is charged the elements its closure adds to rows,
+        counting at most one past target.  At the last prime a closure
+        holds a full Sylow subgroup for every prime of pi, so its order
+        is a multiple of target: it is a Hall subgroup or overflows.  A
+        candidate there for which ab or ab^2 (a = gens[0], b = cand[0])
+        has an order not dividing target therefore overflows, and is
+        charged so without being closed."""
         nonlocal budget
         if not remaining:
             return rows if len(rows) == target else None
         p = remaining[0]
         for cand in lists[p]:
-            merged = kernel.close_group(gens + cand, degree, target)
+            if len(remaining) == 1 and not _orders_divide(gens[0], cand[0], target):
+                merged = None
+            else:
+                merged = kernel.close_group(gens + cand, degree, target)
             charge = (target + 1 if merged is None else len(merged)) - len(rows)
             if charge >= budget:
                 raise CapacityError(

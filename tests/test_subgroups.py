@@ -94,6 +94,43 @@ class TestSylow:
             subgroups.sylow(catalog.build("a5"), 2, 10)
 
 
+def reference_all_sylow(group, p):
+    """all_sylow's list by conjugating every element row of each conjugate
+    along the same breadth-first orbit search, with no shortcut."""
+    seed = subgroups.sylow(group, p)
+    gen_rows = [kernel.pack(g.images) for g in group.generators]
+    seed_rows = tuple(seed.element_rows())
+    seen = {seed_rows: [kernel.pack(g.images) for g in seed.generators]}
+    frontier = [seed_rows]
+    while frontier:
+        nxt = []
+        for rows in frontier:
+            for g in gen_rows:
+                gi = kernel.inverse(g)
+                conj = tuple(sorted(kernel.compose(kernel.compose(gi, r), g) for r in rows))
+                if conj not in seen:
+                    seen[conj] = [kernel.compose(kernel.compose(gi, s), g) for s in seen[rows]]
+                    nxt.append(conj)
+        frontier = nxt
+    return [seen[rows] for rows in sorted(seen)]
+
+
+ALL_SYLOW_GROUPS = sorted(
+    [e.name for e in catalog.entries(include_stretch=False) if e.order < 1000]
+    + ["psl3_3", "aff32"]
+)
+
+
+class TestAllSylow:
+    @pytest.mark.parametrize("name", ALL_SYLOW_GROUPS)
+    def test_matches_reference_and_count(self, name):
+        group = catalog.build(name)
+        for p in prime_factors(group.order):
+            got = subgroups.all_sylow(group, p)
+            assert got == reference_all_sylow(group, p)
+            assert len(got) == subgroups.sylow_count(group, p)
+
+
 def unpacked_rows(sub):
     return [kernel.unpack(r) for r in sub.element_rows()]
 
@@ -523,3 +560,32 @@ class TestHallWitnesses:
         assert (short.status, short.reason) == ("inconclusive", "Hall search budget exhausted")
         assert (short.cap_name, short.cap_value) == ("hall_candidates", least - 1)
         assert short.subgroup is None
+
+
+class TestHallSearchWork:
+    """Work the anchored search does, counted at the kernel: Sylow counts
+    come from the conjugate lists, not from normalizer scans, and a
+    last-level candidate whose element orders rule out a Hall subgroup
+    costs no closure."""
+
+    def count_calls(self, monkeypatch):
+        calls = {"close_group": 0, "normalizer_filter": 0}
+        for name in calls:
+            def counted(*args, _name=name, _inner=getattr(kernel, name)):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(kernel, name, counted)
+        return calls
+
+    def test_a8_absent_search(self, monkeypatch):
+        group = catalog.build("a8")
+        calls = self.count_calls(monkeypatch)
+        assert subgroups.hall_subgroup(group, (5, 7)).status == "absent"
+        assert calls["normalizer_filter"] == 0
+        assert calls["close_group"] < 100
+
+    def test_aff32_found_search(self, monkeypatch):
+        group = catalog.build("aff32")
+        calls = self.count_calls(monkeypatch)
+        assert subgroups.hall_subgroup(group, (5, 31)).status == "found"
+        assert calls["normalizer_filter"] == 0

@@ -12,6 +12,14 @@ hallmark and runs, with --no-timings:
   - `hall` for every such group and every set of at least two of the
     primes dividing its order;
   - `check --theorem T` for every theorem T and every such group;
+  - `check --theorem T --pi ...` on each of PI_GROUPS, once for every
+    theorem T with a prime set of T's arity (the group's first two
+    primes, its largest odd prime, or all its primes), and once more,
+    on the first of them, for each theorem of fixed arity with all the
+    group's primes, which a theorem of two primes or of one refuses;
+  - `check --theorem C --table catalog:NAME` for every shipped table,
+    on the catalog group of the same name;
+  - `lie-grid` on the shipped manifest;
   - `ct-analyze --theorem B` and `--theorem C` for every shipped
     character table and every nonempty set of the primes dividing its
     order;
@@ -61,6 +69,9 @@ from itertools import combinations
 # the environment setting of the capped pass
 CAPPED = ("HALLMARK_CAP_ELEMENTS", "700")
 
+# catalog groups that `check --pi` runs on
+PI_GROUPS = ("a5", "s4", "psl2_7", "frob21")
+
 # name: (declared exponent, the trivial character's value at class 1) of
 # each copy of the a5 table
 A5_VARIANTS = {
@@ -104,6 +115,17 @@ def _commands(tables):
         for theorem in criteria.THEOREMS
     ]
     out = [["suite"], ["catalog"]] + capped
+    for name in PI_GROUPS:
+        primes = prime_factors(catalog.get_entry(name).order)
+        for theorem, entry in criteria.THEOREMS.items():
+            pis = [{2: primes[:2], 1: primes[-1:], None: primes}[entry.arity]]
+            if name == PI_GROUPS[0] and entry.arity is not None:
+                pis.append(primes)  # more primes than the theorem takes
+            out += [["check", "--theorem", theorem, "--group", "catalog:" + name,
+                     "--pi", ",".join(map(str, pi))] for pi in pis]
+    out += [["check", "--theorem", "C", "--group", "catalog:" + name,
+             "--table", "catalog:" + name] for name in cli.TABLE_BACKED]
+    out.append(["lie-grid"])
     for name in cli.TABLE_BACKED:
         primes = prime_factors(catalog.get_entry(name).order)
         for k in range(1, len(primes) + 1):
