@@ -17,6 +17,8 @@ pair to pair, it runs in child processes:
     (check_theorem_b and hall_subgroup for {3, 5} on J1, then is_nilpotent
     and is_abelian of the witness), 3 pairs, timed inside the child from
     before the group is built, with the child's peak RSS;
+  - `import hallmark` and `import hallmark.cli`, 10 pairs each, timed
+    over the whole child process (`python -c "import MODULE"`);
   - Tier-1, `python -m pytest -q --continue-on-collection-errors` in the
     checkout with its src on PYTHONPATH, once per tree, timed over the
     whole child process.
@@ -25,7 +27,9 @@ It prints one JSON object, the `suite_and_j1` block of a BENCH file:
 `suite_<backend>` and `j1_<backend>` hold the runs, the medians, the
 speedup (OLD median over NEW median) and `outputs_identical`, which
 compares the suite report bytes and the J1 verdicts and Hall witness of
-every run; `tier1_<backend>` holds each tree's time and pytest summary.
+every run; `import_<backend>` holds the same for each import, whose
+output is empty; `tier1_<backend>` holds each tree's time and pytest
+summary.
 
 With --backends, TREE's suite and J1 body run in pure/compiled pairs
 instead, the backend that runs first alternating from pair to pair (5
@@ -50,6 +54,8 @@ from statistics import median
 
 SUITE_PAIRS = 5
 J1_PAIRS = 3
+IMPORT_PAIRS = 10
+IMPORTED = ("hallmark", "hallmark.cli")
 
 
 def _j1_body() -> None:
@@ -99,6 +105,14 @@ def _child(tree: str, argv: list, strict: bool = True, src: str = None) -> tuple
 def _suite(tree: str, src: str = None) -> tuple:
     elapsed, out = _child(tree, ["-m", "hallmark.cli", "suite", "--no-timings"], src=src)
     return {"elapsed_s": round(elapsed, 3)}, out
+
+
+def _importer(module: str):
+    """A measure for _alternate: one child that imports module."""
+    def measure(tree: str, src: str = None) -> tuple:
+        elapsed, _ = _child(tree, ["-c", "import " + module], src=src)
+        return {"elapsed_s": round(elapsed, 4)}, None
+    return measure
 
 
 def _j1(tree: str, src: str = None) -> tuple:
@@ -199,6 +213,10 @@ def main(argv) -> int:
     block = {
         "suite_" + backend: _alternate(sides, SUITE_PAIRS, _suite, "speedup"),
         "j1_" + backend: _alternate(sides, J1_PAIRS, _j1, "speedup"),
+        "import_" + backend: {
+            module: _alternate(sides, IMPORT_PAIRS, _importer(module), "speedup")
+            for module in IMPORTED
+        },
         "tier1_" + backend: {
             side: _tier1(tree) for side, tree in zip(("parent", "change"), trees)
         },

@@ -46,7 +46,12 @@ from .errors import (
     TableSumError,
 )
 from .modp import CycReducer
-from .verdicts import Verdict
+from .verdicts import (
+    Verdict,
+    blocks_criterion,
+    pairwise_criterion,
+    pi_prime_sizes_criterion,
+)
 
 SCHEMA = "hallmark-ct/1"
 
@@ -81,7 +86,7 @@ class CharacterTable:
     """A parsed, fully validated table.
 
     Immutable after parse.  p_element_classes matches the interface of
-    ClassTable, so the size criteria in `criteria` run unchanged on
+    ClassTable, so the size criteria in `verdicts` run unchanged on
     either source.
     """
 
@@ -387,16 +392,12 @@ def _relevant_primes(table: CharacterTable, pi: Sequence[int]) -> List[int]:
 
 def table_criterion_b(table: CharacterTable, pi: Sequence[int]) -> Verdict:
     """Pairwise coprime-size condition, sourced from the table alone."""
-    from .criteria import pairwise_criterion
-
     return pairwise_criterion(table, _relevant_primes(table, pi))
 
 
 def table_criterion_c(table: CharacterTable, pi: Sequence[int]) -> Verdict:
     """pi-prime sizes plus clear principal blocks, by the block rule of
-    criteria.blocks_criterion (the primes 3 and 5 of pi)."""
-    from .criteria import blocks_criterion, pi_prime_sizes_criterion
-
+    verdicts.blocks_criterion (the primes 3 and 5 of pi)."""
     primes = _relevant_primes(table, pi)
     verdict = pi_prime_sizes_criterion(table, primes)
     if verdict.holds is not True:

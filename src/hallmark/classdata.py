@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from .arith import is_power_of, require_prime
 from .errors import PreconditionError
 from .kernels import Row, kernel
-from .perms import Permutation, PermutationGroup
+from .perms import Permutation, PermutationGroup, collector_paused
 
 
 class ClassInfo:
@@ -63,7 +63,8 @@ class ClassTable:
         self.group = group
         rows = group.element_rows(caps)
         gen_rows = [kernel.pack(g.images) for g in group.generators]
-        cids = kernel.conjugacy_partition(rows, gen_rows)
+        with collector_paused():
+            cids = kernel.conjugacy_partition(rows, gen_rows)
         nclasses = max(cids) + 1 if cids else 0
         sizes = [0] * nclasses
         reps: List[Optional[Row]] = [None] * nclasses

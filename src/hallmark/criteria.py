@@ -1,8 +1,9 @@
-"""Class-size criteria and the checks pairing them with subgroup facts.
+"""The checks pairing the class-size criteria with subgroup facts.
 
 Each check evaluates two independent sides.  The criterion side reads
-nothing but a ClassTable (class sizes and element orders); the witness
-side searches the group itself for commuting Sylow pairs, nilpotent or
+nothing but a ClassTable (class sizes and element orders), through the
+size criteria of `verdicts`, which take no group; the witness side
+searches the group itself for commuting Sylow pairs, nilpotent or
 abelian Hall subgroups, normalizing pairs, or cores.  A check reports
 both verdicts and whether they agree; a capacity cap on either side
 degrades the answer to undetermined instead of guessing.
@@ -12,8 +13,10 @@ reads its class table through `_on_table`, which guards the table but not
 the criterion; t4.2 keeps its own handler, since one verdict covers both
 of its sides.  All three build the verdict with `_unavailable`, which
 names the cap in its witnesses.  `_pair_verdict` and `_hall_verdict`
-build the Sylow-pair and Hall verdicts, and `blocks_criterion` is theorem
-C's principal-block rule, shared with `chartab.table_criterion_c`.
+build the Sylow-pair and Hall verdicts.  Theorem C's principal-block
+rule, `blocks_criterion`, lives in `verdicts` with the size criteria,
+so `chartab.table_criterion_c` runs the same rule without importing this
+module or any permutation-group code.
 """
 
 from __future__ import annotations
@@ -26,65 +29,15 @@ from .arith import p_part, prime_factors
 from .classdata import ClassTable, class_table
 from .errors import CapacityError, PreconditionError
 from .perms import PermutationGroup
-from .verdicts import Verdict, agreement
-
-
-def sizes_coprime_criterion(table: ClassTable, q: int, p: int) -> Verdict:
-    """Every nontrivial q-element has class size coprime to p."""
-    for ci in table.p_element_classes(q):
-        if ci.size % p == 0:
-            return Verdict.no(
-                "class %d (order %d, size %d) has size divisible by %d"
-                % (ci.index, ci.element_order, ci.size, p),
-                class_index=ci.index,
-                element_order=ci.element_order,
-                size=ci.size,
-                prime=p,
-            )
-    return Verdict.yes(
-        "all %d-element class sizes are coprime to %d" % (q, p), primes=[q, p]
-    )
-
-
-def pair_criterion(table: ClassTable, p: int, q: int) -> Verdict:
-    """Both directions of the class-size condition for the pair {p, q}."""
-    first = sizes_coprime_criterion(table, q, p)
-    if first.holds is False:
-        return first
-    second = sizes_coprime_criterion(table, p, q)
-    if second.holds is False:
-        return second
-    return Verdict.yes(
-        "class sizes of %d- and %d-elements are coprime to the other prime" % (p, q),
-        primes=[p, q],
-    )
-
-
-def pairwise_criterion(table: ClassTable, pi: Sequence[int]) -> Verdict:
-    """The pair condition for every two primes in pi."""
-    for p, q in combinations(sorted(pi), 2):
-        v = pair_criterion(table, p, q)
-        if v.holds is False:
-            return v
-    return Verdict.yes("pair condition holds for all of %s" % (sorted(pi),))
-
-
-def pi_prime_sizes_criterion(table: ClassTable, pi: Sequence[int]) -> Verdict:
-    """Every p-element for p in pi has class size coprime to all of pi."""
-    primes = sorted(pi)
-    for p in primes:
-        for ci in table.p_element_classes(p):
-            for q in primes:
-                if ci.size % q == 0:
-                    return Verdict.no(
-                        "class %d (order %d, size %d) has size divisible by %d"
-                        % (ci.index, ci.element_order, ci.size, q),
-                        class_index=ci.index,
-                        element_order=ci.element_order,
-                        size=ci.size,
-                        prime=q,
-                    )
-    return Verdict.yes("all pi-element class sizes are pi-prime for %s" % (primes,))
+from .verdicts import (
+    Verdict,
+    agreement,
+    blocks_criterion,
+    pair_criterion,
+    pairwise_criterion,
+    pi_prime_sizes_criterion,
+    sizes_coprime_criterion,
+)
 
 
 class TheoremCheck:
@@ -182,25 +135,6 @@ def _hall_verdict(
         "%s Hall subgroup of order %d" % ("abelian" if abelian else "nilpotent", hall.order),
         hall=sub_witness(hall),
     )
-
-
-def blocks_criterion(
-    order: int, primes: Sequence[int], principal_block_clear
-) -> Optional[Verdict]:
-    """The block condition of theorem C, for the primes 3 and 5 of pi that
-    divide the order: the first principal-block verdict that does not
-    hold, undetermined when no character table is wired
-    (principal_block_clear is None), else None."""
-    for p in primes:
-        if p in (3, 5) and order % p == 0:
-            if principal_block_clear is None:
-                return Verdict.undetermined(
-                    "principal %d-block degrees unknown (no character table)" % p
-                )
-            verdict = principal_block_clear(p)
-            if verdict.holds is not True:
-                return verdict
-    return None
 
 
 def check_theorem_a(

@@ -29,6 +29,8 @@ Equal inputs always produce equal outputs, byte for byte.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 from ._kernel_py import compose, inverse, order_of
@@ -36,6 +38,21 @@ from .arith import is_int
 from .config import DEGREE_CAP, SIFT_CAP, default_caps
 from .errors import CapacityError, MalformedInputError, PreconditionError
 from .kernels import Row, kernel
+
+
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector around bulk row work, restoring
+    the caller's setting on every exit, exceptions included.  Pure rows
+    are tuples, which the collector traverses until a collection untracks
+    them, and enumerating or partitioning rows makes no reference cycle."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class Permutation:
@@ -359,11 +376,12 @@ class PermutationGroup:
                 cap_value=cap,
             )
         if self._rows is None:
-            rows = [kernel.identity_row(self.degree)]
-            for lvl in reversed(self._levels):
-                us = [kernel.pack(u) for u in lvl.transversal.values()]
-                rows = [kernel.compose(h, u) for h in rows for u in us]
-            rows.sort()
+            with collector_paused():
+                rows = [kernel.identity_row(self.degree)]
+                for lvl in reversed(self._levels):
+                    us = [kernel.pack(u) for u in lvl.transversal.values()]
+                    rows = [kernel.compose(h, u) for h in rows for u in us]
+                rows.sort()
             self._rows = rows
         return self._rows
 

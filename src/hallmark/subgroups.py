@@ -28,7 +28,9 @@ simplicity and p-solvability for every p are read from the factor
 orders, and no check builds a quotient group.  The Hall strategies:
 
   0. pure arithmetic absence for simple groups (the group cannot act
-     faithfully on the cosets of the putative subgroup);
+     faithfully on the cosets of the putative subgroup: |G| does not
+     divide index!); the arithmetic is tested first, so simplicity,
+     and with it the chief series, is computed only when it fails;
   1. a centralizer chain that is complete for nilpotent Hall subgroups;
   2. an anchored closure search over Sylow combinations, complete but
      budgeted, so it reports "inconclusive" rather than running away.
@@ -478,23 +480,33 @@ def hall_subgroup(
     if nil is not None:
         return HallSearch("found", nil, "centralizer chain (nilpotent)")
 
-    if is_simple(group, caps):
-        index = order // target
-        if not _divides_factorial(order, index):
-            return HallSearch(
-                "absent",
-                None,
-                "a simple group of this order cannot act faithfully on %d cosets" % index,
-            )
+    # The factorial test is cheap and passes at every index above a few,
+    # so is_simple, which builds a chief series, runs only when it fails.
+    index = order // target
+    if not _divides_factorial(order, index) and is_simple(group, caps):
+        return HallSearch(
+            "absent",
+            None,
+            "a simple group of this order cannot act faithfully on %d cosets" % index,
+        )
 
     return _anchored_search(group, primes, target, caps)
 
 
 def _divides_factorial(n: int, m: int) -> bool:
-    f = 1
-    for k in range(2, m + 1):
-        f *= k
-    return f % n == 0
+    """Whether n divides m!, by Legendre's formula: m! holds the prime p
+    sum(m // p^k, k >= 1) times."""
+    for p in prime_factors(n):
+        exponent = 0
+        while n % p ** (exponent + 1) == 0:
+            exponent += 1
+        count, power = 0, p
+        while power <= m and count < exponent:
+            count += m // power
+            power *= p
+        if count < exponent:
+            return False
+    return True
 
 
 def _orders_divide(a: Row, b: Row, n: int) -> bool:

@@ -4,11 +4,19 @@ A Verdict either holds, fails, or is undetermined (some input the
 criterion needs was unavailable, typically blocked by a capacity cap).
 Failing verdicts carry enough detail to point at the offending class or
 prime, and witnesses are JSON-safe for the CLI report.
+
+The paper's criteria that read a table alone live here too: the size
+criteria take any table with `p_element_classes(p)`, a
+classdata.ClassTable or a chartab.CharacterTable, and
+`blocks_criterion` is theorem C's principal-block rule.  `criteria`
+pairs them with the group-side searches, and `chartab` runs them on a
+character table without importing any permutation-group module.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import combinations
+from typing import Optional, Sequence
 
 
 class Verdict:
@@ -52,3 +60,80 @@ def agreement(lhs: Verdict, rhs: Verdict) -> Optional[bool]:
     if lhs.holds is None or rhs.holds is None:
         return None
     return lhs.holds == rhs.holds
+
+
+def sizes_coprime_criterion(table, q: int, p: int) -> Verdict:
+    """Every nontrivial q-element has class size coprime to p."""
+    for ci in table.p_element_classes(q):
+        if ci.size % p == 0:
+            return Verdict.no(
+                "class %d (order %d, size %d) has size divisible by %d"
+                % (ci.index, ci.element_order, ci.size, p),
+                class_index=ci.index,
+                element_order=ci.element_order,
+                size=ci.size,
+                prime=p,
+            )
+    return Verdict.yes(
+        "all %d-element class sizes are coprime to %d" % (q, p), primes=[q, p]
+    )
+
+
+def pair_criterion(table, p: int, q: int) -> Verdict:
+    """Both directions of the class-size condition for the pair {p, q}."""
+    first = sizes_coprime_criterion(table, q, p)
+    if first.holds is False:
+        return first
+    second = sizes_coprime_criterion(table, p, q)
+    if second.holds is False:
+        return second
+    return Verdict.yes(
+        "class sizes of %d- and %d-elements are coprime to the other prime" % (p, q),
+        primes=[p, q],
+    )
+
+
+def pairwise_criterion(table, pi: Sequence[int]) -> Verdict:
+    """The pair condition for every two primes in pi."""
+    for p, q in combinations(sorted(pi), 2):
+        v = pair_criterion(table, p, q)
+        if v.holds is False:
+            return v
+    return Verdict.yes("pair condition holds for all of %s" % (sorted(pi),))
+
+
+def pi_prime_sizes_criterion(table, pi: Sequence[int]) -> Verdict:
+    """Every p-element for p in pi has class size coprime to all of pi."""
+    primes = sorted(pi)
+    for p in primes:
+        for ci in table.p_element_classes(p):
+            for q in primes:
+                if ci.size % q == 0:
+                    return Verdict.no(
+                        "class %d (order %d, size %d) has size divisible by %d"
+                        % (ci.index, ci.element_order, ci.size, q),
+                        class_index=ci.index,
+                        element_order=ci.element_order,
+                        size=ci.size,
+                        prime=q,
+                    )
+    return Verdict.yes("all pi-element class sizes are pi-prime for %s" % (primes,))
+
+
+def blocks_criterion(
+    order: int, primes: Sequence[int], principal_block_clear
+) -> Optional[Verdict]:
+    """The block condition of theorem C, for the primes 3 and 5 of pi that
+    divide the order: the first principal-block verdict that does not
+    hold, undetermined when no character table is wired
+    (principal_block_clear is None), else None."""
+    for p in primes:
+        if p in (3, 5) and order % p == 0:
+            if principal_block_clear is None:
+                return Verdict.undetermined(
+                    "principal %d-block degrees unknown (no character table)" % p
+                )
+            verdict = principal_block_clear(p)
+            if verdict.holds is not True:
+                return verdict
+    return None

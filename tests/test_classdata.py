@@ -1,11 +1,14 @@
 """Conjugacy class tables against naive partitioning."""
 
+import gc
+
 import pytest
 
 import oracles
 from hallmark import catalog, config
 from hallmark.classdata import ClassTable, class_table
 from hallmark.errors import CapacityError, PreconditionError
+from hallmark.kernels import kernel
 
 def naive_class_data(group):
     elems = oracles.close([p.images for p in group.generators], group.degree)
@@ -81,3 +84,58 @@ class TestClassTable:
         monkeypatch.setenv("HALLMARK_CAP_ELEMENTS", "59")
         cap = config.default_caps()
         assert type(cap) is int and cap == 59
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The caller's collector setting for one test, restored after it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    """Row enumeration and the class partition pause the cyclic collector
+    and leave the caller's setting as they found it, on every exit."""
+
+    def test_class_table_keeps_the_setting(self, collector, monkeypatch):
+        seen = []
+        partition = kernel.conjugacy_partition
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return partition(*args)
+
+        monkeypatch.setattr(kernel, "conjugacy_partition", spy)
+        table = class_table(catalog.build("s4"))
+        assert len(table.classes) == 5
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    def test_capped_element_rows_keep_the_setting(self, collector):
+        group = catalog.build("a5")
+        with pytest.raises(CapacityError):
+            group.element_rows(59)
+        assert gc.isenabled() is collector
+        assert len(group.element_rows(60)) == 60
+        assert gc.isenabled() is collector
+
+    def test_a_raising_partition_keeps_the_setting(self, collector, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("partition failed")
+
+        monkeypatch.setattr(kernel, "conjugacy_partition", boom)
+        with pytest.raises(RuntimeError):
+            ClassTable(catalog.build("s4"))
+        assert gc.isenabled() is collector
+
+    def test_a_raising_enumeration_keeps_the_setting(self, collector, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("compose failed")
+
+        monkeypatch.setattr(kernel, "compose", boom)
+        group = catalog.build("s4")
+        with pytest.raises(RuntimeError):
+            group.element_rows()
+        assert gc.isenabled() is collector

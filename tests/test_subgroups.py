@@ -9,6 +9,7 @@ from hallmark import catalog, classdata, subgroups
 from hallmark.arith import p_part, pi_part, prime_factors
 from hallmark.errors import CapacityError, PreconditionError
 from hallmark.kernels import kernel
+from hallmark.perms import PermutationGroup
 
 
 def naive_elements(group):
@@ -450,6 +451,14 @@ class TestHall:
         assert subgroups.is_nilpotent(sub) == nilpotent
         assert_genuine_subgroup(group, sub)
 
+    def test_divides_factorial_by_legendre(self):
+        for n in range(1, 200):
+            for m in range(30):
+                assert subgroups._divides_factorial(n, m) == (math.factorial(m) % n == 0)
+        # a8's order and its (5, 7) index, which the Hall search tests first
+        assert subgroups._divides_factorial(20160, 576)
+        assert not subgroups._divides_factorial(60, 4)
+
     def test_hall_rejects_junk_pi(self):
         group = catalog.build("s4")
         with pytest.raises(PreconditionError):
@@ -566,15 +575,17 @@ class TestHallSearchWork:
     """Work the anchored search does, counted at the kernel: Sylow counts
     come from the conjugate lists, not from normalizer scans, and a
     last-level candidate whose element orders rule out a Hall subgroup
-    costs no closure."""
+    costs no closure.  Normal closures are counted too: a search whose
+    index passes the factorial test never tests simplicity."""
 
     def count_calls(self, monkeypatch):
-        calls = {"close_group": 0, "normalizer_filter": 0}
-        for name in calls:
-            def counted(*args, _name=name, _inner=getattr(kernel, name)):
+        calls = {"close_group": 0, "normalizer_filter": 0, "normal_closure": 0}
+        for owner, name in ((kernel, "close_group"), (kernel, "normalizer_filter"),
+                            (PermutationGroup, "normal_closure")):
+            def counted(*args, _name=name, _inner=getattr(owner, name)):
                 calls[_name] += 1
                 return _inner(*args)
-            monkeypatch.setattr(kernel, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         return calls
 
     def test_a8_absent_search(self, monkeypatch):
@@ -583,6 +594,8 @@ class TestHallSearchWork:
         assert subgroups.hall_subgroup(group, (5, 7)).status == "absent"
         assert calls["normalizer_filter"] == 0
         assert calls["close_group"] < 100
+        # 20160 divides 576!, so no chief series is built to test simplicity
+        assert calls["normal_closure"] == 0
 
     def test_aff32_found_search(self, monkeypatch):
         group = catalog.build("aff32")

@@ -18,7 +18,10 @@ hallmark and runs, with --no-timings:
     on the first of them, for each theorem of fixed arity with all the
     group's primes, which a theorem of two primes or of one refuses;
   - `check --theorem C --table catalog:NAME` for every shipped table,
-    on the catalog group of the same name;
+    on the catalog group of the same name, and REFUSED_TABLES, the
+    three that `check` refuses with exit 2: a table of another order, a
+    table of the same order with other class sizes, and `--table` with
+    a theorem other than C;
   - `lie-grid` on the shipped manifest;
   - `ct-analyze --theorem B` and `--theorem C` for every shipped
     character table and every nonempty set of the primes dividing its
@@ -71,6 +74,9 @@ CAPPED = ("HALLMARK_CAP_ELEMENTS", "700")
 
 # catalog groups that `check --pi` runs on
 PI_GROUPS = ("a5", "s4", "psl2_7", "frob21")
+
+# `check` commands whose --table is refused: (theorem, group, table)
+REFUSED_TABLES = (("C", "a4", "a5"), ("C", "s3", "c6"), ("B", "a5", "a5"))
 
 # name: (declared exponent, the trivial character's value at class 1) of
 # each copy of the a5 table
@@ -125,6 +131,8 @@ def _commands(tables):
                      "--pi", ",".join(map(str, pi))] for pi in pis]
     out += [["check", "--theorem", "C", "--group", "catalog:" + name,
              "--table", "catalog:" + name] for name in cli.TABLE_BACKED]
+    out += [["check", "--theorem", theorem, "--group", "catalog:" + group,
+             "--table", "catalog:" + table] for theorem, group, table in REFUSED_TABLES]
     out.append(["lie-grid"])
     for name in cli.TABLE_BACKED:
         primes = prime_factors(catalog.get_entry(name).order)
