@@ -25,7 +25,7 @@ _SOURCES = {
     "errors": (
         "CapacityError", "HallmarkError", "MalformedInputError", "PreconditionError", "TableError",
     ),
-    "lieorders": ("class_size_sl", "group_order", "run_grid", "verify_pair"),
+    "lieorders": ("run_grid", "verify_pair"),
     "perms": ("Permutation", "PermutationGroup"),
     "subgroups": ("hall_subgroup", "nilpotent_hall", "sylow"),
 }

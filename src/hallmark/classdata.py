@@ -60,7 +60,7 @@ class ClassTable:
 
     def __init__(self, group, caps: Optional[int] = None):
         group = _as_group(group)
-        self.group = group
+        self.order = group.order
         rows = group.element_rows(caps)
         gen_rows = [kernel.pack(g.images) for g in group.generators]
         with collector_paused():
@@ -89,10 +89,6 @@ class ClassTable:
             for i, (elt_order, size, rep) in enumerate(raw)
         )
         group.memo("class_table", lambda: self)
-
-    @property
-    def order(self) -> int:
-        return self.group.order
 
     def __len__(self) -> int:
         return len(self.classes)

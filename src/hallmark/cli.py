@@ -16,6 +16,7 @@ import time
 
 from . import __version__
 from . import catalog, chartab, criteria, lieorders, subgroups
+from .arith import require_prime
 from .classdata import class_table
 from .config import DEGREE_CAP, default_caps
 from .errors import CapacityError, MalformedInputError, PreconditionError
@@ -79,8 +80,8 @@ def _parse_pi(text: str):
         raise MalformedInputError("--pi must be comma-separated integers, got %r" % text)
     if len(set(primes)) != len(primes):
         raise MalformedInputError("--pi lists a prime twice: %r" % text)
-    if any(p < 2 for p in primes):
-        raise MalformedInputError("--pi entries must be at least 2")
+    for p in primes:
+        require_prime(p, "--pi entry")
     return primes
 
 

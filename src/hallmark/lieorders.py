@@ -15,14 +15,15 @@ e.g. |GL_n(q)| = q^(n(n-1)/2) * prod(q^j - 1) and the SO^eps form carrying
 the (q^n - eps) factor; class sizes are quotients of these, so any consistent
 convention gives the same divisibility facts.
 
-Arguments are checked once, where they enter: group_order, verify_pair and
-the class_size_* functions check the family, rank, q and primes (the
-primes odd and prime to q), and run_grid checks its manifest.  Each then
-computes k, the order of q (of -q for GU) modulo the prime, and hands it
-to one of two witness builders, _linear (GL, GU) and _orthogonal (SO, and
-Sp read as SO_2n+1), which build the one block witness of that prime.  A
-builder checks only that the block fits in rank n; it factors no number,
-so the grid's many witnesses cost no primality or order test each.
+The entry points are verify_pair, one point, and run_grid, every point
+of a manifest grid.  Arguments are checked once, where they enter:
+verify_pair checks the family, rank, q and primes (the primes odd and
+prime to q), and run_grid checks its manifest.  Each then computes k, the
+order of q (of -q for GU) modulo the prime, and hands it to one of two
+witness builders, _linear (GL, GU) and _orthogonal (SO, and Sp read as
+SO_2n+1), which build the one block witness of that prime.  A builder
+checks only that the block fits in rank n; it factors no number, so the
+grid's many witnesses cost no primality or order test each.
 """
 
 import json
@@ -46,11 +47,6 @@ from .errors import CapacityError, MalformedInputError, PreconditionError
 __all__ = [
     "FAMILIES",
     "ClassSize",
-    "class_size_sl",
-    "class_size_so",
-    "class_size_sp",
-    "class_size_su",
-    "group_order",
     "load_grid_manifest",
     "run_grid",
     "verify_pair",
@@ -73,7 +69,8 @@ def _exact_div(num: int, den: int) -> int:
 
 @lru_cache(maxsize=4096)
 def _order(family: str, n: int, q: int) -> int:
-    # Internal evaluator; n = 0 means the empty group in a quotient formula.
+    # Generic order of the classical group of rank parameter n over F_q, on
+    # checked arguments; n = 0 means the empty group in a quotient formula.
     # The witness builders ask for the same few orders again and again.
     if n == 0:
         return 1
@@ -94,7 +91,7 @@ def _order(family: str, n: int, q: int) -> int:
 
 
 def _check_family(family: str, n) -> None:
-    # The family and rank check of every public entry point.
+    # verify_pair's family and rank check.
     if family not in FAMILIES:
         raise MalformedInputError(
             "unknown family %r; expected one of %s" % (family, ", ".join(FAMILIES))
@@ -110,13 +107,6 @@ def _check_prime(p, role: str, q: int) -> None:
         raise PreconditionError("%s must be odd, got 2" % role)
     if q % p == 0:
         raise PreconditionError("%s = %d divides q = %d" % (role, p, q))
-
-
-def group_order(family: str, n: int, q: int) -> int:
-    """Generic order of the classical group of rank parameter n over F_q."""
-    _check_family(family, n)
-    require_prime_power(q)
-    return _order(family, n, q)
 
 
 def _form(family: str, n: int):
@@ -275,73 +265,6 @@ def _orthogonal(family: str, n: int, q: int, r: int, k: int) -> ClassSize:
     label = "SO^%s_%d(%d)" % ({1: "+", -1: "-", 0: ""}[eps], d, q)
     params = {"d": d, "eps": eps, "q": q, "r": r, "k": k, "ambient": label, **block}
     return ClassSize("SO", case, params, value, divisor, ambient)
-
-
-def _checked_k(family: str, n, q, r) -> int:
-    """The argument check of the class_size_* functions: q a prime power,
-    n a positive rank, r an odd prime not dividing q.  Returns k, the
-    order of q (of -q for GU) modulo r, which the builders take."""
-    require_prime_power(q)
-    _check_family(family, n)
-    _check_prime(r, "r", q)
-    return _family_order_of_q(family, r, q)
-
-
-def class_size_sl(n: int, q: int, r: int) -> ClassSize:
-    """Class size of the distinguished r-element block witness in GL_n(q).
-
-    The witness is a cyclic GL_1(q^kappa) block padded by the identity,
-    kappa = k * r^m with k = ord_r(q) and m maximal subject to
-    k * r^m <= n; its class size is divisible by prod(q^j - 1, j < kappa).
-    """
-    return _linear("GL", n, q, r, _checked_k("GL", n, q, r))
-
-
-def class_size_su(n: int, q: int, r: int) -> ClassSize:
-    """Class size of the distinguished r-element block witness in GU_n(q).
-
-    The block sits on k * r^m dimensions, k = ord_r(-q) and m maximal with
-    k * r^m <= n: for odd k it is GU_1(q^kappa), kappa = k * r^m; for even
-    k it is the cyclic GL_1(q^(2*kappa)), kappa = (k/2) * r^m.  Both carry
-    divisor prod(q^j - (-1)^j) over j below the block's dimension.
-    """
-    return _linear("GU", n, q, r, _checked_k("GU", n, q, r))
-
-
-def class_size_sp(n: int, q: int, r: int) -> ClassSize:
-    """Class size of the distinguished r-element block witness in Sp_2n(q).
-
-    Sp as SO_2n+1: the witness is that of class_size_so(2n+1, 0, q, r)
-    under the Sp label.  For odd k = ord_r(q) it is "split", GL_1(q^kappa)
-    on a plus-type 2*kappa subspace; for even k it is "twisted",
-    GU_1(q^kappa) on a minus-type one, kappa built from K = k/2.
-    """
-    return _orthogonal("Sp", n, q, r, _checked_k("Sp", n, q, r))
-
-
-def class_size_so(d: int, eps: int, q: int, r: int) -> ClassSize:
-    """Class size of the distinguished r-element block witness in SO_d(q).
-
-    The witness is the symplectic one ("split" or "twisted"), except that
-    the sign of the ambient form matters: removing a plus-type block keeps
-    eps, removing a minus-type block flips it.  The whole group can be the
-    one form with no room for the block (split needs a plus-type 2*kappa
-    subspace, so SO^- of dimension exactly 2*kappa, and dually SO^+ for
-    twisted); its witness is then "split-drop" or "twisted-drop", the
-    block stepped down by one power of r.
-    """
-    if d % 2 == 0:
-        if eps not in (1, -1):
-            raise MalformedInputError(
-                "even dimension needs eps in {1, -1}, got %r" % (eps,)
-            )
-    elif eps != 0:
-        raise MalformedInputError("odd dimension needs eps = 0, got %r" % (eps,))
-    n = d // 2
-    if n < 1:
-        raise MalformedInputError("dimension %r leaves no rank" % (d,))
-    family = "SOodd" if d % 2 else ("SOplus" if eps == 1 else "SOminus")
-    return _orthogonal(family, n, q, r, _checked_k(family, n, q, r))
 
 
 def _chain_report(family: str, n: int, q: int, ambient: int, k: int, r: int,

@@ -33,7 +33,7 @@ import gc
 from contextlib import contextmanager
 from typing import Iterable, Sequence
 
-from ._kernel_py import compose, inverse, order_of
+from ._kernel_py import compose, inverse
 from .arith import is_int
 from .config import DEGREE_CAP, SIFT_CAP, default_caps
 from .errors import CapacityError, MalformedInputError, PreconditionError
@@ -85,10 +85,6 @@ class Permutation:
             seen[v] = 1
         self.images = imgs
 
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -109,24 +105,9 @@ class Permutation:
         p.images = inverse(self.images)
         return p
 
-    def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Permutation.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def conjugate(self, g: "Permutation") -> "Permutation":
         """g^-1 * self * g."""
         return g.inverse() * self * g
-
-    def order(self) -> int:
-        return order_of(self.images)
 
     def cycles(self) -> list:
         """Nontrivial cycles, each starting at its least point, sorted."""
@@ -153,9 +134,6 @@ class Permutation:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
@@ -384,10 +362,6 @@ class PermutationGroup:
                 rows.sort()
             self._rows = rows
         return self._rows
-
-    def elements(self, cap: int | None = None) -> list:
-        """All elements as Permutation objects, in lexicographic order."""
-        return [self._perm_from_row(r) for r in self.element_rows(cap)]
 
     def _perm_from_row(self, row: Row) -> Permutation:
         p = Permutation.__new__(Permutation)

@@ -52,7 +52,7 @@ from .classdata import ClassTable, class_table
 from .config import HALL_CANDIDATE_CAP, SYLOW_CONJUGATE_CAP, default_caps
 from .errors import CapacityError, PreconditionError
 from .kernels import Row, kernel
-from .perms import Permutation, PermutationGroup
+from .perms import PermutationGroup
 
 
 def _gen_rows(sub) -> List[Row]:
@@ -84,16 +84,10 @@ def _rows(group, caps: Optional[int]) -> List[Row]:
     return group.element_rows(caps)
 
 
-def centralizer(group, target, caps: Optional[int] = None) -> PermutationGroup:
-    """Centralizer of a subgroup or a Permutation inside group."""
+def centralizer(group, sub: PermutationGroup, caps: Optional[int] = None) -> PermutationGroup:
+    """Centralizer of the subgroup sub inside group."""
     rows = _rows(group, caps)
-    if isinstance(target, Permutation):
-        xs = [kernel.pack(target.images)]
-    elif isinstance(target, PermutationGroup):
-        xs = _gen_rows(target)
-    else:
-        raise PreconditionError("centralizer target must be a Permutation or a group")
-    return group.subgroup_from_rows(kernel.centralizer_filter(rows, xs))
+    return group.subgroup_from_rows(kernel.centralizer_filter(rows, _gen_rows(sub)))
 
 
 def normalizer(group, sub: PermutationGroup, caps: Optional[int] = None) -> PermutationGroup:
@@ -212,12 +206,6 @@ def all_sylow(group: PermutationGroup, p: int, caps: Optional[int] = None) -> Li
     return [found_gens[k] for k in sorted(range(len(found)), key=found.__getitem__)]
 
 
-def sylow_count(group: PermutationGroup, p: int, caps: Optional[int] = None) -> int:
-    """Number of Sylow p-subgroups, via the normalizer index."""
-    _, n = _sylow_and("normalizer", group, p, caps)
-    return group.order // n.order
-
-
 def is_abelian(sub) -> bool:
     gens = sub.generators
     for i, a in enumerate(gens):
@@ -228,8 +216,14 @@ def is_abelian(sub) -> bool:
 
 
 def is_nilpotent(sub, caps: Optional[int] = None) -> bool:
-    """Nilpotent iff every Sylow subgroup is normal."""
-    return all(sylow_count(sub, p, caps) == 1 for p in prime_factors(sub.order))
+    """Nilpotent iff every Sylow subgroup is normal: each generator of
+    sylow(sub, p), conjugated by each generator of sub, lies in it.  A
+    membership test is one sift through the Sylow subgroup's chain."""
+    for p in prime_factors(sub.order):
+        P = sylow(sub, p, caps)
+        if any(s.conjugate(g) not in P for s in P.generators for g in sub.generators):
+            return False
+    return True
 
 
 def exists_commuting_sylow_pair(
@@ -421,14 +415,14 @@ class HallSearch:
         return "HallSearch(%s: %s)" % (self.status, self.reason)
 
 
-def _check_pi(group_order: int, pi: Sequence[int]) -> Tuple[int, ...]:
+def _check_pi(order: int, pi: Sequence[int]) -> Tuple[int, ...]:
     seen = []
     for p in pi:
         require_prime(p)
         if p in seen:
             raise PreconditionError("prime set repeats %d" % p)
         seen.append(p)
-    return tuple(sorted(p for p in seen if group_order % p == 0))
+    return tuple(sorted(p for p in seen if order % p == 0))
 
 
 def nilpotent_hall(

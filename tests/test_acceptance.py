@@ -198,7 +198,10 @@ def test_c8_lie_grid_and_cross_check():
     assert report["failures"] == []
     assert report["points"] == 7776
     assert elapsed < 60
-    formula = lieorders.class_size_sl(3, 2, 7).value
+    # the r = 7 block witness of GL_3(2) = SL(3,2), as lie-verify reports it
+    witness = lieorders.verify_pair("GL", 3, 2, 7, 3)["witnesses"][0]
+    assert witness["prime"] == 7
+    formula = witness["value"]
     table = ClassTable(catalog.build("psl2_7"))
     group_side = [ci.size for ci in table.classes if ci.element_order == 7]
     assert formula == 24

@@ -175,6 +175,17 @@ class TestCheckCommand:
         assert code == 0
         assert rep["summary"]["agree"] == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--theorem", "A", "--group", "catalog:a5"],
+        ["hall", "catalog:a5"],
+        ["ct-analyze", "catalog:a5", "--theorem", "B"],
+    ], ids=["check", "hall", "ct-analyze"])
+    def test_pi_error_names_the_first_bad_entry(self, capsys, argv):
+        code, rep, err = run(capsys, *argv, "--pi", "4,9")
+        assert code == 2
+        assert rep is None
+        assert err == "error: --pi entry must be a prime, got 4\n"
+
     def test_stretch_group_gated_in_check(self, capsys):
         code, rep, err = run(capsys, "check", "--theorem", "A",
                              "--group", "catalog:j1", "--pi", "3,5")

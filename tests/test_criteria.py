@@ -82,7 +82,7 @@ class TestCriterionFunctions:
     def test_sizes_coprime_matches_direct_scan(self):
         for name in SWEEP:
             tab = table(name)
-            primes = prime_factors(tab.group.order)
+            primes = prime_factors(tab.order)
             for q in primes:
                 for p in primes:
                     if p == q:
@@ -93,7 +93,7 @@ class TestCriterionFunctions:
     def test_pair_and_pairwise_compose(self):
         for name in SWEEP:
             tab = table(name)
-            primes = prime_factors(tab.group.order)
+            primes = prime_factors(tab.order)
             for p, q in combinations(primes, 2):
                 expected = naive_sizes_coprime(tab, q, p) and naive_sizes_coprime(tab, p, q)
                 assert criteria.pair_criterion(tab, p, q).holds is expected
@@ -107,7 +107,7 @@ class TestCriterionFunctions:
     def test_pi_prime_sizes_matches_direct_scan(self):
         for name in SWEEP:
             tab = table(name)
-            primes = prime_factors(tab.group.order)
+            primes = prime_factors(tab.order)
             for k in (2, len(primes)):
                 for pi in combinations(primes, k):
                     expected = all(

@@ -19,17 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hallmark import arith, catalog, chartab, lieorders
 from hallmark.classdata import ClassTable
 from hallmark.errors import MalformedInputError, PreconditionError
-from hallmark.lieorders import (
-    FAMILIES,
-    class_size_sl,
-    class_size_so,
-    class_size_sp,
-    class_size_su,
-    group_order,
-    load_grid_manifest,
-    run_grid,
-    verify_pair,
-)
+from hallmark.lieorders import FAMILIES, load_grid_manifest, run_grid, verify_pair
 
 from test_cyclotomic import cyclotomic_poly
 
@@ -43,6 +33,17 @@ def p_part(n, p):
         n //= p
         out *= p
     return out
+
+
+# the generic order, as verify_pair and run_grid read it
+group_order = lieorders._order
+
+
+def witness(family, n, q, r):
+    """The block witness of r, built as verify_pair and run_grid build it."""
+    return lieorders._block_witness(
+        family, n, q, r, lieorders._family_order_of_q(family, r, q)
+    )
 
 
 class TestGroupOrder:
@@ -85,18 +86,19 @@ class TestGroupOrder:
                 assert group_order("GU", n, q) == expect
 
     def test_input_validation(self):
+        # verify_pair checks the family, rank and q before any order
         with pytest.raises(MalformedInputError, match="unknown family"):
-            group_order("SU", 2, 2)
+            verify_pair("SU", 2, 2, 3, 5)
         with pytest.raises(MalformedInputError, match="rank"):
-            group_order("GL", 0, 2)
+            verify_pair("GL", 0, 2, 3, 5)
         with pytest.raises(MalformedInputError, match="rank"):
-            group_order("GL", -1, 2)
+            verify_pair("GL", -1, 2, 3, 5)
         with pytest.raises(MalformedInputError, match="rank"):
-            group_order("GL", True, 2)
+            verify_pair("GL", True, 2, 3, 5)
         with pytest.raises(PreconditionError, match="prime power"):
-            group_order("GL", 2, 6)
+            verify_pair("GL", 2, 6, 5, 7)
         with pytest.raises(PreconditionError, match="prime power"):
-            group_order("GL", 2, 1)
+            verify_pair("GL", 2, 1, 3, 5)
 
 
 def ord_mod(r, q):
@@ -154,23 +156,23 @@ class TestMultiplicativeOrders:
         assert factored.count(s) == 1
 
     def test_rejects_bad_inputs(self):
-        # the witnesses check r before they take its order
-        with pytest.raises(PreconditionError, match="prime"):
-            class_size_sl(2, 3, 4)
-        with pytest.raises(PreconditionError, match="prime"):
-            class_size_su(2, 2, 9)
+        # verify_pair checks r and s before it takes their orders
+        with pytest.raises(PreconditionError, match="r must be a prime"):
+            verify_pair("GL", 2, 3, 4, 5)
+        with pytest.raises(PreconditionError, match="s must be a prime"):
+            verify_pair("GU", 2, 2, 3, 9)
         with pytest.raises(PreconditionError, match="divides q"):
-            class_size_sl(2, 25, 5)
-        # ord_7(2) = 3 exceeds the rank
+            verify_pair("GL", 2, 25, 5, 3)
+        # ord_7(2) = 3 exceeds the rank, which the builder refuses
         with pytest.raises(PreconditionError, match="does not divide"):
-            class_size_sl(2, 2, 7)
+            lieorders._block_witness("GL", 2, 2, 7, 3)
 
 
 class TestCrossCheckAgainstEnumeration:
     """The same groups computed two ways must give the same class sizes."""
 
     def test_sl32_matches_psl27(self):
-        cs = class_size_sl(3, 2, 7)
+        cs = witness("GL", 3, 2, 7)
         table = ClassTable(catalog.build("psl2_7"))
         sizes = [ci.size for ci in table.classes if ci.element_order == 7]
         assert cs.value == 24
@@ -180,10 +182,10 @@ class TestCrossCheckAgainstEnumeration:
         table = ClassTable(catalog.build("a5"))
         fives = [ci.size for ci in table.classes if ci.element_order == 5]
         threes = [ci.size for ci in table.classes if ci.element_order == 3]
-        assert class_size_sl(2, 4, 5).value == 12
-        assert class_size_sp(1, 4, 5).value == 12
+        assert witness("GL", 2, 4, 5).value == 12
+        assert witness("Sp", 1, 4, 5).value == 12
         assert fives == [12, 12]
-        assert class_size_sp(1, 4, 3).value == 20
+        assert witness("Sp", 1, 4, 3).value == 20
         assert threes == [20]
 
     def test_sp_rank_one_matches_psl2_11(self):
@@ -191,7 +193,7 @@ class TestCrossCheckAgainstEnumeration:
         threes = [ci.size for ci in table.classes if ci.element_order == 3]
         # Order-3 elements sit in the torus of order (q+1)/2 = 6 upstairs;
         # the centre acts freely so the size survives the quotient.
-        assert class_size_sp(1, 11, 3).value == 110
+        assert witness("Sp", 1, 11, 3).value == 110
         assert threes == [110]
 
     def test_sp_rank_one_matches_psl2_31_table(self):
@@ -203,15 +205,15 @@ class TestCrossCheckAgainstEnumeration:
         threes = [c.size for c in doc.classes if c.element_order == 3]
         fives = [c.size for c in doc.classes if c.element_order == 5]
         # Both primes divide (q-1)/2 = 15, the split torus.
-        assert class_size_sp(1, 31, 3).value == 992
-        assert class_size_sp(1, 31, 5).value == 992
+        assert witness("Sp", 1, 31, 3).value == 992
+        assert witness("Sp", 1, 31, 5).value == 992
         assert threes == [992]
         assert fives == [992, 992]
 
 
 class TestClassSizeReports:
     def test_json_shape(self):
-        rep = class_size_sp(1, 4, 5).to_json()
+        rep = witness("Sp", 1, 4, 5).to_json()
         assert rep == {
             "family": "Sp",
             "case": "twisted",
@@ -241,17 +243,7 @@ class TestClassSizeReports:
     def test_divisibility_flags_hold(self, family, n, q, r):
         assume(q % r != 0)
         try:
-            if family == "GL":
-                cs = class_size_sl(n, q, r)
-            elif family == "GU":
-                cs = class_size_su(n, q, r)
-            elif family == "Sp":
-                cs = class_size_sp(n, q, r)
-            elif family == "SOodd":
-                cs = class_size_so(2 * n + 1, 0, q, r)
-            else:
-                eps = 1 if family == "SOplus" else -1
-                cs = class_size_so(2 * n, eps, q, r)
+            cs = witness(family, n, q, r)
         except PreconditionError:
             assume(False)
         assert cs.value >= 1
@@ -262,8 +254,8 @@ class TestClassSizeReports:
 
 class TestSymplecticAndOrthogonalCases:
     def test_sp_parity_dispatch(self):
-        assert class_size_sp(1, 4, 3).to_json()["case"] == "split"
-        assert class_size_sp(1, 4, 5).to_json()["case"] == "twisted"
+        assert witness("Sp", 1, 4, 3).to_json()["case"] == "split"
+        assert witness("Sp", 1, 4, 5).to_json()["case"] == "twisted"
 
     def test_sp_twisted_stack(self):
         # ord_3(2) = 2: a = floor(2 / 1) = 2 blocks GU_1(2) stacked in Sp_4(2),
@@ -277,34 +269,27 @@ class TestSymplecticAndOrthogonalCases:
 
     def test_so_drop_cases(self):
         # Minus type of dimension 2*kappa: the split torus eats the form.
-        cs = class_size_so(6, -1, 4, 3)
+        cs = witness("SOminus", 3, 4, 3)
         assert cs.to_json()["case"] == "split-drop"
         # |SOminus_6(4)| / (3 * |SOminus_4(4)|) = 1018368000 / 12240.
         assert cs.value == 83200
         assert cs.divisor_holds and cs.divides_ambient
         # Plus type of dimension 2*kappa with k even.
-        cs = class_size_so(6, 1, 2, 3)
+        cs = witness("SOplus", 3, 2, 3)
         assert cs.to_json()["case"] == "twisted-drop"
         # |SOplus_6(2)| / |GU_2(2)| = 20160 / 18.
         assert cs.value == 1120
         assert cs.divides_ambient
+        # The split-drop step needs m >= 1: ord_7(2) = 3 fills SO^-_6(2).
+        with pytest.raises(PreconditionError, match="m >= 1"):
+            witness("SOminus", 3, 2, 7)
 
     def test_so_odd_split(self):
-        cs = class_size_so(9, 0, 2, 7)
+        cs = witness("SOodd", 4, 2, 7)
         assert cs.to_json()["case"] == "split"
         # Ambient 2^16 * 3 * 15 * 63 * 255, divided by 7 * |SO_3(2)|.
         assert cs.value == 47377612800 // 42
         assert cs.divisor_holds and cs.divides_ambient
-
-    def test_so_eps_validation(self):
-        with pytest.raises(MalformedInputError, match="eps = 0"):
-            class_size_so(7, 1, 2, 3)
-        with pytest.raises(MalformedInputError, match="eps in"):
-            class_size_so(6, 0, 2, 7)
-        with pytest.raises(MalformedInputError, match="no rank"):
-            class_size_so(1, 0, 2, 3)
-        with pytest.raises(PreconditionError, match="m >= 1"):
-            class_size_so(6, -1, 2, 7)
 
 
 
@@ -314,7 +299,7 @@ class TestWitnessBuilders:
         # dimensions and is reported with kappa = 4/2 = 2.  Worked by hand:
         # |GU_4(2)| = 2^6 * 3 * 3 * 9 * 15 = 77760, value 77760 / (2^4 - 1),
         # divisor (2 + 1)(2^2 - 1)(2^3 + 1) = 3 * 3 * 9.
-        rep = class_size_su(4, 2, 5).to_json()
+        rep = witness("GU", 4, 2, 5).to_json()
         assert rep["case"] == "block"
         assert rep["params"] == {
             "n": 4, "q": 2, "r": 5, "k": 4, "m": 0, "kappa": 2, "ambient": "GU_4(2)",
@@ -343,9 +328,9 @@ class TestWitnessBuilders:
         # Sp_2n(q) and SO_2n+1(q) have the same order, so each witness of
         # one is a witness of the other: same case, value, divisor and
         # ambient, and a witness that does not fit fails alike in both.
-        def outcome(build, *args):
+        def outcome(family, n, q, r):
             try:
-                cs = build(*args)
+                cs = witness(family, n, q, r)
             except PreconditionError:
                 return "precondition"
             return (cs.case, cs.value, cs.divisor, cs.ambient)
@@ -356,21 +341,17 @@ class TestWitnessBuilders:
                 if q % r == 0:
                     continue
                 for n in range(1, 9):
-                    sp = outcome(class_size_sp, n, q, r)
-                    assert sp == outcome(class_size_so, 2 * n + 1, 0, q, r)
+                    sp = outcome("Sp", n, q, r)
+                    assert sp == outcome("SOodd", n, q, r)
                     compared += sp != "precondition"
         assert compared == 188
 
-    @pytest.mark.parametrize("build", [
-        lambda: class_size_sl(2, 3, 2),
-        lambda: class_size_su(2, 3, 2),
-        lambda: class_size_sp(2, 3, 2),
-        lambda: class_size_so(5, 0, 3, 2),
-    ], ids=["GL", "GU", "Sp", "SO"])
-    def test_r_two_is_rejected(self, build):
-        # The witnesses are defined for odd r only, as in verify_pair.
+    @pytest.mark.parametrize("family", ["GL", "GU", "Sp", "SOodd"],
+                             ids=["GL", "GU", "Sp", "SO"])
+    def test_r_two_is_rejected(self, family):
+        # The witnesses are defined for odd r only.
         with pytest.raises(PreconditionError, match="r must be odd, got 2"):
-            build()
+            verify_pair(family, 2, 3, 2, 5)
 
 
 class TestVerifyPair:

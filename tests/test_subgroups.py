@@ -77,7 +77,6 @@ class TestSylow:
     ])
     def test_sylow_counts(self, name, p, count):
         group = catalog.build(name)
-        assert subgroups.sylow_count(group, p) == count
         conjugates = subgroups.all_sylow(group, p)
         assert len(conjugates) == count
         assert count % p == 1
@@ -129,7 +128,9 @@ class TestAllSylow:
         for p in prime_factors(group.order):
             got = subgroups.all_sylow(group, p)
             assert got == reference_all_sylow(group, p)
-            assert len(got) == subgroups.sylow_count(group, p)
+            # the count a second way: the index of a Sylow normalizer
+            norm = subgroups.normalizer(group, subgroups.sylow(group, p))
+            assert len(got) == group.order // norm.order
 
 
 def unpacked_rows(sub):
@@ -207,7 +208,7 @@ class TestCentralizerNormalizer:
         group = catalog.build("s4")
         ambient = naive_elements(group)
         for target in group.generators:
-            cent = subgroups.centralizer(group, target)
+            cent = subgroups.centralizer(group, group.subgroup([target]))
             naive = oracles.centralizer(ambient, target.images)
             assert naive_set(cent) == naive
             assert cent.parent is group and cent.ambient is group
@@ -216,7 +217,7 @@ class TestCentralizerNormalizer:
         group = catalog.build("a5")
         syl = subgroups.sylow(group, 5)
         norm = subgroups.normalizer(group, syl)
-        assert group.order // norm.order == subgroups.sylow_count(group, 5)
+        assert group.order // norm.order == len(subgroups.all_sylow(group, 5)) == 6
         assert naive_set(syl) <= naive_set(norm)
         assert syl.parent is group and norm.parent is group
         # nested scopes: parent is the scope, ambient the outermost group

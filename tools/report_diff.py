@@ -9,8 +9,9 @@ hallmark and runs, with --no-timings:
 
   - `suite` and `catalog`;
   - `classes` for every catalog group outside the sporadic stretch;
-  - `hall` for every such group and every set of at least two of the
-    primes dividing its order;
+  - `hall` for every such group and every nonempty set of the primes
+    dividing its order, and once more for the least prime that does not
+    divide it;
   - `check --theorem T` for every theorem T and every such group;
   - `check --theorem T --pi ...` on each of PI_GROUPS, once for every
     theorem T with a prime set of T's arity (the group's first two
@@ -106,15 +107,16 @@ def _commands(tables):
     """(environment setting or None, argv) for every report; tables are
     the paths of the table copies."""
     from hallmark import catalog, cli, criteria, lieorders
-    from hallmark.arith import prime_factors
+    from hallmark.arith import is_prime, prime_factors
 
     groups = catalog.entries(include_stretch=False)
     capped = [["classes", "catalog:" + e.name] for e in groups]
     for e in groups:
         primes = prime_factors(e.order)
-        for k in range(2, len(primes) + 1):
-            for pi in combinations(primes, k):
-                capped.append(["hall", "catalog:" + e.name, "--pi", ",".join(map(str, pi))])
+        pis = [pi for k in range(1, len(primes) + 1) for pi in combinations(primes, k)]
+        pis.append([next(p for p in range(2, e.order + 2) if is_prime(p) and e.order % p)])
+        for pi in pis:
+            capped.append(["hall", "catalog:" + e.name, "--pi", ",".join(map(str, pi))])
     capped += [
         ["check", "--theorem", theorem, "--group", "catalog:" + e.name]
         for e in groups
