@@ -55,16 +55,16 @@ class ClassTable:
     The table also keeps each element row's class id and each id's
     element order, so p_element_orders reads the p-elements without an
     order computation.  A Sylow climb in any subgroup reads them from the
-    table of the subgroup's ambient group (see subgroups).
+    table of the subgroup's ambient group while that group lives (see
+    subgroups).
     """
 
     def __init__(self, group, caps: Optional[int] = None):
         group = _as_group(group)
         self.order = group.order
         rows = group.element_rows(caps)
-        gen_rows = [kernel.pack(g.images) for g in group.generators]
         with collector_paused():
-            cids = kernel.conjugacy_partition(rows, gen_rows)
+            cids = kernel.conjugacy_partition(rows, group.generator_rows())
         nclasses = max(cids) + 1 if cids else 0
         sizes = [0] * nclasses
         reps: List[Optional[Row]] = [None] * nclasses

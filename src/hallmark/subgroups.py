@@ -6,10 +6,10 @@ filtering the full element list, and Hall subgroups come from three
 strategies whose soundness does not depend on each other.
 
 Every subgroup here is a PermutationGroup with a stabilizer chain, made
-by parent.subgroup(...) or parent.subgroup_from_rows(...), so it knows
-its ambient group.  A subgroup found as a set of element rows (a
-filtered centralizer or normalizer, a climbed Sylow subgroup, a Hall
-subgroup) gets its generators from its chain: subgroup_from_rows adjoins
+by group.subgroup(...) or group.subgroup_from_rows(...), so it holds a
+weakref to its ambient group.  A subgroup found as a set of element
+rows (a filtered centralizer or normalizer, a climbed Sylow subgroup, a
+Hall subgroup) gets its generators from its chain: subgroup_from_rows adjoins
 rows in order until the chain's order is the row count, sifts every row
 once and keeps the rows.  kernel.close_group is the only closure loop; the
 Sylow climb, nilpotent_hall and the Hall search call it on generator
@@ -19,8 +19,9 @@ its stabilizer chain.
 sylow() makes the only climb, once per host group and prime, and keeps
 the Sylow subgroup on the host together with its normalizer and
 centralizer, so every Sylow-side fact below reads the same subgroup.
-The climb reads element orders from the ambient group's class table and
-tests only p-elements.
+The climb reads element orders from the ambient group's class table, or
+from the host's own once the ambient group is gone, and tests only
+p-elements.
 
 chief_series() builds one chief series per group by normal closures and
 keeps it on the group.  A chief factor is a power of one simple group, so
@@ -52,23 +53,21 @@ from .classdata import ClassTable, class_table
 from .config import HALL_CANDIDATE_CAP, SYLOW_CONJUGATE_CAP, default_caps
 from .errors import CapacityError, PreconditionError
 from .kernels import Row, kernel
-from .perms import PermutationGroup
-
-
-def _gen_rows(sub) -> List[Row]:
-    return [kernel.pack(p.images) for p in sub.generators]
+from .perms import PermutationGroup, compose, conjugate, inverse
 
 
 def _p_element_orders(
     host: PermutationGroup, rows: List[Row], p: int, caps: Optional[int]
 ) -> Dict[Row, int]:
     """{row: element order} for host's nontrivial p-elements, in row
-    order, where rows are host's rows.  Read from a map kept per p on
-    host.ambient, built from its class table; host's own when the ambient
-    group is over the element cap, so no climb raises a cap error that
-    host's rows do not."""
-    ambient = host.ambient
-    if ambient.order > (default_caps() if caps is None else caps):
+    order, where rows are host's rows.  Read from a map kept per p on the
+    ambient group host's weakref names, built from its class table; host's
+    own when host is a top-level group, when its ambient group is gone, or
+    when that group is over the element cap, so no climb raises a cap
+    error that host's rows do not.  Element orders do not depend on the
+    table they are read from, so every case gives the same map."""
+    ambient = host.ambient and host.ambient()
+    if ambient is None or ambient.order > (default_caps() if caps is None else caps):
         ambient = host
     known = ambient.memo(
         ("p_elements", p), lambda: class_table(ambient, caps).p_element_orders(p)
@@ -87,13 +86,13 @@ def _rows(group, caps: Optional[int]) -> List[Row]:
 def centralizer(group, sub: PermutationGroup, caps: Optional[int] = None) -> PermutationGroup:
     """Centralizer of the subgroup sub inside group."""
     rows = _rows(group, caps)
-    return group.subgroup_from_rows(kernel.centralizer_filter(rows, _gen_rows(sub)))
+    return group.subgroup_from_rows(kernel.centralizer_filter(rows, sub.generator_rows()))
 
 
 def normalizer(group, sub: PermutationGroup, caps: Optional[int] = None) -> PermutationGroup:
     rows = _rows(group, caps)
     sub_rows = sub.element_rows(caps)
-    kept = kernel.normalizer_filter(rows, _gen_rows(sub), set(sub_rows))
+    kept = kernel.normalizer_filter(rows, sub.generator_rows(), set(sub_rows))
     return group.subgroup_from_rows(kept)
 
 
@@ -169,7 +168,7 @@ def all_sylow(group: PermutationGroup, p: int, caps: Optional[int] = None) -> Li
     ones for a row that several conjugates share."""
     seed = sylow(group, p, caps)
     found = [tuple(seed.element_rows(caps))]
-    found_gens = [_gen_rows(seed)]
+    found_gens = [seed.generator_rows()]
     first = dict.fromkeys(found[0][1:], 0)
     later: Dict[Row, List[int]] = {}
 
@@ -177,7 +176,7 @@ def all_sylow(group: PermutationGroup, p: int, caps: Optional[int] = None) -> Li
         """The conjugates found so far that hold row, which is nontrivial."""
         return {first[row], *later.get(row, ())} if row in first else set()
 
-    gen_rows = _gen_rows(group)
+    gen_rows = group.generator_rows()
     gen_invs = [kernel.inverse(g) for g in gen_rows]
     frontier = [0]
     while frontier:
@@ -207,21 +206,18 @@ def all_sylow(group: PermutationGroup, p: int, caps: Optional[int] = None) -> Li
 
 
 def is_abelian(sub) -> bool:
-    gens = sub.generators
-    for i, a in enumerate(gens):
-        for b in gens[i + 1 :]:
-            if a * b != b * a:
-                return False
-    return True
+    gens = [g.images for g in sub.generators]
+    return all(compose(a, b) == compose(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :])
 
 
 def is_nilpotent(sub, caps: Optional[int] = None) -> bool:
     """Nilpotent iff every Sylow subgroup is normal: each generator of
     sylow(sub, p), conjugated by each generator of sub, lies in it.  A
     membership test is one sift through the Sylow subgroup's chain."""
+    gens = [g.images for g in sub.generators]
     for p in prime_factors(sub.order):
         P = sylow(sub, p, caps)
-        if any(s.conjugate(g) not in P for s in P.generators for g in sub.generators):
+        if not all(P.contains(conjugate(s.images, g)) for s in P.generators for g in gens):
             return False
     return True
 
@@ -289,8 +285,8 @@ def _chief_series(group: PermutationGroup, table: ClassTable) -> Tuple[Permutati
         for ci in table.classes:
             if best is not None and best.order <= below.order + ci.size:
                 continue
-            rep = ci.representative()
-            if rep in below:
+            rep = kernel.unpack(ci.rep_row)
+            if below.contains(rep):
                 continue
             closure = group.normal_closure(list(below.generators) + [rep])
             if best is None or closure.order < best.order:
@@ -319,16 +315,13 @@ def is_simple(group: PermutationGroup, caps: Optional[int] = None) -> bool:
 
 
 def derived_subgroup(group: PermutationGroup) -> PermutationGroup:
-    gens = group.generators
-    comms = []
-    for i, a in enumerate(gens):
-        for b in gens[i + 1 :]:
-            c = a.inverse() * b.inverse() * a * b
-            if not c.is_identity:
-                comms.append(c)
-    if not comms:
-        return group.subgroup([])
-    return group.normal_closure(comms)
+    """The normal closure of the generators' commutators (a group drops
+    its identity generators, so an abelian group's closure is trivial)."""
+    gens = [g.images for g in group.generators]
+    return group.normal_closure(
+        [compose(compose(inverse(a), inverse(b)), compose(a, b))
+         for i, a in enumerate(gens) for b in gens[i + 1 :]]
+    )
 
 
 def is_solvable(group: PermutationGroup) -> bool:
@@ -383,8 +376,8 @@ def _op_prime_core(group: PermutationGroup, p: int, table: ClassTable) -> Permut
     for ci in table.classes:
         if ci.element_order == 1 or ci.element_order % p == 0:
             continue
-        rep = ci.representative()
-        if rep in core:
+        rep = kernel.unpack(ci.rep_row)
+        if core.contains(rep):
             continue
         candidate = group.normal_closure(list(core.generators) + [rep])
         if candidate.order % p:
@@ -448,7 +441,7 @@ def nilpotent_hall(
         if p_part(scope.order, p) != p_part(group.order, p):
             return None
         P, scope = _sylow_and("centralizer", scope, p, caps)
-        collected_gens.extend(_gen_rows(P))
+        collected_gens.extend(P.generator_rows())
     target = pi_part(group.order, primes)
     rows = kernel.close_group(collected_gens, group.degree, target)
     if rows is None or len(rows) != target:
@@ -572,9 +565,11 @@ def _anchored_search(
         return None
 
     try:
-        result = extend(_gen_rows(seed), seed.element_rows(caps), tuple(others))
+        result = extend(seed.generator_rows(), seed.element_rows(caps), tuple(others))
     except CapacityError as exc:
         return HallSearch("inconclusive", None, str(exc), exc)
+    finally:
+        del extend  # the recursive closure refers to itself through this name
     if result is not None:
         sub = group.subgroup_from_rows(result)
         return HallSearch("found", sub, "anchored Sylow closure search")

@@ -91,13 +91,6 @@ def is_abelian(elements):
     )
 
 
-def is_subgroup(elements, candidate):
-    candidate = set(candidate)
-    if identity(len(next(iter(candidate)))) not in candidate:
-        return False
-    return all(compose(a, b) in candidate for a in candidate for b in candidate)
-
-
 def two_generated_subgroup_orders(elements, degree):
     """Orders of all subgroups generated by at most two elements.
 

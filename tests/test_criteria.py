@@ -387,7 +387,8 @@ class TestGroupFacts:
         # A scope inside the group is under the cap; its kept climb and a
         # fresh one (which cannot tabulate the whole group) agree.
         _, (kept, _) = subgroups.exists_normalizing_sylow_pair(warm, 7, 5)
-        assert subgroups.sylow(kept.parent, 7, small) is kept
+        _, scope = subgroups._sylow_and("normalizer", warm, 5, None)
+        assert subgroups.sylow(scope, 7, small) is kept
         norm = subgroups.normalizer(fresh, subgroups.sylow(fresh, 5))
         assert norm.order == 70
         assert subgroups.sylow(norm, 7, small).element_rows() == kept.element_rows()

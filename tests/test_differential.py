@@ -21,9 +21,8 @@ sympy_comb = pytest.importorskip("sympy.combinatorics")
 from hallmark import catalog, subgroups
 from hallmark.arith import pi_part, prime_factors
 from hallmark.classdata import ClassTable
-from hallmark.kernels import kernel
 
-import oracles
+from test_subgroups import assert_genuine_subgroup, naive_elements
 
 NAMES = [e.name for e in catalog.entries(include_stretch=False)]
 # the catalog's solvable tags; test_subgroups checks them against
@@ -70,11 +69,7 @@ def test_hall_theorem_and_nilpotency_agree_with_sympy(name):
     other = sympy_comb.PermutationGroup([_sympy_perm(g) for g in group.generators])
     assert other.is_solvable
 
-    # A witness is genuine when the naive closure of its generators, a
-    # group by construction, lies in the group and is its element list.
-    # (A pairwise closure test of every witness would take minutes on
-    # aff32, whose {2, 31}-witness alone has 992 elements.)
-    ambient = oracles.close([g.images for g in group.generators], group.degree)
+    ambient = naive_elements(group)
     primes = prime_factors(group.order)
     for k in range(1, len(primes) + 1):
         for pi in combinations(primes, k):
@@ -82,8 +77,6 @@ def test_hall_theorem_and_nilpotency_agree_with_sympy(name):
             assert result.status == "found", (pi, result)
             hall = result.subgroup
             assert hall.order == pi_part(group.order, pi)
-            got = oracles.close([g.images for g in hall.generators], group.degree)
-            assert got <= ambient
-            assert sorted(got) == [kernel.unpack(r) for r in hall.element_rows()]
+            assert_genuine_subgroup(group, hall, ambient)
             theirs = sympy_comb.PermutationGroup([_sympy_perm(g) for g in hall.generators])
             assert subgroups.is_nilpotent(hall) == theirs.is_nilpotent, pi
