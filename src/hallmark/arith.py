@@ -56,6 +56,18 @@ def require_prime(p, role: str = "p") -> None:
         raise PreconditionError("%s must be a prime, got %r" % (role, p))
 
 
+def check_pi(order: int, pi: Sequence[int]) -> Tuple[int, ...]:
+    """The primes of pi that divide order, in increasing order.  Every
+    entry must be a prime (require_prime) and none may repeat."""
+    seen = []
+    for p in pi:
+        require_prime(p)
+        if p in seen:
+            raise PreconditionError("prime set repeats %d" % p)
+        seen.append(p)
+    return tuple(sorted(p for p in seen if order % p == 0))
+
+
 def prime_power(n: int) -> Optional[Tuple[int, int]]:
     """(p, e) with n = p^e and e >= 1, or None."""
     primes = prime_factors(n) if n >= 2 else ()

@@ -19,8 +19,7 @@ from typing import Callable, Dict, List, Tuple
 
 from . import gf
 from .arith import is_int, is_prime, multiplicative_order, prime_power
-from .config import DEGREE_CAP
-from .errors import CapacityError, MalformedInputError, PreconditionError
+from .errors import MalformedInputError, PreconditionError
 from .perms import PermutationGroup
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data", "groups")
@@ -117,14 +116,8 @@ def semi_affine(q: int, p: int) -> PermutationGroup:
         raise MalformedInputError(
             "semi_affine(q, p) needs distinct primes, got q=%r p=%r" % (q, p)
         )
-    n = q**p
-    if n > DEGREE_CAP:
-        raise CapacityError(
-            "semi_affine(%d, %d) would act on %d points" % (q, p, n),
-            cap_name="degree",
-            cap_value=DEGREE_CAP,
-        )
     field = gf.IntField(q, p)
+    n = field.order
     translate = tuple(field.add(x, 1) for x in range(n))
     g = field.multiplicative_generator()
     scale = tuple(field.mul(g, x) for x in range(n))
@@ -156,12 +149,6 @@ def direct_product(g: PermutationGroup, h: PermutationGroup) -> PermutationGroup
     """Direct product acting on the disjoint union of the two point sets."""
     dg, dh = g.degree, h.degree
     degree = dg + dh
-    if degree > DEGREE_CAP:
-        raise CapacityError(
-            "direct product would act on %d points" % degree,
-            cap_name="degree",
-            cap_value=DEGREE_CAP,
-        )
     rest = tuple(range(dg, degree))
     gens = [p.images + rest for p in g.generators]
     head = tuple(range(dg))

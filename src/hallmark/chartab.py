@@ -37,7 +37,7 @@ import json
 from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .arith import is_int, is_power_of, require_prime
+from .arith import check_pi, is_int, is_power_of, require_prime
 from .cyclotomic import Cyc
 from .errors import (
     TableCorruptError,
@@ -383,22 +383,15 @@ def principal_block_clear(table: CharacterTable):
     return check
 
 
-def _relevant_primes(table: CharacterTable, pi: Sequence[int]) -> List[int]:
-    primes = sorted(set(pi))
-    for p in primes:
-        require_prime(p)
-    return [p for p in primes if table.order % p == 0]
-
-
 def table_criterion_b(table: CharacterTable, pi: Sequence[int]) -> Verdict:
     """Pairwise coprime-size condition, sourced from the table alone."""
-    return pairwise_criterion(table, _relevant_primes(table, pi))
+    return pairwise_criterion(table, check_pi(table.order, pi))
 
 
 def table_criterion_c(table: CharacterTable, pi: Sequence[int]) -> Verdict:
     """pi-prime sizes plus clear principal blocks, by the block rule of
     verdicts.blocks_criterion (the primes 3 and 5 of pi)."""
-    primes = _relevant_primes(table, pi)
+    primes = list(check_pi(table.order, pi))  # a list, as the verdict's text prints it
     verdict = pi_prime_sizes_criterion(table, primes)
     if verdict.holds is not True:
         return verdict

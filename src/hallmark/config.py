@@ -1,13 +1,15 @@
 """Runtime caps.
 
 Every bound that stops a computation from running away lives here, one
-per bound, as a module constant.  The element cap is the only one a
-caller passes: an int, the `caps` argument of the library's entry points.
-Every layer hands it on unchanged, and a missing one (None) is resolved
-only where it is read, by default_caps(): the HALLMARK_CAP_ELEMENTS
-environment variable, which must then be a positive integer, or
-ELEMENT_CAP when that is unset.  The CLI always passes default_caps(), and
-no CLI option raises it.
+per bound, as a module constant, and is checked once, where its quantity
+is made: a layer that makes a bounded quantity through another relies on
+that layer's check.  The element cap is the only one a caller passes: an
+int, the `caps` argument of the library's entry points.  Every layer
+hands it on unchanged, and a missing one (None) is resolved only where
+it is read, by default_caps(): the HALLMARK_CAP_ELEMENTS environment
+variable, which must then be a positive integer, or ELEMENT_CAP when
+that is unset.  The CLI always passes default_caps(), and no CLI option
+raises it.
 """
 
 from __future__ import annotations
@@ -51,15 +53,15 @@ RANK_CAP = 32
 # degree 200 and 9.4 s at degree 1000.
 SIFT_CAP = 20_000
 
-# The anchored Hall search (subgroups._anchored_search) lists at most
-# SYLOW_CONJUGATE_CAP conjugates of one Sylow subgroup for every prime, the
-# anchor's included, and charges its candidates at most HALL_CANDIDATE_CAP
-# elements in all.  A candidate is charged the elements its closure adds;
-# one that element orders refute at the last prime is charged as an
-# overflowing closure without being closed.  Over the catalog the longest
-# list has 960 entries (a8's Sylow 7-subgroups) and the largest search, a8
-# with pi = {2, 5, 7}, is charged 731,472 elements.
-SYLOW_CONJUGATE_CAP = 50_000
+# The anchored Hall search (subgroups._anchored_search) charges its
+# candidates at most HALL_CANDIDATE_CAP elements in all.  A candidate is
+# charged the elements its closure adds; one that element orders refute at
+# the last prime is charged as an overflowing closure without being closed.
+# The search's Sylow lists need no cap of their own: n_p Sylow p-subgroups
+# of order |P| give n_p * |P| = |G| * |P| / |N_G(P)| <= |G|, and the rows of
+# G are read under the element cap before any list is made.  Over the
+# catalog the largest search, a8 with pi = {2, 5, 7}, is charged 731,472
+# elements.
 HALL_CANDIDATE_CAP = 5_000_000
 
 

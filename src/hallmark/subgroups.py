@@ -38,7 +38,9 @@ orders, and no check builds a quotient group.  The Hall strategies:
      It lists every Sylow subgroup of each prime of pi by all_sylow,
      reads the Sylow counts off those lists, not off normalizers, and
      refutes what candidates it can at the last prime by two element
-     orders before closing them.
+     orders before closing them.  The budget is its only cap: the
+     lists hold at most |G| rows per prime, and G's rows are read
+     under the element cap first.
 
 A found Hall subgroup is returned as a witness; absence claims state
 which strategy proved them.
@@ -48,9 +50,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .arith import is_power_of, is_prime, p_part, pi_part, prime_factors, require_prime
+from .arith import check_pi, is_power_of, is_prime, p_part, pi_part, prime_factors, require_prime
 from .classdata import ClassTable, class_table
-from .config import HALL_CANDIDATE_CAP, SYLOW_CONJUGATE_CAP, default_caps
+from .config import HALL_CANDIDATE_CAP, default_caps
 from .errors import CapacityError, PreconditionError
 from .kernels import Row, kernel
 from .perms import PermutationGroup, compose, conjugate, inverse
@@ -165,7 +167,11 @@ def all_sylow(group: PermutationGroup, p: int, caps: Optional[int] = None) -> Li
     equal); only a new conjugate has its element rows conjugated.  The
     conjugates holding a generator are read from an index of the
     nontrivial rows: the first conjugate holding each row, and the later
-    ones for a row that several conjugates share."""
+    ones for a row that several conjugates share.
+
+    No cap of its own bounds the lists: sylow() reads the group's rows
+    under the element cap first, and the n_p conjugates hold
+    n_p * |P| = |G| * |P| / |N_G(P)| <= |G| rows in all."""
     seed = sylow(group, p, caps)
     found = [tuple(seed.element_rows(caps))]
     found_gens = [seed.generator_rows()]
@@ -186,12 +192,6 @@ def all_sylow(group: PermutationGroup, p: int, caps: Optional[int] = None) -> Li
                 gens = [kernel.compose(kernel.compose(gi, s), g) for s in found_gens[k]]
                 if not gens or set.intersection(*map(holders, gens)):
                     continue
-                if len(found) >= SYLOW_CONJUGATE_CAP:
-                    raise CapacityError(
-                        "Sylow conjugate orbit exceeds cap",
-                        cap_name="sylow_conjugates",
-                        cap_value=SYLOW_CONJUGATE_CAP,
-                    )
                 conj = tuple(sorted(kernel.compose(kernel.compose(gi, r), g) for r in found[k]))
                 for r in conj[1:]:
                     if r in first:
@@ -231,15 +231,7 @@ def exists_commuting_sylow_pair(
     the centralizer of P contains a full Sylow q-subgroup of the group
     (conjugate any commuting pair so its p-half becomes P).
     """
-    require_prime(p)
-    require_prime(q, "q")
-    if p == q:
-        raise PreconditionError("primes must be distinct, got %d twice" % p)
-    P, cent = _sylow_and("centralizer", group, p, caps)
-    if p_part(cent.order, q) != p_part(group.order, q):
-        return False, None
-    Q = sylow(cent, q, caps)
-    return True, (P, Q)
+    return _sylow_pair("centralizer", group, p, q, caps)
 
 
 def exists_normalizing_sylow_pair(
@@ -250,15 +242,26 @@ def exists_normalizing_sylow_pair(
     Checked on one fixed Sylow q-subgroup Q: such a pair exists iff the
     normalizer of Q contains a full Sylow p-subgroup of the group.
     """
+    return _sylow_pair("normalizer", group, p, q, caps)
+
+
+def _sylow_pair(
+    kind: str, group: PermutationGroup, p: int, q: int, caps: Optional[int]
+) -> Tuple[bool, Optional[Tuple[PermutationGroup, PermutationGroup]]]:
+    """Both pair tests: the Sylow subgroup F of the fixed prime (p for kind
+    "centralizer", q for "normalizer") and a Sylow subgroup of the other
+    prime inside F's kind subgroup, returned as (P, Q), exist iff that
+    kind subgroup holds a full Sylow subgroup of the group."""
     require_prime(p)
     require_prime(q, "q")
     if p == q:
         raise PreconditionError("primes must be distinct, got %d twice" % p)
-    Q, norm = _sylow_and("normalizer", group, q, caps)
-    if p_part(norm.order, p) != p_part(group.order, p):
+    fixed, other = (p, q) if kind == "centralizer" else (q, p)
+    F, scope = _sylow_and(kind, group, fixed, caps)
+    if p_part(scope.order, other) != p_part(group.order, other):
         return False, None
-    P = sylow(norm, p, caps)
-    return True, (P, Q)
+    O = sylow(scope, other, caps)
+    return True, ((F, O) if kind == "centralizer" else (O, F))
 
 
 def chief_series(
@@ -408,16 +411,6 @@ class HallSearch:
         return "HallSearch(%s: %s)" % (self.status, self.reason)
 
 
-def _check_pi(order: int, pi: Sequence[int]) -> Tuple[int, ...]:
-    seen = []
-    for p in pi:
-        require_prime(p)
-        if p in seen:
-            raise PreconditionError("prime set repeats %d" % p)
-        seen.append(p)
-    return tuple(sorted(p for p in seen if order % p == 0))
-
-
 def nilpotent_hall(
     group: PermutationGroup, pi: Sequence[int], caps: Optional[int] = None
 ) -> Optional[PermutationGroup]:
@@ -432,7 +425,7 @@ def nilpotent_hall(
     centralizer, kept on the scope's group, so a later call walks the
     same subgroups without climbing again.
     """
-    primes = _check_pi(group.order, pi)
+    primes = check_pi(group.order, pi)
     if not primes:
         return group.subgroup([])
     scope = group
@@ -453,7 +446,7 @@ def hall_subgroup(
     group: PermutationGroup, pi: Sequence[int], caps: Optional[int] = None
 ) -> HallSearch:
     """Search for any Hall pi-subgroup; see the module docstring."""
-    primes = _check_pi(group.order, pi)
+    primes = check_pi(group.order, pi)
     order = group.order
     target = pi_part(order, primes)
     if target == 1:
@@ -510,18 +503,12 @@ def _anchored_search(
     Any Hall pi-subgroup contains full Sylow subgroups for each prime in
     pi and is generated by them; conjugating it to contain the fixed
     anchor leaves the other primes' Sylow subgroups to enumerate.  Every
-    prime's conjugates are listed, under SYLOW_CONJUGATE_CAP, and a
-    list's length is the prime's Sylow count, so the anchor is the prime
-    with the shortest list.  Each Sylow subgroup is climbed before the
-    lists, so an element-cap error propagates as it does from sylow().
-    Sound for both existence and absence; bounded by the candidate budget.
+    prime's conjugates are listed by all_sylow, and a list's length is the
+    prime's Sylow count, so the anchor is the prime with the shortest
+    list.  An element-cap error propagates from sylow().  Sound for both
+    existence and absence; bounded by the candidate budget.
     """
-    for p in primes:
-        sylow(group, p, caps)
-    try:
-        lists = {p: all_sylow(group, p, caps) for p in primes}
-    except CapacityError as exc:
-        return HallSearch("inconclusive", None, "Sylow enumeration hit a cap: %s" % exc, exc)
+    lists = {p: all_sylow(group, p, caps) for p in primes}
     anchor = min(primes, key=lambda p: (len(lists[p]), p))
     others = sorted((p for p in primes if p != anchor), key=lambda p: (len(lists[p]), p))
     seed = sylow(group, anchor, caps)

@@ -107,6 +107,12 @@ class TestBuilders:
         assert prod.order == 420
         assert prod.degree == 12
 
+    def test_direct_product_above_the_degree_cap(self):
+        # 600 + 600 points: refused by Permutation, the first to see them
+        with pytest.raises(CapacityError) as info:
+            catalog.direct_product(catalog.cyclic(600), catalog.cyclic(600))
+        assert (info.value.cap_name, info.value.cap_value) == ("degree", DEGREE_CAP)
+
     def test_shipped_psl3_3(self):
         group = catalog.psl3_3()
         assert group.order == 5616

@@ -19,7 +19,7 @@ import pytest
 
 import hallmark
 import oracles
-from hallmark import catalog, chartab, criteria
+from hallmark import catalog, chartab, criteria, subgroups
 from hallmark.arith import p_part, prime_factors
 from hallmark.classdata import ClassTable
 from hallmark.errors import (
@@ -386,6 +386,17 @@ class TestTableCriteria:
         assert chartab.table_criterion_c(table("a5"), [7]).holds is True
         with pytest.raises(PreconditionError):
             chartab.table_criterion_b(table("a5"), [2, 6])
+
+    @pytest.mark.parametrize("criterion", [
+        chartab.table_criterion_b, chartab.table_criterion_c,
+    ])
+    def test_repeated_prime_refused_as_by_the_hall_search(self, criterion):
+        # the same prime-set rule and message as subgroups.hall_subgroup
+        with pytest.raises(PreconditionError, match="prime set repeats 3") as info:
+            criterion(table("a5"), [3, 5, 3])
+        with pytest.raises(PreconditionError) as hall:
+            subgroups.hall_subgroup(catalog.build("a5"), [3, 5, 3])
+        assert str(info.value) == str(hall.value)
 
     def test_single_prime_sets_consult_blocks(self):
         # order-3 classes of A5 have size 20, coprime to 3, so {3} hangs

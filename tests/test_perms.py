@@ -127,6 +127,20 @@ class TestPermutationGroup:
             group.coset_action_quotient(group.subgroup([]))
         assert (info.value.cap_name, info.value.cap_value) == ("degree", DEGREE_CAP)
 
+    def test_coset_action_refuses_the_index_before_the_walk(self, monkeypatch):
+        # S_12 over its trivial subgroup has 12! cosets; walking them would
+        # hold 12! rows before Permutation saw the degree
+        group = catalog.symmetric(12)
+        trivial = group.subgroup([])
+
+        def unreachable(self, cap=None):
+            raise AssertionError("coset walk begun")
+
+        monkeypatch.setattr(PermutationGroup, "element_rows", unreachable)
+        with pytest.raises(CapacityError) as info:
+            group.coset_action_quotient(trivial)
+        assert (info.value.cap_name, info.value.cap_value) == ("degree", DEGREE_CAP)
+
     def test_coset_action_rejects_non_normal(self):
         group = s4()
         sub = group.subgroup([from_cycles(4, (0, 1))])

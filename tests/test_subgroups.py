@@ -136,6 +136,8 @@ class TestAllSylow:
             # the count a second way: the index of a Sylow normalizer
             norm = subgroups.normalizer(group, subgroups.sylow(group, p))
             assert len(got) == group.order // norm.order
+            # n_p * |P| <= |G|: the element cap on G bounds the lists
+            assert len(got) * subgroups.sylow(group, p).order <= group.order
 
 
 def unpacked_rows(sub):
@@ -469,6 +471,17 @@ class TestHall:
         # a8's order and its (5, 7) index, which the Hall search tests first
         assert subgroups._divides_factorial(20160, 576)
         assert not subgroups._divides_factorial(60, 4)
+
+    def test_element_cap_stops_the_search_before_any_sylow_list(self, monkeypatch):
+        # a8 (order 20160) over an element cap of 1000: the cap is checked
+        # when a8's rows are read, and no Sylow list is begun
+        def unreachable(*args):
+            raise AssertionError("all_sylow called")
+
+        monkeypatch.setattr(subgroups, "all_sylow", unreachable)
+        with pytest.raises(CapacityError) as info:
+            subgroups.hall_subgroup(catalog.build("a8"), [5, 7], caps=1000)
+        assert (info.value.cap_name, info.value.cap_value) == ("elements", 1000)
 
     def test_hall_rejects_junk_pi(self):
         group = catalog.build("s4")
