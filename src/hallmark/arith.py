@@ -82,7 +82,9 @@ def prime_power(n: int) -> Optional[Tuple[int, int]]:
 
 
 def require_prime_power(q) -> None:
-    if prime_power(q) is None:
+    """Raise PreconditionError unless q is an int (not a bool) and a prime
+    power."""
+    if not is_int(q) or prime_power(q) is None:
         raise PreconditionError("q must be a prime power >= 2, got %r" % (q,))
 
 

@@ -37,7 +37,7 @@ import json
 from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .arith import check_pi, is_int, is_power_of, require_prime
+from .arith import check_pi, is_int, require_prime
 from .cyclotomic import Cyc
 from .errors import (
     TableCorruptError,
@@ -85,9 +85,9 @@ class _Column:
 class CharacterTable:
     """A parsed, fully validated table.
 
-    Immutable after parse.  p_element_classes matches the interface of
-    ClassTable, so the size criteria in `verdicts` run unchanged on
-    either source.
+    Immutable after parse.  Its classes carry the index, size and
+    element_order that ClassTable's do, so the size criteria in
+    `verdicts` run unchanged on either source.
     """
 
     __slots__ = (
@@ -110,10 +110,6 @@ class CharacterTable:
         self.degrees = [row[identity_index].as_integer() for row in rows]
         self.identity_index = identity_index
         self.trivial_index = trivial_index
-
-    def p_element_classes(self, p: int) -> List[_Column]:
-        require_prime(p)
-        return [c for c in self.classes if c.element_order > 1 and is_power_of(c.element_order, p)]
 
     def to_json(self) -> dict:
         return {

@@ -43,9 +43,10 @@ class ClassInfo:
         )
 
 
-def _as_group(group) -> PermutationGroup:
+def as_group(group) -> PermutationGroup:
+    """group, or a PreconditionError if it is not a permutation group."""
     if not isinstance(group, PermutationGroup):
-        raise PreconditionError("ClassTable needs a permutation group")
+        raise PreconditionError("expected a permutation group")
     return group
 
 
@@ -60,8 +61,8 @@ class ClassTable:
     """
 
     def __init__(self, group, caps: Optional[int] = None):
-        group = _as_group(group)
-        self.order = group.order
+        group = as_group(group)
+        order = self.order = group.order
         rows = group.element_rows(caps)
         with collector_paused():
             cids = kernel.conjugacy_partition(rows, group.generator_rows())
@@ -72,7 +73,6 @@ class ClassTable:
             sizes[cid] += 1
             if reps[cid] is None:
                 reps[cid] = row
-        order = group.order
         raw = []
         for cid in range(nclasses):
             rep = reps[cid]
@@ -90,18 +90,6 @@ class ClassTable:
         )
         group.memo("class_table", lambda: self)
 
-    def __len__(self) -> int:
-        return len(self.classes)
-
-    def p_element_classes(self, p: int) -> Tuple[ClassInfo, ...]:
-        """Classes of nontrivial elements whose order is a power of p."""
-        require_prime(p)
-        return tuple(
-            ci
-            for ci in self.classes
-            if ci.element_order > 1 and is_power_of(ci.element_order, p)
-        )
-
     def p_element_orders(self, p: int) -> Dict[Row, int]:
         """{row: element order} for the nontrivial elements whose order is
         a power of p, in row order."""
@@ -112,6 +100,6 @@ class ClassTable:
 
 def class_table(group, caps: Optional[int] = None) -> ClassTable:
     """The group's ClassTable, built on first use and kept on the group."""
-    group = _as_group(group)
+    group = as_group(group)
     group.element_rows(caps)  # the cap check a fresh build makes
     return group.memo("class_table", lambda: ClassTable(group, caps))

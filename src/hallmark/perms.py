@@ -16,6 +16,9 @@ place, one conjugate at a time, resuming the Schreier loop where the
 conjugate's sift stopped.  config.SIFT_CAP bounds the Schreier sifts of
 one group.
 
+Permutation and PermutationGroup check a degree in _check_degree;
+`g in group` tests a Permutation, group.contains(images) an image tuple.
+
 There is one group type.  A subgroup is a PermutationGroup made by
 group.subgroup(...), which checks that its generators are members of
 group; its `ambient` is a weakref to the outermost group of that chain
@@ -61,6 +64,18 @@ def collector_paused():
             gc.enable()
 
 
+def _check_degree(degree) -> None:
+    """Refuse a degree that is not an int (not a bool) in 0..DEGREE_CAP."""
+    if not is_int(degree) or degree < 0:
+        raise MalformedInputError(f"degree must be an integer >= 0, got {degree!r}")
+    if degree > DEGREE_CAP:
+        raise CapacityError(
+            f"degree {degree} exceeds the supported maximum {DEGREE_CAP}",
+            cap_name="degree",
+            cap_value=DEGREE_CAP,
+        )
+
+
 def conjugate(a: tuple, g: tuple) -> tuple:
     """Image tuple of g^-1 a g; products read left to right, as in compose."""
     return compose(compose(inverse(g), a), g)
@@ -74,12 +89,7 @@ class Permutation:
     def __init__(self, images: Iterable[int]):
         imgs = tuple(images)
         n = len(imgs)
-        if n > DEGREE_CAP:
-            raise CapacityError(
-                f"degree {n} exceeds the supported maximum {DEGREE_CAP}",
-                cap_name="degree",
-                cap_value=DEGREE_CAP,
-            )
+        _check_degree(n)
         seen = bytearray(n)
         for pos, v in enumerate(imgs):
             if not is_int(v):
@@ -180,14 +190,9 @@ class PermutationGroup:
 
     def __init__(self, degree: int, generators: Iterable):
         gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
+        _check_degree(degree)
         if degree == 0 and gens:
             raise MalformedInputError("degree 0 admits no generators")
-        if degree > DEGREE_CAP:
-            raise CapacityError(
-                f"degree {degree} exceeds the supported maximum {DEGREE_CAP}",
-                cap_name="degree",
-                cap_value=DEGREE_CAP,
-            )
         for g in gens:
             if g.degree != degree:
                 raise MalformedInputError(
@@ -308,7 +313,8 @@ class PermutationGroup:
 
     # -- queries ---------------------------------------------------------
 
-    def is_member(self, g: Permutation) -> bool:
+    def __contains__(self, g: Permutation) -> bool:
+        """Whether the Permutation g, of this group's degree, is a member."""
         if not isinstance(g, Permutation):
             raise MalformedInputError("membership test requires a Permutation")
         if g.degree != self.degree:
@@ -320,9 +326,6 @@ class PermutationGroup:
     def contains(self, images: tuple) -> bool:
         """Whether the image tuple, of this group's degree, is a member."""
         return self._sift_tuple(images)[0] == self._ident
-
-    def __contains__(self, g: Permutation) -> bool:
-        return self.is_member(g)
 
     def element_rows(self, cap: int | None = None) -> list:
         """All elements as sorted kernel rows, each formed once as a product
@@ -355,7 +358,7 @@ class PermutationGroup:
         """The subgroup generated by members of this group, with a weakref
         to this group's ambient group, or to this group if it has none."""
         gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
-        if not all(map(self.is_member, gens)):
+        if not all(g in self for g in gens):
             raise PreconditionError("subgroup generator is not a member of the parent")
         H = PermutationGroup(self.degree, gens)
         H.ambient = self.ambient or weakref.ref(self)

@@ -35,6 +35,8 @@ orders, and no check builds a quotient group.  The Hall strategies:
   1. a centralizer chain that is complete for nilpotent Hall subgroups;
   2. an anchored closure search over Sylow combinations, complete but
      budgeted, so it reports "inconclusive" rather than running away.
+     It is one depth-first loop over an explicit stack, one frame per
+     prime chosen so far, and returns each outcome where it is found.
      It lists every Sylow subgroup of each prime of pi by all_sylow,
      reads the Sylow counts off those lists, not off normalizers, and
      refutes what candidates it can at the last prime by two element
@@ -51,9 +53,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arith import check_pi, is_power_of, is_prime, p_part, pi_part, prime_factors, require_prime
-from .classdata import ClassTable, class_table
+from .classdata import ClassTable, as_group, class_table
 from .config import HALL_CANDIDATE_CAP, default_caps
-from .errors import CapacityError, PreconditionError
+from .errors import PreconditionError
 from .kernels import Row, kernel
 from .perms import PermutationGroup, compose, conjugate, inverse
 
@@ -80,9 +82,7 @@ def _p_element_orders(
 
 
 def _rows(group, caps: Optional[int]) -> List[Row]:
-    if not isinstance(group, PermutationGroup):
-        raise PreconditionError("expected a permutation group")
-    return group.element_rows(caps)
+    return as_group(group).element_rows(caps)
 
 
 def centralizer(group, sub: PermutationGroup, caps: Optional[int] = None) -> PermutationGroup:
@@ -399,13 +399,14 @@ class HallSearch:
         status: str,
         subgroup: Optional[PermutationGroup],
         reason: str,
-        cap: Optional[CapacityError] = None,
+        cap_name: Optional[str] = None,
+        cap_value: Optional[int] = None,
     ):
         self.status = status
         self.subgroup = subgroup
         self.reason = reason
-        self.cap_name = cap.cap_name if cap else None
-        self.cap_value = cap.cap_value if cap else None
+        self.cap_name = cap_name
+        self.cap_value = cap_value
 
     def __repr__(self) -> str:
         return "HallSearch(%s: %s)" % (self.status, self.reason)
@@ -507,59 +508,46 @@ def _anchored_search(
     prime's Sylow count, so the anchor is the prime with the shortest
     list.  An element-cap error propagates from sylow().  Sound for both
     existence and absence; bounded by the candidate budget.
+
+    Depth first over a stack: a frame holds generators, their closure
+    rows and an iterator over the next prime's candidates.  A candidate
+    is charged the elements its closure adds to the frame's rows,
+    counting at most one past target.  At the last prime a closure holds
+    a full Sylow subgroup for every prime of pi, so its order is a
+    multiple of target: it is a Hall subgroup or overflows.  A candidate
+    there for which ab or ab^2 (a = gens[0], b = cand[0]) has an order
+    not dividing target therefore overflows, and is charged so without
+    being closed.
     """
     lists = {p: all_sylow(group, p, caps) for p in primes}
     anchor = min(primes, key=lambda p: (len(lists[p]), p))
     others = sorted((p for p in primes if p != anchor), key=lambda p: (len(lists[p]), p))
     seed = sylow(group, anchor, caps)
-    degree = group.degree
     budget = HALL_CANDIDATE_CAP
-
-    def extend(
-        gens: List[Row], rows: List[Row], remaining: Tuple[int, ...]
-    ) -> Optional[List[Row]]:
-        """Rows of a Hall subgroup generated by gens, whose closure is
-        rows, and one Sylow subgroup per remaining prime; or None.  A
-        candidate is charged the elements its closure adds to rows,
-        counting at most one past target.  At the last prime a closure
-        holds a full Sylow subgroup for every prime of pi, so its order
-        is a multiple of target: it is a Hall subgroup or overflows.  A
-        candidate there for which ab or ab^2 (a = gens[0], b = cand[0])
-        has an order not dividing target therefore overflows, and is
-        charged so without being closed."""
-        nonlocal budget
-        if not remaining:
-            return rows if len(rows) == target else None
-        p = remaining[0]
-        for cand in lists[p]:
-            if len(remaining) == 1 and not _orders_divide(gens[0], cand[0], target):
-                merged = None
-            else:
-                merged = kernel.close_group(gens + cand, degree, target)
-            charge = (target + 1 if merged is None else len(merged)) - len(rows)
-            if charge >= budget:
-                raise CapacityError(
-                    "Hall search budget exhausted",
-                    cap_name="hall_candidates",
-                    cap_value=HALL_CANDIDATE_CAP,
-                )
-            budget -= charge
-            if merged is None or target % len(merged):
-                continue
-            got = extend(gens + cand, merged, remaining[1:])
-            if got is not None:
-                return got
-        return None
-
-    try:
-        result = extend(seed.generator_rows(), seed.element_rows(caps), tuple(others))
-    except CapacityError as exc:
-        return HallSearch("inconclusive", None, str(exc), exc)
-    finally:
-        del extend  # the recursive closure refers to itself through this name
-    if result is not None:
-        sub = group.subgroup_from_rows(result)
-        return HallSearch("found", sub, "anchored Sylow closure search")
+    stack = [(seed.generator_rows(), seed.element_rows(caps), iter(lists[others[0]]))]
+    while stack:
+        gens, rows, cands = stack[-1]
+        cand = next(cands, None)
+        if cand is None:
+            stack.pop()
+            continue
+        last = len(stack) == len(others)
+        if last and not _orders_divide(gens[0], cand[0], target):
+            merged = None
+        else:
+            merged = kernel.close_group(gens + cand, group.degree, target)
+        charge = (target + 1 if merged is None else len(merged)) - len(rows)
+        if charge >= budget:
+            return HallSearch("inconclusive", None, "Hall search budget exhausted",
+                              "hall_candidates", HALL_CANDIDATE_CAP)
+        budget -= charge
+        if merged is None or target % len(merged):
+            continue
+        if not last:
+            stack.append((gens + cand, merged, iter(lists[others[len(stack)]])))
+        elif len(merged) == target:
+            sub = group.subgroup_from_rows(merged)
+            return HallSearch("found", sub, "anchored Sylow closure search")
     return HallSearch(
         "absent",
         None,

@@ -6,17 +6,20 @@ Failing verdicts carry enough detail to point at the offending class or
 prime, and witnesses are JSON-safe for the CLI report.
 
 The paper's criteria that read a table alone live here too: the size
-criteria take any table with `p_element_classes(p)`, a
-classdata.ClassTable or a chartab.CharacterTable, and
-`blocks_criterion` is theorem C's principal-block rule.  `criteria`
-pairs them with the group-side searches, and `chartab` runs them on a
-character table without importing any permutation-group module.
+criteria take any table with `classes` (a classdata.ClassTable or a
+chartab.CharacterTable) and read its p-element classes through
+`p_element_classes`, and `blocks_criterion` is theorem C's
+principal-block rule.  `criteria` pairs them with the group-side
+searches, and `chartab` runs them on a character table without
+importing any permutation-group module.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from typing import Optional, Sequence
+
+from .arith import is_power_of, require_prime
 
 
 class Verdict:
@@ -62,9 +65,18 @@ def agreement(lhs: Verdict, rhs: Verdict) -> Optional[bool]:
     return lhs.holds == rhs.holds
 
 
+def p_element_classes(table, p: int) -> tuple:
+    """The table's classes of nontrivial elements whose order is a power
+    of p, in table order."""
+    require_prime(p)
+    return tuple(
+        c for c in table.classes if c.element_order > 1 and is_power_of(c.element_order, p)
+    )
+
+
 def sizes_coprime_criterion(table, q: int, p: int) -> Verdict:
     """Every nontrivial q-element has class size coprime to p."""
-    for ci in table.p_element_classes(q):
+    for ci in p_element_classes(table, q):
         if ci.size % p == 0:
             return Verdict.no(
                 "class %d (order %d, size %d) has size divisible by %d"
@@ -106,7 +118,7 @@ def pi_prime_sizes_criterion(table, pi: Sequence[int]) -> Verdict:
     """Every p-element for p in pi has class size coprime to all of pi."""
     primes = sorted(pi)
     for p in primes:
-        for ci in table.p_element_classes(p):
+        for ci in p_element_classes(table, p):
             for q in primes:
                 if ci.size % q == 0:
                     return Verdict.no(

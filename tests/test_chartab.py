@@ -29,6 +29,7 @@ from hallmark.errors import (
     TableSchemaError,
     TableSumError,
 )
+from hallmark.verdicts import p_element_classes
 
 TABLES_DIR = Path(hallmark.__file__).parent / "data" / "tables"
 SHIPPED = ("c6", "d4", "s4", "a5", "psl2_7", "psl2_31")
@@ -136,10 +137,10 @@ class TestParsing:
 
     def test_p_element_classes(self):
         t = table("a5")
-        assert [c.size for c in t.p_element_classes(5)] == [12, 12]
-        assert [c.size for c in t.p_element_classes(2)] == [15]
+        assert [c.size for c in p_element_classes(t, 5)] == [12, 12]
+        assert [c.size for c in p_element_classes(t, 2)] == [15]
         with pytest.raises(PreconditionError):
-            t.p_element_classes(6)
+            p_element_classes(t, 6)
 
 
 class TestRejection:

@@ -9,6 +9,7 @@ from hallmark import catalog, config
 from hallmark.classdata import ClassTable, class_table
 from hallmark.errors import CapacityError, PreconditionError
 from hallmark.kernels import kernel
+from hallmark.verdicts import p_element_classes
 
 def naive_class_data(group):
     elems = oracles.close([p.images for p in group.generators], group.degree)
@@ -44,17 +45,17 @@ class TestClassTable:
         assert sorted((ci.element_order, ci.size) for ci in table.classes) == [
             (1, 1), (2, 7), (3, 28), (3, 28), (6, 28), (6, 28), (7, 24), (7, 24),
         ]
-        assert [ci.size for ci in table.p_element_classes(2)] == [7]
-        assert [ci.size for ci in table.p_element_classes(3)] == [28, 28]
-        assert [ci.size for ci in table.p_element_classes(7)] == [24, 24]
+        assert [ci.size for ci in p_element_classes(table, 2)] == [7]
+        assert [ci.size for ci in p_element_classes(table, 3)] == [28, 28]
+        assert [ci.size for ci in p_element_classes(table, 7)] == [24, 24]
 
     def test_p_element_classes_all_p_power_orders(self):
         table = ClassTable(catalog.build("s4"))
-        twos = table.p_element_classes(2)
+        twos = p_element_classes(table, 2)
         assert all(ci.element_order in (2, 4) for ci in twos)
         assert sum(ci.size for ci in twos) == 15  # 9 involutions + 6 elements of order 4
         with pytest.raises(PreconditionError):
-            table.p_element_classes(6)
+            p_element_classes(table, 6)
 
     def test_element_order_set(self):
         table = ClassTable(catalog.build("a5"))

@@ -99,6 +99,10 @@ class TestGroupOrder:
             verify_pair("GL", 2, 6, 5, 7)
         with pytest.raises(PreconditionError, match="prime power"):
             verify_pair("GL", 2, 1, 3, 5)
+        with pytest.raises(PreconditionError, match="prime power"):
+            verify_pair("GL", 3, 4.0, 3, 5)
+        with pytest.raises(PreconditionError, match="prime power"):
+            verify_pair("GL", 3, "4", 3, 5)
 
 
 def ord_mod(r, q):

@@ -65,6 +65,10 @@ class TestPermutation:
     def test_degree_cap_enforced(self):
         with pytest.raises(CapacityError):
             Permutation(range(DEGREE_CAP + 1))
+        # a group's degree is an int (not a bool) of at least 0
+        for degree in (-1, True, 2.0, "3"):
+            with pytest.raises(MalformedInputError, match="degree must be"):
+                PermutationGroup(degree, [])
 
 
 def s4():
@@ -222,7 +226,7 @@ def test_normal_closure_extends_its_chain_correctly(data):
     assert fresh.order == closure.order
     assert fresh.element_rows() == closure.element_rows()
     for x in elements:
-        assert closure.is_member(Permutation(x)) == (x in want)
+        assert (Permutation(x) in closure) == (x in want)
 
 
 @pytest.mark.parametrize("name", ["s4", "a5", "psl2_7", "psl2_31", "psl3_3", "a5xc7", "a8"])

@@ -645,10 +645,16 @@ def run(name):
         if found is not None:
             subgroups.is_nilpotent(found)
 
+def run_out_of_budget(name, pi, budget):
+    subgroups.HALL_CANDIDATE_CAP = budget
+    assert subgroups.hall_subgroup(catalog.build(name), pi).status == "inconclusive"
+
 gc.collect()
 gc.disable()
 for name in %r:
     run(name)
+for name, pi, budget in %r:
+    run_out_of_budget(name, pi, budget)
 print(gc.collect())
 """
 
@@ -661,7 +667,9 @@ class TestOwnershipTree:
     def test_full_checks_leave_no_cyclic_garbage(self):
         # A fresh interpreter with the cyclic collector off: whatever the
         # checks leave unreachable is found by the one collection at the end.
-        code = FULL_CHECKS % (os.path.abspath(SRC), ["a5", "s4", "a5xc7", "aff32", "a8"])
+        # psl3_3's {2, 3} search needs a budget of 406, so 405 stops it
+        code = FULL_CHECKS % (os.path.abspath(SRC), ["a5", "s4", "a5xc7", "aff32", "a8"],
+                              [("psl3_3", (2, 3), 405)])
         done = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr

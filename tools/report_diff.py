@@ -50,7 +50,14 @@ hallmark and runs, with --no-timings:
     sift cap reaches).  The variable is set in the child's environment
     around each such call and removed after it, and these reports are
     keyed "HALLMARK_CAP_ELEMENTS=700 classes ...", "... hall ..." and
-    "... check ...".
+    "... check ...";
+  - `hall --pi 2,3` on each of BUDGET_GROUPS, with
+    hallmark.subgroups.HALL_CANDIDATE_CAP set to the least budget under
+    which the search completes, and once more to one below it, where
+    the search ends inconclusive.  No option or variable lowers that
+    cap, so the child sets the module constant around each such call,
+    as the tests do, and restores it after.  These reports are keyed
+    "HALL_CANDIDATE_CAP=N hall ...".
 
 Each command's stdout, stderr and exit code is its report.  The commands
 run one after another inside the child through `hallmark.cli.main`, so a
@@ -62,16 +69,22 @@ Prints each command whose report differs, or is missing on one side,
 and exits 1 if there is any; exits 0 when every report is identical.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
 from itertools import combinations
+from unittest import mock
 
 
 # the environment setting of the capped pass
 CAPPED = ("HALLMARK_CAP_ELEMENTS", "700")
+
+# group: the least HALL_CANDIDATE_CAP under which its {2, 3} search completes
+BUDGET_GROUPS = {"a5": 9, "psl2_7": 85, "psl3_3": 406}
 
 # catalog groups that `check --pi` runs on
 PI_GROUPS = ("a5", "s4", "psl2_7", "frob21")
@@ -154,32 +167,41 @@ def _commands(tables):
     for path in tables:
         out.append(["ct-blocks", path, "-p", "2"])
         out.append(["ct-analyze", path, "--theorem", "C", "--pi", "3,5"])
-    return [(None, argv) for argv in out] + [(CAPPED, argv) for argv in capped]
+    budgeted = [(("HALL_CANDIDATE_CAP", budget), ["hall", "catalog:" + name, "--pi", "2,3"])
+                for name, least in BUDGET_GROUPS.items() for budget in (least, least - 1)]
+    return [(None, argv) for argv in out] + [(CAPPED, argv) for argv in capped] + budgeted
+
+
+def _applied(setting):
+    """A context that puts setting, a (name, value) pair or None, in force
+    and restores what was there after: a HALLMARK_* name in the
+    environment, any other name as a constant of hallmark.subgroups."""
+    if setting is None:
+        return contextlib.nullcontext()
+    name, value = setting
+    if name.startswith("HALLMARK_"):
+        return mock.patch.dict(os.environ, {name: value})
+    from hallmark import subgroups
+
+    return mock.patch.object(subgroups, name, value)
 
 
 def _collect(tables) -> None:
     """Child side: run every command in this interpreter and print one
     JSON object {command line: [exit, stdout, stderr]}."""
-    import contextlib
-    import io
-
     from hallmark import cli
 
     reports = {}
     for setting, argv in _commands(tables):
         key = " ".join(argv)
         if setting is not None:
-            os.environ[setting[0]] = setting[1]
             key = "%s=%s %s" % (setting[0], setting[1], key)
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), _applied(setting):
             try:
                 code = cli.main(argv + ["--no-timings"])
             except Exception as exc:  # a crash is a report too
                 code = "exception %s: %s" % (type(exc).__name__, exc)
-            finally:
-                if setting is not None:
-                    del os.environ[setting[0]]
         reports[key] = [code, out.getvalue(), err.getvalue()]
     sys.stdout.write(json.dumps(reports))
 

@@ -7,7 +7,8 @@ TREE is a checkout (a directory holding src/hallmark) or a src
 directory.  One child process puts TREE's src on PYTHONPATH, installs a
 line tracer with sys.settrace before it imports hallmark, and then runs
 every report_diff command through `hallmark.cli.main`, as report_diff's
-own child does, on report_diff's copies of the a5 table.  A line counts
+own child does, on report_diff's copies of the a5 table, with the same
+settings: the capped environment and the lowered Hall budgets.  A line counts
 as executable when some code object of its module, compiled from TREE's
 source, maps an instruction to it (`co_lines()`).
 
