@@ -89,6 +89,10 @@ def _group_blurb(name: str, group) -> dict:
     return {"name": name, "order": group.order, "degree": group.degree}
 
 
+def _table_blurb(table) -> dict:
+    return {"name": table.name, "order": table.order, "irreducibles": len(table.rows)}
+
+
 def _emit(args, inputs: dict, payload: dict, caps: int = None,
           exit_code: int = EXIT_OK) -> int:
     report = {
@@ -234,11 +238,6 @@ def _cmd_check(args) -> int:
     if pi is None:
         checks = criteria.check_group(group, theorem, caps, principal_block_clear=hook)
     else:
-        entry = criteria.THEOREMS[theorem]
-        if entry.arity is not None and len(pi) != entry.arity:
-            raise MalformedInputError(
-                "--theorem %s takes %s, got %r" % (theorem, entry.takes, args.pi)
-            )
         checks = [criteria.check_one(group, theorem, pi, caps, principal_block_clear=hook)]
     tally = _tally(checks)
     payload = {
@@ -261,8 +260,7 @@ def _cmd_ct_analyze(args) -> int:
     else:
         verdict = chartab.table_criterion_c(table, pi)
     payload = {
-        "table": {"name": table.name, "order": table.order,
-                  "irreducibles": len(table.rows)},
+        "table": _table_blurb(table),
         "theorem": args.theorem,
         "pi": sorted(pi),
         "criterion": verdict.to_json(),
@@ -276,8 +274,7 @@ def _cmd_ct_blocks(args) -> int:
     table = _load_table(args.table)
     partition = chartab.block_partition(table, args.prime)
     payload = {
-        "table": {"name": table.name, "order": table.order,
-                  "irreducibles": len(table.rows)},
+        "table": _table_blurb(table),
         "partition": partition.to_json(table),
     }
     inputs = {"table": args.table, "p": args.prime}
@@ -365,7 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", parents=[common], help="list the shipped groups")
-    p.add_argument("action", nargs="?", default="list", choices=["list"])
     p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("classes", parents=[common], help="conjugacy class table")

@@ -13,10 +13,11 @@ reads its class table through `_on_table`, which guards the table but not
 the criterion; t4.2 keeps its own handler, since one verdict covers both
 of its sides.  All three build the verdict with `_unavailable`, which
 names the cap in its witnesses.  `_pair_verdict` and `_hall_verdict`
-build the Sylow-pair and Hall verdicts.  Theorem C's principal-block
-rule, `blocks_criterion`, lives in `verdicts` with the size criteria,
-so `chartab.table_criterion_c` runs the same rule without importing this
-module or any permutation-group code.
+build the Sylow-pair and Hall verdicts.  `check_one` is the one place
+that checks a theorem's prime count against `THEOREMS`.  Theorem C's
+principal-block rule, `blocks_criterion`, lives in `verdicts` with the
+size criteria, so `chartab.table_criterion_c` runs the same rule without
+importing this module or any permutation-group code.
 """
 
 from __future__ import annotations
@@ -106,12 +107,11 @@ def _on_table(
     return criterion(table)
 
 
-def _pair_verdict(found: Tuple[bool, Optional[tuple]], yes: str, no: str) -> Verdict:
+def _pair_verdict(pair: Optional[tuple], yes: str, no: str) -> Verdict:
     """A Sylow-pair search result: yes with the pair as witnesses, or no."""
-    got, pair = found
-    if got:
-        return Verdict.yes(yes, p_sylow=sub_witness(pair[0]), q_sylow=sub_witness(pair[1]))
-    return Verdict.no(no)
+    if pair is None:
+        return Verdict.no(no)
+    return Verdict.yes(yes, p_sylow=sub_witness(pair[0]), q_sylow=sub_witness(pair[1]))
 
 
 def _normalizing_pair(group: PermutationGroup, p: int, q: int, caps: Optional[int]) -> Verdict:
@@ -310,14 +310,18 @@ def check_one(
     principal_block_clear=None,
 ) -> TheoremCheck:
     """One check of theorem on primes: a pair, one odd prime, or a prime
-    set, as THEOREMS[theorem].arity says.  Only theorem C reads the
-    principal-block hook."""
+    set, as THEOREMS[theorem].arity says, and any other count is refused.
+    Only theorem C reads the principal-block hook."""
     entry = THEOREMS[theorem]
     check = globals()[entry.check]
+    if entry.arity is not None and len(primes) != entry.arity:
+        raise PreconditionError(
+            "theorem %s takes %s, got %s" % (theorem, entry.takes, list(primes))
+        )
     args = (primes,) if entry.arity is None else tuple(primes)
     if theorem == "C":
-        return check(group, *args, caps, principal_block_clear=principal_block_clear)
-    return check(group, *args, caps)
+        return check(group, *args, caps=caps, principal_block_clear=principal_block_clear)
+    return check(group, *args, caps=caps)
 
 
 def check_group(

@@ -23,7 +23,8 @@ order of q (of -q for GU) modulo the prime, and hands it to one of two
 witness builders, _linear (GL, GU) and _orthogonal (SO, and Sp read as
 SO_2n+1), which build the one block witness of that prime.  A builder
 checks only that the block fits in rank n; it factors no number, so the
-grid's many witnesses cost no primality or order test each.
+grid's many witnesses cost no primality or order test each.  The torus
+chain and the mixed torus read one torus rule, _torus and _hall_parts.
 """
 
 import json
@@ -88,16 +89,6 @@ def _order(family: str, n: int, q: int) -> int:
         * (q ** n - sign)
         * prod(q ** (2 * j) - 1 for j in range(1, n))
     )
-
-
-def _check_family(family: str, n) -> None:
-    # verify_pair's family and rank check.
-    if family not in FAMILIES:
-        raise MalformedInputError(
-            "unknown family %r; expected one of %s" % (family, ", ".join(FAMILIES))
-        )
-    if not is_int(n) or n < 1:
-        raise MalformedInputError("rank must be a positive integer, got %r" % (n,))
 
 
 def _check_prime(p, role: str, q: int) -> None:
@@ -267,9 +258,36 @@ def _orthogonal(family: str, n: int, q: int, r: int, k: int) -> ClassSize:
     return ClassSize("SO", case, params, value, divisor, ambient)
 
 
+def _torus(family: str, q: int, k: int) -> tuple:
+    """(rank, order) of the cyclic torus of a prime at which q (-q for GU)
+    has order k: GL_1(q^k) or GU_1(q^k) in GL and GU; in the orthogonal
+    families the split GL_1(q^k) for odd k, the twisted GU_1(q^(k/2)) for
+    even k.  The chain and the mixed torus both read their tori here."""
+    if family == "GU":
+        return k, (q ** k + 1 if k % 2 else q ** k - 1)
+    if family == "GL" or k % 2:
+        return k, q ** k - 1
+    return k // 2, q ** (k // 2) + 1
+
+
+def _hall_parts(order: int, torus: int, r: int, s: int) -> dict:
+    """The r- and s-parts of the group order and of a torus order, and
+    `match`: whether the torus order carries both, so that the torus holds
+    a Hall {r, s}-subgroup."""
+    r_ambient, r_torus = p_part(order, r), p_part(torus, r)
+    s_ambient, s_torus = p_part(order, s), p_part(torus, s)
+    return {
+        "r_part_ambient": r_ambient,
+        "r_part_torus": r_torus,
+        "s_part_ambient": s_ambient,
+        "s_part_torus": s_torus,
+        "match": r_ambient == r_torus and s_ambient == s_torus,
+    }
+
+
 def _chain_report(family: str, n: int, q: int, ambient: int, k: int, r: int,
                   s: int) -> dict:
-    """Torus chain data: copies of the rank-k torus and the rs-part match.
+    """Torus chain data: copies of the torus of k and the rs-part match.
 
     The chain packs `copies` commuting cyclic tori of order `factor` into
     the group of order `ambient`; its index is coprime to rs exactly when
@@ -279,38 +297,21 @@ def _chain_report(family: str, n: int, q: int, ambient: int, k: int, r: int,
     q^n - eps happens to carry the same prime, hence the sign juggling on
     `copies`.
     """
-    if family in ("GL", "GU"):
-        big_k = k
-        if family == "GU":
-            factor = q ** k + 1 if k % 2 else q ** k - 1
-        else:
-            factor = q ** k - 1
-        copies = n // k
+    rank, factor = _torus(family, q, k)
+    if family in ("SOplus", "SOminus"):
+        eps = 1 if family == "SOplus" else -1
+        copies = (n - 1) // rank
+        if n % rank == 0:
+            joined = 1 if k % 2 else (-1) ** (n // rank)
+            if eps == joined:
+                copies += 1
     else:
-        big_k = k if k % 2 else k // 2
-        factor = q ** big_k - 1 if k % 2 else q ** big_k + 1
-        if family in ("Sp", "SOodd"):
-            copies = n // big_k
-        else:
-            eps = 1 if family == "SOplus" else -1
-            copies = (n - 1) // big_k
-            if n % big_k == 0:
-                joined = 1 if k % 2 else (-1) ** (n // big_k)
-                if eps == joined:
-                    copies += 1
-    r_ambient = p_part(ambient, r)
-    s_ambient = p_part(ambient, s)
-    r_torus = p_part(factor, r) ** copies
-    s_torus = p_part(factor, s) ** copies
+        copies = n // rank
     return {
         "torus_factor": factor,
         "copies": copies,
-        "rank": big_k,
-        "r_part_ambient": r_ambient,
-        "r_part_torus": r_torus,
-        "s_part_ambient": s_ambient,
-        "s_part_torus": s_torus,
-        "match": r_ambient == r_torus and s_ambient == s_torus,
+        "rank": rank,
+        **_hall_parts(ambient, factor ** copies, r, s),
     }
 
 
@@ -348,7 +349,10 @@ def verify_pair(family: str, n: int, q: int, r: int, s: int) -> dict:
     2K) the mixed torus GL_1(q^K) x GU_1(q^K) does.  Points where one prime
     misses the group order entirely are vacuous.
     """
-    _check_family(family, n)
+    if family not in FAMILIES:
+        raise MalformedInputError(
+            "unknown family %r; expected one of %s" % (family, ", ".join(FAMILIES))
+        )
     _check_rank(n, "rank")
     require_prime_power(q)
     _check_prime(r, "r", q)
@@ -418,32 +422,24 @@ def _verdict(family: str, n: int, q: int, r: int, s: int, order: int, k: int,
         # stacked witness then decides: coprime to the odd-order prime it
         # pins the group to SO^- of dimension 4K, where the product of a
         # split and a twisted rank-K torus is a Hall {r, s}-subgroup.
-        big_r = k if k % 2 else k // 2
-        big_s = l if l % 2 else l // 2
-        if big_r == big_s:
-            big_k = big_r
+        big_k, r_torus = _torus(family, q, k)
+        big_s, s_torus = _torus(family, q, l)
+        if big_k == big_s:
             even_prime, even_k, odd_prime = (r, k, s) if k % 2 == 0 else (s, l, r)
             stack = _stack_value(family, n, q, even_prime, even_k)
+            stack_coprime = stack % odd_prime != 0
             endpoint = family == "SOminus" and n == 2 * big_k
-            factor = (q ** big_k - 1) * (q ** big_k + 1)
+            factor = r_torus * s_torus
             mixed = {
                 "torus_factor": factor,
                 "rank": big_k,
                 "stack_witness": stack,
-                "stack_coprime": stack % odd_prime != 0,
+                "stack_coprime": stack_coprime,
                 "endpoint": endpoint,
-                "r_part_ambient": p_part(order, r),
-                "r_part_torus": p_part(factor, r),
-                "s_part_ambient": p_part(order, s),
-                "s_part_torus": p_part(factor, s),
+                **_hall_parts(order, factor, r, s),
             }
-            mixed["match"] = (
-                mixed["stack_coprime"]
-                and endpoint
-                and mixed["r_part_ambient"] == mixed["r_part_torus"]
-                and mixed["s_part_ambient"] == mixed["s_part_torus"]
-            )
-            if not mixed["stack_coprime"]:
+            mixed["match"] = stack_coprime and endpoint and mixed["match"]
+            if not stack_coprime:
                 premise = False
     consistent = (
         (not premise)
@@ -485,15 +481,14 @@ def _check_grid(manifest, source: str = "grid manifest") -> None:
             raise MalformedInputError("%s: primes entry %r is not a prime" % (source, p))
     if len(set(primes)) != len(primes):
         raise MalformedInputError("%s lists a prime twice: %r" % (source, primes))
-    rank = manifest["max_rank"]
+    _check_rank(manifest["max_rank"], "%s: max_rank" % source)
+
+
+def _check_rank(rank, what: str) -> None:
+    """Refuse a rank (named what) that is not a positive integer or that
+    exceeds config.RANK_CAP."""
     if not is_int(rank) or rank < 1:
-        raise MalformedInputError(
-            "%s: max_rank must be a positive integer, got %r" % (source, rank)
-        )
-    _check_rank(rank, "%s: max_rank" % source)
-
-
-def _check_rank(rank: int, what: str) -> None:
+        raise MalformedInputError("%s must be a positive integer, got %r" % (what, rank))
     if rank > RANK_CAP:
         raise CapacityError(
             "%s %d exceeds the rank cap %d" % (what, rank, RANK_CAP),

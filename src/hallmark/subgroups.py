@@ -224,8 +224,8 @@ def is_nilpotent(sub, caps: Optional[int] = None) -> bool:
 
 def exists_commuting_sylow_pair(
     group: PermutationGroup, p: int, q: int, caps: Optional[int] = None
-) -> Tuple[bool, Optional[Tuple[PermutationGroup, PermutationGroup]]]:
-    """Whether some Sylow p- and q-subgroups commute elementwise.
+) -> Optional[Tuple[PermutationGroup, PermutationGroup]]:
+    """Sylow p- and q-subgroups (P, Q) that commute elementwise, or None.
 
     Checked on one fixed Sylow p-subgroup P: a commuting pair exists iff
     the centralizer of P contains a full Sylow q-subgroup of the group
@@ -236,8 +236,8 @@ def exists_commuting_sylow_pair(
 
 def exists_normalizing_sylow_pair(
     group: PermutationGroup, p: int, q: int, caps: Optional[int] = None
-) -> Tuple[bool, Optional[Tuple[PermutationGroup, PermutationGroup]]]:
-    """Whether some Sylow p-subgroup normalizes some Sylow q-subgroup.
+) -> Optional[Tuple[PermutationGroup, PermutationGroup]]:
+    """Sylow p- and q-subgroups (P, Q) with P normalizing Q, or None.
 
     Checked on one fixed Sylow q-subgroup Q: such a pair exists iff the
     normalizer of Q contains a full Sylow p-subgroup of the group.
@@ -247,11 +247,11 @@ def exists_normalizing_sylow_pair(
 
 def _sylow_pair(
     kind: str, group: PermutationGroup, p: int, q: int, caps: Optional[int]
-) -> Tuple[bool, Optional[Tuple[PermutationGroup, PermutationGroup]]]:
+) -> Optional[Tuple[PermutationGroup, PermutationGroup]]:
     """Both pair tests: the Sylow subgroup F of the fixed prime (p for kind
     "centralizer", q for "normalizer") and a Sylow subgroup of the other
     prime inside F's kind subgroup, returned as (P, Q), exist iff that
-    kind subgroup holds a full Sylow subgroup of the group."""
+    kind subgroup holds a full Sylow subgroup of the group; else None."""
     require_prime(p)
     require_prime(q, "q")
     if p == q:
@@ -259,9 +259,9 @@ def _sylow_pair(
     fixed, other = (p, q) if kind == "centralizer" else (q, p)
     F, scope = _sylow_and(kind, group, fixed, caps)
     if p_part(scope.order, other) != p_part(group.order, other):
-        return False, None
+        return None
     O = sylow(scope, other, caps)
-    return True, ((F, O) if kind == "centralizer" else (O, F))
+    return (F, O) if kind == "centralizer" else (O, F)
 
 
 def chief_series(

@@ -74,18 +74,24 @@ def p_element_classes(table, p: int) -> tuple:
     )
 
 
+def _divisible(ci, p: int) -> Verdict:
+    """The failing verdict of a size criterion: class ci has size
+    divisible by p."""
+    return Verdict.no(
+        "class %d (order %d, size %d) has size divisible by %d"
+        % (ci.index, ci.element_order, ci.size, p),
+        class_index=ci.index,
+        element_order=ci.element_order,
+        size=ci.size,
+        prime=p,
+    )
+
+
 def sizes_coprime_criterion(table, q: int, p: int) -> Verdict:
     """Every nontrivial q-element has class size coprime to p."""
     for ci in p_element_classes(table, q):
         if ci.size % p == 0:
-            return Verdict.no(
-                "class %d (order %d, size %d) has size divisible by %d"
-                % (ci.index, ci.element_order, ci.size, p),
-                class_index=ci.index,
-                element_order=ci.element_order,
-                size=ci.size,
-                prime=p,
-            )
+            return _divisible(ci, p)
     return Verdict.yes(
         "all %d-element class sizes are coprime to %d" % (q, p), primes=[q, p]
     )
@@ -121,14 +127,7 @@ def pi_prime_sizes_criterion(table, pi: Sequence[int]) -> Verdict:
         for ci in p_element_classes(table, p):
             for q in primes:
                 if ci.size % q == 0:
-                    return Verdict.no(
-                        "class %d (order %d, size %d) has size divisible by %d"
-                        % (ci.index, ci.element_order, ci.size, q),
-                        class_index=ci.index,
-                        element_order=ci.element_order,
-                        size=ci.size,
-                        prime=q,
-                    )
+                    return _divisible(ci, q)
     return Verdict.yes("all pi-element class sizes are pi-prime for %s" % (primes,))
 
 

@@ -7,15 +7,18 @@ only, which is the statement under test; disagreement on any catalog
 group would falsify the implementation, not the sweep.
 """
 
+import random
 from itertools import combinations
 
 import pytest
 
-from hallmark import catalog, classdata, criteria, subgroups
+from hallmark import catalog, chartab, classdata, criteria, subgroups
 from hallmark.arith import prime_factors
 from hallmark.classdata import ClassTable
+from hallmark.cli import TABLE_BACKED, _shipped_table_path
 from hallmark.errors import CapacityError, PreconditionError
 from hallmark.kernels import kernel
+from hallmark.perms import PermutationGroup
 from hallmark.verdicts import Verdict, agreement
 
 _BUILT = {}
@@ -283,6 +286,19 @@ class TestCheckGroup:
         check = criteria.check_one(group("a5"), "A", (2, 5))
         assert check.params == {"p": 2, "q": 5}
 
+    @pytest.mark.parametrize("theorem, primes, caps", [
+        ("A", [3], None), ("A", [2, 3, 5], None),
+        ("t4.1", [3], None), ("t4.1", [2, 3, 5], None),
+        ("t4.2", [3], None), ("t4.2", [2, 3, 5], None),
+        ("t4.3", [], None), ("t4.3", [3, 5], None),
+        # a missing prime is not filled in from the next argument
+        ("A", [3], 5),
+    ], ids=["A-few", "A-many", "t4.1-few", "t4.1-many", "t4.2-few", "t4.2-many",
+            "t4.3-few", "t4.3-many", "A-caps-as-q"])
+    def test_wrong_prime_count_is_refused(self, theorem, primes, caps):
+        with pytest.raises(PreconditionError, match="theorem %s takes" % theorem):
+            criteria.check_one(group("a5"), theorem, primes, caps)
+
     def test_default_prime_sets(self):
         assert criteria.default_prime_sets(60) == [(2, 3), (2, 5), (3, 5), (2, 3, 5)]
         assert criteria.default_prime_sets(12) == [(2, 3)]
@@ -386,7 +402,7 @@ class TestGroupFacts:
         assert raised[0] == raised[1]
         # A scope inside the group is under the cap; its kept climb and a
         # fresh one (which cannot tabulate the whole group) agree.
-        _, (kept, _) = subgroups.exists_normalizing_sylow_pair(warm, 7, 5)
+        kept, _ = subgroups.exists_normalizing_sylow_pair(warm, 7, 5)
         _, scope = subgroups._sylow_and("normalizer", warm, 5, None)
         assert subgroups.sylow(scope, 7, small) is kept
         norm = subgroups.normalizer(fresh, subgroups.sylow(fresh, 5))
@@ -428,3 +444,46 @@ class TestGroupFacts:
                     call(grp)
                 raised.append((info.value.cap_name, info.value.cap_value, str(info.value)))
             assert raised[0] == raised[1]
+
+
+def relabeled(grp, rng):
+    """grp with its points renamed by a seeded random permutation sigma
+    other than the identity: each generator g becomes sigma^-1 g sigma,
+    which sends sigma(i) to sigma(g(i))."""
+    sigma = list(range(grp.degree))
+    while sigma == sorted(sigma):
+        rng.shuffle(sigma)
+    gens = []
+    for g in grp.generators:
+        images = [0] * grp.degree
+        for i, j in enumerate(g.images):
+            images[sigma[i]] = sigma[j]
+        gens.append(images)
+    return PermutationGroup(grp.degree, gens)
+
+
+class TestRelabeling:
+    """Renaming the points changes no fact the checks read: the class
+    sizes, the Sylow orders and every verdict of every default check
+    are those of the group as shipped."""
+
+    @staticmethod
+    def _facts(grp, hook):
+        sizes = sorted(ci.size for ci in ClassTable(grp).classes)
+        sylows = [subgroups.sylow(grp, p).order for p in prime_factors(grp.order)]
+        checks = [
+            (c.theorem, c.params, c.lhs.holds, c.rhs.holds, c.agree)
+            for theorem in criteria.THEOREMS
+            for c in criteria.check_group(grp, theorem, principal_block_clear=hook)
+        ]
+        return sizes, sylows, checks
+
+    @pytest.mark.parametrize("name", [e.name for e in catalog.entries(include_stretch=False)])
+    def test_relabeled_group_gives_the_same_facts(self, name):
+        shipped = catalog.build(name)
+        renamed = relabeled(shipped, random.Random(name))
+        assert renamed.generators != shipped.generators
+        hook = None
+        if name in TABLE_BACKED:
+            hook = chartab.principal_block_clear(chartab.load_table(_shipped_table_path(name)))
+        assert self._facts(renamed, hook) == self._facts(shipped, hook)

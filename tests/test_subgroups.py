@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -355,8 +356,8 @@ class TestStructure:
 
 
 class TestDirectProducts:
-    """Chief factors, p-solvability and simplicity of G x H follow from
-    those of G and H."""
+    """Chief factors, p-solvability, simplicity and Hall subgroups of
+    G x H follow from those of G and H."""
 
     PAIRS = [("a5", "c3"), ("s4", "d4"), ("s3", "a5"), ("a5", "a5"), ("s5", "c2")]
 
@@ -380,6 +381,39 @@ class TestDirectProducts:
             ), p
         assert not subgroups.is_simple(product)
 
+    # c30 x s3 adds nilpotent and abelian Hall subgroups, which PAIRS lacks
+    @pytest.mark.parametrize("left,right", PAIRS + [("c30", "s3")])
+    def test_hall_subgroups_follow_from_the_factors(self, left, right):
+        # For a Hall pi-subgroup K of G x H, K meets G in a pi-subgroup
+        # whose order is at least |K| / |H|_pi = |G|_pi, so K n G is a
+        # Hall subgroup of G, and likewise for H; conversely the product
+        # of Hall subgroups of the factors is one of G x H.  A nilpotent
+        # Hall pi-subgroup makes every Hall pi-subgroup conjugate to it
+        # (Wielandt), so nilpotency and commutativity are the same for
+        # every witness, and the product's is nilpotent (abelian)
+        # exactly when both factors' are.
+        g, h = self._factor(left), self._factor(right)
+        product = catalog.direct_product(g, h)
+        primes = prime_factors(product.order)
+        for k in range(2, len(primes) + 1):
+            for pi in combinations(primes, k):
+                left_shape, right_shape = self._hall_shape(g, pi), self._hall_shape(h, pi)
+                expected = None
+                if left_shape is not None and right_shape is not None:
+                    expected = tuple(a and b for a, b in zip(left_shape, right_shape))
+                assert self._hall_shape(product, pi) == expected, pi
+
+    @staticmethod
+    def _hall_shape(group, pi):
+        """(nilpotent, abelian) of the Hall subgroup that hall_subgroup
+        finds for the primes of pi dividing the order, or None when it
+        proves there is none."""
+        result = subgroups.hall_subgroup(group, [p for p in pi if group.order % p == 0])
+        assert result.status in ("found", "absent"), (group.order, pi, result.reason)
+        if result.subgroup is None:
+            return None
+        return subgroups.is_nilpotent(result.subgroup), subgroups.is_abelian(result.subgroup)
+
 
 class TestCommutingPairs:
     @pytest.mark.parametrize("name,p,q,expected", [
@@ -391,9 +425,9 @@ class TestCommutingPairs:
     ])
     def test_commuting_sylow_pair(self, name, p, q, expected):
         group = catalog.build(name)
-        got, pair = subgroups.exists_commuting_sylow_pair(group, p, q)
-        assert got == expected
-        if got:
+        pair = subgroups.exists_commuting_sylow_pair(group, p, q)
+        assert (pair is not None) == expected
+        if pair is not None:
             a, b = pair
             a_set, b_set = naive_set(a), naive_set(b)
             assert all(
@@ -405,10 +439,8 @@ class TestCommutingPairs:
         # the translation subgroup is the normal Sylow 2, so every Sylow 3
         # normalizes it; with n_3 = 28 no Sylow 2 returns the favor
         group = catalog.build("aff8")
-        got_32, _ = subgroups.exists_normalizing_sylow_pair(group, 3, 2)
-        got_23, _ = subgroups.exists_normalizing_sylow_pair(group, 2, 3)
-        assert got_32
-        assert not got_23
+        assert subgroups.exists_normalizing_sylow_pair(group, 3, 2) is not None
+        assert subgroups.exists_normalizing_sylow_pair(group, 2, 3) is None
 
 
 class TestHall:

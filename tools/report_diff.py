@@ -32,7 +32,9 @@ hallmark and runs, with --no-timings:
   - `lie-verify --family F --n N --q Q --r R --s S` for every family, N
     in 1..8, Q in {2, 3, 4, 5, 7, 8, 9} and every pair R < S from
     {3, 5, 7, 11, 13} of primes not dividing Q, so that the value of each
-    block witness is compared, not only the grid's counts;
+    block witness is compared, not only the grid's counts, and at
+    MIXED_POINTS, where the mixed torus's stacked witness is not coprime
+    to the odd-order prime and so sets the premise false;
   - `ct-blocks -p 2` and `ct-analyze --theorem C --pi 3,5` on three
     copies of the shipped a5 table that ask for large root orders: one
     declares the exponent 30270 = 30 * 1009, and two write the trivial
@@ -85,6 +87,10 @@ CAPPED = ("HALLMARK_CAP_ELEMENTS", "700")
 
 # group: the least HALL_CANDIDATE_CAP under which its {2, 3} search completes
 BUDGET_GROUPS = {"a5": 9, "psl2_7": 85, "psl3_3": 406}
+
+# (family, n, q, r, s) of the `lie-verify` points outside the box whose
+# mixed torus has a stacked witness divisible by the odd-order prime
+MIXED_POINTS = (("SOminus", 4, 16, 5, 17), ("SOminus", 12, 3, 7, 13))
 
 # catalog groups that `check --pi` runs on
 PI_GROUPS = ("a5", "s4", "psl2_7", "frob21")
@@ -157,13 +163,14 @@ def _commands(tables):
                     out.append(["ct-analyze", "catalog:" + name, "--theorem", theorem,
                                 "--pi", ",".join(map(str, pi))])
         out += [["ct-blocks", "catalog:" + name, "-p", str(p)] for p in primes]
-    for family in lieorders.FAMILIES:
-        for n in range(1, 9):
-            for q in (2, 3, 4, 5, 7, 8, 9):
-                usable = [p for p in (3, 5, 7, 11, 13) if q % p]
-                for r, s in combinations(usable, 2):
-                    out.append(["lie-verify", "--family", family, "--n", str(n),
-                                "--q", str(q), "--r", str(r), "--s", str(s)])
+    box = [(family, n, q, r, s)
+           for family in lieorders.FAMILIES
+           for n in range(1, 9)
+           for q in (2, 3, 4, 5, 7, 8, 9)
+           for r, s in combinations([p for p in (3, 5, 7, 11, 13) if q % p], 2)]
+    for family, n, q, r, s in box + list(MIXED_POINTS):
+        out.append(["lie-verify", "--family", family, "--n", str(n),
+                    "--q", str(q), "--r", str(r), "--s", str(s)])
     for path in tables:
         out.append(["ct-blocks", path, "-p", "2"])
         out.append(["ct-analyze", path, "--theorem", "C", "--pi", "3,5"])
