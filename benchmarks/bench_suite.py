@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time the suite, the J1 check body and Tier-1 on two source trees, or
-the suite and the J1 body on both kernels of one tree.
+"""Time the suite, a character-table command, the J1 check body and
+Tier-1 on two source trees, or the suite and the J1 body on both kernels
+of one tree.
 
 Run from anywhere:  python3 benchmarks/bench_suite.py OLD NEW
                or:  python3 benchmarks/bench_suite.py --backends TREE
@@ -13,6 +14,10 @@ pair to pair, it runs in child processes:
 
   - `hallmark suite --no-timings`, 5 pairs, timed over the whole child
     process;
+  - `hallmark ct-analyze catalog:psl2_31 --theorem C --pi 3,5
+    --no-timings`, 10 pairs, timed over the whole child process: the
+    table path end to end (parse with its orthogonality check, block
+    partitions at 3 and 5, the table criteria);
   - the body of tests/test_acceptance.py::test_c9_extended_j1
     (check_theorem_b and hall_subgroup for {3, 5} on J1, then is_nilpotent
     and is_abelian of the witness), 3 pairs, timed inside the child from
@@ -24,12 +29,12 @@ pair to pair, it runs in child processes:
     whole child process.
 
 It prints one JSON object, the `suite_and_j1` block of a BENCH file:
-`suite_<backend>` and `j1_<backend>` hold the runs, the medians, the
-speedup (OLD median over NEW median) and `outputs_identical`, which
-compares the suite report bytes and the J1 verdicts and Hall witness of
-every run; `import_<backend>` holds the same for each import, whose
-output is empty; `tier1_<backend>` holds each tree's time and pytest
-summary.
+`suite_<backend>`, `ct_analyze_<backend>` and `j1_<backend>` hold the
+runs, the medians, the speedup (OLD median over NEW median) and
+`outputs_identical`, which compares the report bytes of the suite and of
+ct-analyze and the J1 verdicts and Hall witness of every run;
+`import_<backend>` holds the same for each import, whose output is
+empty; `tier1_<backend>` holds each tree's time and pytest summary.
 
 With --backends, TREE's suite and J1 body run in pure/compiled pairs
 instead, the backend that runs first alternating from pair to pair (5
@@ -53,6 +58,8 @@ import time
 from statistics import median
 
 SUITE_PAIRS = 5
+CT_ANALYZE_PAIRS = 10
+CT_ANALYZE = ("ct-analyze", "catalog:psl2_31", "--theorem", "C", "--pi", "3,5")
 J1_PAIRS = 3
 IMPORT_PAIRS = 10
 IMPORTED = ("hallmark", "hallmark.cli")
@@ -102,9 +109,13 @@ def _child(tree: str, argv: list, strict: bool = True, src: str = None) -> tuple
     return elapsed, done.stdout
 
 
-def _suite(tree: str, src: str = None) -> tuple:
-    elapsed, out = _child(tree, ["-m", "hallmark.cli", "suite", "--no-timings"], src=src)
-    return {"elapsed_s": round(elapsed, 3)}, out
+def _cli(*args):
+    """A measure for _alternate: one child that runs `hallmark ARGS
+    --no-timings`; its output is the report."""
+    def measure(tree: str, src: str = None) -> tuple:
+        elapsed, out = _child(tree, ["-m", "hallmark.cli", *args, "--no-timings"], src=src)
+        return {"elapsed_s": round(elapsed, 3)}, out
+    return measure
 
 
 def _importer(module: str):
@@ -172,7 +183,7 @@ def _backends(tree: str) -> dict:
             backend = _child(tree, probe, src=src)[1].strip()
             if backend != label:
                 sys.exit("bench_suite: the %s side imports the %s kernel" % (label, backend))
-        suite = _alternate(sides, SUITE_PAIRS, _suite, "pure_over_compiled")
+        suite = _alternate(sides, SUITE_PAIRS, _cli("suite"), "pure_over_compiled")
         j1 = _alternate(sides, J1_PAIRS, _j1, "pure_over_compiled")
     return {
         "suite": suite,
@@ -211,7 +222,9 @@ def main(argv) -> int:
     backend = backends.pop()
     sides = [("parent", trees[0], None), ("change", trees[1], None)]
     block = {
-        "suite_" + backend: _alternate(sides, SUITE_PAIRS, _suite, "speedup"),
+        "suite_" + backend: _alternate(sides, SUITE_PAIRS, _cli("suite"), "speedup"),
+        "ct_analyze_" + backend: _alternate(sides, CT_ANALYZE_PAIRS, _cli(*CT_ANALYZE),
+                                            "speedup"),
         "j1_" + backend: _alternate(sides, J1_PAIRS, _j1, "speedup"),
         "import_" + backend: {
             module: _alternate(sides, IMPORT_PAIRS, _importer(module), "speedup")

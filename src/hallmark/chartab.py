@@ -18,7 +18,9 @@ rationals: character values are algebraic integers, and the division
 inside central characters happens in-tool, where integrality can be
 asserted).  parseTable rejects bad shape, bad size sums, and inexact
 orthogonality with distinct error kinds, so a corrupted file never gets
-as far as a verdict.
+as far as a verdict.  Orthogonality is most of the cost of a parse: for
+k classes it takes k(k+1)/2 sums of k columns, each summed by
+cyclotomic.inner into one coefficient dict and canonicalized once.
 
 Block partitions follow the classical central-character route: chi and
 psi share a p-block exactly when the reductions of omega_chi(K) and
@@ -28,7 +30,9 @@ orders, which is the product of the residue fields at all the prime
 ideals over p at once, so equal images mean equal reductions modulo
 every one of them.  Any two such ideals differ by a Galois automorphism
 and p-blocks are Galois-stable, so this gives the same partition as any
-one ideal would.
+one ideal would.  A central character scales the canonical form of its
+table value, which the value keeps, so each value is canonicalized once
+however many primes its table's blocks are computed for.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .arith import check_pi, is_int, require_prime
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, inner
 from .errors import (
     TableCorruptError,
     TableOrthogonalityError,
@@ -263,11 +267,10 @@ def parse_table(data) -> CharacterTable:
             )
 
     # exact first orthogonality, all pairs (the norm row is the i == j case)
+    sizes = [col.size for col in classes]
     for i in range(len(rows)):
         for j in range(i, len(rows)):
-            s = Cyc.zero()
-            for col in classes:
-                s = s + rows[i][col.index] * rows[j][col.index].conjugate() * col.size
+            s = inner(rows[i], rows[j], sizes)
             expected_sum = order if i == j else 0
             if not (s - expected_sum).is_zero():
                 raise TableOrthogonalityError(
@@ -288,9 +291,11 @@ def load_table(path) -> CharacterTable:
 
 def central_character(table: CharacterTable, chi: int, k: int) -> Cyc:
     """omega_chi(K) = size(K) * chi(g_K) / chi(1), certified integral."""
-    value = table.rows[chi][k] * table.classes[k].size
+    value = table.rows[chi][k]
+    size = table.classes[k].size
     deg = table.degrees[chi]
-    coords = value.canonical()
+    # canonicalization is linear, so this is the form of size * value
+    coords = {e: c * size for e, c in value.canonical().items()}
     if any(c % deg for c in coords.values()):
         raise TableCorruptError(
             "central character of irreducible %d at class %d is not an algebraic integer"

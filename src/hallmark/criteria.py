@@ -13,8 +13,9 @@ reads its class table through `_on_table`, which guards the table but not
 the criterion; t4.2 keeps its own handler, since one verdict covers both
 of its sides.  All three build the verdict with `_unavailable`, which
 names the cap in its witnesses.  `_pair_verdict` and `_hall_verdict`
-build the Sylow-pair and Hall verdicts.  `check_one` is the one place
-that checks a theorem's prime count against `THEOREMS`.  Theorem C's
+build the Sylow-pair and Hall verdicts.  `_theorem` is the one place
+that refuses a theorem name outside `THEOREMS`, and `check_one` the one
+place that checks a theorem's prime count against it.  Theorem C's
 principal-block rule, `blocks_criterion`, lives in `verdicts` with the
 size criteria, so `chartab.table_criterion_c` runs the same rule without
 importing this module or any permutation-group code.
@@ -302,6 +303,13 @@ THEOREMS = {
 }
 
 
+def _theorem(theorem: str) -> Theorem:
+    """THEOREMS[theorem]; any other name is refused."""
+    if theorem not in THEOREMS:
+        raise PreconditionError("unknown theorem %r" % (theorem,))
+    return THEOREMS[theorem]
+
+
 def check_one(
     group: PermutationGroup,
     theorem: str,
@@ -312,7 +320,7 @@ def check_one(
     """One check of theorem on primes: a pair, one odd prime, or a prime
     set, as THEOREMS[theorem].arity says, and any other count is refused.
     Only theorem C reads the principal-block hook."""
-    entry = THEOREMS[theorem]
+    entry = _theorem(theorem)
     check = globals()[entry.check]
     if entry.arity is not None and len(primes) != entry.arity:
         raise PreconditionError(
@@ -331,9 +339,7 @@ def check_group(
     principal_block_clear=None,
 ) -> List[TheoremCheck]:
     """All default checks of one theorem for one group."""
-    if theorem not in THEOREMS:
-        raise PreconditionError("unknown theorem %r" % (theorem,))
     return [
         check_one(group, theorem, primes, caps, principal_block_clear)
-        for primes in THEOREMS[theorem].defaults(group.order)
+        for primes in _theorem(theorem).defaults(group.order)
     ]

@@ -12,13 +12,20 @@ values are equal exactly when their canonical dicts match.
 
 Character-table arithmetic only needs addition, multiplication,
 conjugation, rational checks, and exactness, all provided here without
-any floating point.
+any floating point.  `inner` gives the weighted inner product
+sum w * x * conj(y) of two rows of values as one value: it lifts each
+value once to the rows' common conductor and adds every term product
+into one dict, where a chain of Cyc operations would make a new value
+for each product, conjugate and partial sum.  A product of two values
+in Cyc.__mul__, and each column's term products in `inner`, are refused
+before the first is made when there would be more than
+config.CYCLOTOMIC_FORM_CAP of them; `_check_product` holds that rule.
 """
 
 from __future__ import annotations
 
-from math import gcd
-from typing import Dict, Tuple
+from math import gcd, lcm
+from typing import Dict, Sequence, Tuple
 
 from .arith import prime_factors
 from .config import CYCLOTOMIC_FORM_CAP
@@ -94,14 +101,7 @@ class Cyc:
         other = _coerce(other)
         a, b = self._common(other)
         n = a.n
-        if len(a.coeffs) * len(b.coeffs) > CYCLOTOMIC_FORM_CAP:
-            raise CapacityError(
-                "a product of %d by %d terms in Q(zeta_%d) makes more than %d term "
-                "products, the cyclotomic form cap"
-                % (len(a.coeffs), len(b.coeffs), n, CYCLOTOMIC_FORM_CAP),
-                cap_name="cyclotomic_form",
-                cap_value=CYCLOTOMIC_FORM_CAP,
-            )
+        _check_product(a, b)
         out: Dict[int, int] = {}
         for e1, c1 in a.coeffs.items():
             for e2, c2 in b.coeffs.items():
@@ -175,6 +175,42 @@ def _coerce(value) -> Cyc:
     if isinstance(value, int):
         return Cyc.integer(value)
     raise PreconditionError("cannot mix cyclotomic values with %r" % (value,))
+
+
+def _check_product(a: Cyc, b: Cyc) -> None:
+    """Refuse a product of a by b that makes more than CYCLOTOMIC_FORM_CAP
+    term products, before the first is made."""
+    if len(a.coeffs) * len(b.coeffs) > CYCLOTOMIC_FORM_CAP:
+        raise CapacityError(
+            "a product of %d by %d terms in Q(zeta_%d) makes more than %d term "
+            "products, the cyclotomic form cap"
+            % (len(a.coeffs), len(b.coeffs), lcm(a.n, b.n), CYCLOTOMIC_FORM_CAP),
+            cap_name="cyclotomic_form",
+            cap_value=CYCLOTOMIC_FORM_CAP,
+        )
+
+
+def inner(xs: Sequence[Cyc], ys: Sequence[Cyc], weights: Sequence[int]) -> Cyc:
+    """sum of w * x * conj(y) over the columns (x, y, w), as one value.
+
+    Each value's exponents are lifted once to the lcm n of all the root
+    orders, and every term product goes into one {exponent: coefficient}
+    dict mod n.  Each column's term products are refused, as in
+    Cyc.__mul__, before the first is made.
+    """
+    n = lcm(*(v.n for v in xs), *(v.n for v in ys))
+    out: Dict[int, int] = {}
+    for x, y, w in zip(xs, ys, weights):
+        _check_product(x, y)
+        kx, ky = n // x.n, n // y.n
+        ys_lifted = [(e * ky, c) for e, c in y.coeffs.items()]
+        for e1, c1 in x.coeffs.items():
+            e1 *= kx
+            c1 *= w
+            for e2, c2 in ys_lifted:
+                e = (e1 - e2) % n
+                out[e] = out.get(e, 0) + c1 * c2
+    return Cyc(n, out)
 
 
 def _canonicalize(n: int, coeffs: Dict[int, int]) -> Dict[int, int]:

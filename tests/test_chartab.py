@@ -280,6 +280,14 @@ class TestCentralCharacters:
                 for k in range(len(t.classes)):
                     chartab.central_character(t, chi, k)  # must not raise
 
+    def test_value_times_size_over_degree(self):
+        for name in SHIPPED:
+            t = table(name)
+            for chi, row in enumerate(t.rows):
+                for k, c in enumerate(t.classes):
+                    omega = chartab.central_character(t, chi, k)
+                    assert omega * t.degrees[chi] == row[k] * c.size
+
 
 class TestBlockPartitions:
     def test_frozen_partitions(self):

@@ -282,6 +282,13 @@ class TestCheckGroup:
         with pytest.raises(PreconditionError):
             criteria.check_group(group("c6"), "Z")
 
+    @pytest.mark.parametrize("entry", ["check_group", "check_one"])
+    def test_unknown_theorem_is_refused(self, entry):
+        args = (group("a5"), "Z") + (([2, 3],) if entry == "check_one" else ())
+        with pytest.raises(PreconditionError) as info:
+            getattr(criteria, entry)(*args)
+        assert str(info.value) == "unknown theorem 'Z'"
+
     def test_pair_override(self):
         check = criteria.check_one(group("a5"), "A", (2, 5))
         assert check.params == {"p": 2, "q": 5}

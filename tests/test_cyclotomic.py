@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hallmark.config import CYCLOTOMIC_FORM_CAP
-from hallmark.cyclotomic import Cyc
+from hallmark.cyclotomic import Cyc, inner
 from hallmark.errors import CapacityError, PreconditionError
 
 # -- oracle ----------------------------------------------------------------
@@ -271,6 +271,32 @@ class TestKnownIdentities:
         assert len({Cyc.root(8, e) for e in range(16)}) == 8
 
 
+# conductors of the inner-product property: primes, prime powers and a
+# product of two primes, so that the columns of one sum mix conductors
+inner_conductors = st.sampled_from([1, 3, 4, 5, 8, 15, 16, 31])
+
+
+@st.composite
+def sparse_values(draw):
+    n = draw(inner_conductors)
+    terms = draw(st.dictionaries(st.integers(min_value=0, max_value=n - 1),
+                                 st.integers(min_value=-3, max_value=3), max_size=4))
+    return Cyc(n, terms)
+
+
+class TestInner:
+    @given(st.lists(st.tuples(sparse_values(), sparse_values(),
+                              st.integers(min_value=-5, max_value=60)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    def test_matches_the_sum_of_products(self, columns):
+        xs, ys, ws = zip(*columns)
+        got = inner(xs, ys, ws)
+        want = sum(x * y.conjugate() * w for x, y, w in columns)
+        assert got.n == want.n
+        assert got.canonical() == want.canonical()
+
+
 class TestFormCap:
     def test_a_form_of_cap_size_is_built(self):
         # 65537 is prime and zeta^65536 is minus the sum of the other 65536
@@ -294,6 +320,21 @@ class TestFormCap:
         assert (info.value.cap_name, info.value.cap_value) == (
             "cyclotomic_form", CYCLOTOMIC_FORM_CAP
         )
+
+    def test_a_larger_term_product_in_an_inner_product_is_refused_as_in_a_product(self):
+        # the second column is the refused product above; the first puts the
+        # whole sum in Q(zeta_(12 * 65537)), but the error names the column's field
+        a = Cyc(65537, {e: 1 for e in range(256)})
+        b = Cyc(65537, {(-256 * e) % 65537: 1 for e in range(257)})
+        with pytest.raises(CapacityError) as product:
+            a * b.conjugate()
+        with pytest.raises(CapacityError) as summed:
+            inner([Cyc.root(3), a], [Cyc.root(4), b], [1, 1])
+        assert str(summed.value) == str(product.value)
+        assert "Q(zeta_65537)" in str(summed.value)
+        assert (summed.value.cap_name, summed.value.cap_value) == (
+            product.value.cap_name, product.value.cap_value
+        ) == ("cyclotomic_form", CYCLOTOMIC_FORM_CAP)
 
     def test_a_larger_form_is_refused_before_it_is_built(self):
         # 65539 is the next prime; the same rewrite would hold 65538 coordinates

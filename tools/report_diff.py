@@ -23,7 +23,8 @@ hallmark and runs, with --no-timings:
     three that `check` refuses with exit 2: a table of another order, a
     table of the same order with other class sizes, and `--table` with
     a theorem other than C;
-  - `lie-grid` on the shipped manifest;
+  - `lie-grid` on the shipped manifest, and on a copy of it with
+    `max_rank: 0`, which exits 2;
   - `ct-analyze --theorem B` and `--theorem C` for every shipped
     character table and every nonempty set of the primes dividing its
     order;
@@ -34,16 +35,21 @@ hallmark and runs, with --no-timings:
     {3, 5, 7, 11, 13} of primes not dividing Q, so that the value of each
     block witness is compared, not only the grid's counts, and at
     MIXED_POINTS, where the mixed torus's stacked witness is not coprime
-    to the odd-order prime and so sets the premise false;
-  - `ct-blocks -p 2` and `ct-analyze --theorem C --pi 3,5` on three
-    copies of the shipped a5 table that ask for large root orders: one
-    declares the exponent 30270 = 30 * 1009, and two write the trivial
-    character's value 1 at its second class in Q(zeta_1009) and in
-    Q(zeta_n), n = 2^20 - 1.  The parent process writes the copies into
-    one temporary directory and both children read them there, so the
-    path in each report is the same on both sides.  No copy holds a
-    value whose canonical form is large, since a tree without a bound on
-    canonical forms would then run out of memory;
+    to the odd-order prime and so sets the premise false; and once as
+    `--family GL --n 0 --q 2 --r 3 --s 5`, which exits 2;
+  - `ct-blocks -p 2` and `ct-analyze --theorem C --pi 3,5` on the five
+    copies of the shipped a5 table in A5_VARIANTS.  Three ask for large
+    root orders: one declares the exponent 30270 = 30 * 1009, and two
+    write the trivial character's value 1 at its second class in
+    Q(zeta_1009) and in Q(zeta_n), n = 2^20 - 1.  One writes 0 for the
+    value -1 of the degree-5 character at class 3a, so that first
+    orthogonality fails (exit 2) at the pair (0, 4), after the pairs
+    (0, 1) to (0, 3) pass and before the later failing pairs.  One
+    writes the trivial character's value at its second class as 4000
+    distinct powers of zeta_65537, so that orthogonality's product of
+    that value by itself meets the cyclotomic form cap (exit 3).  No
+    copy holds a value whose canonical form is large, since a tree
+    without a bound on canonical forms would then run out of memory;
   - the `classes`, `hall` and `check` commands again with
     HALLMARK_CAP_ELEMENTS=700, which puts every class table above 700
     elements out of reach: `classes` and `hall` then exit 3 with the
@@ -60,6 +66,10 @@ hallmark and runs, with --no-timings:
     cap, so the child sets the module constant around each such call,
     as the tests do, and restores it after.  These reports are keyed
     "HALL_CANDIDATE_CAP=N hall ...".
+
+The parent process writes the table copies and the `max_rank: 0`
+manifest into one temporary directory, and both children read them
+there, so the path in each report is the same on both sides.
 
 Each command's stdout, stderr and exit code is its report.  The commands
 run one after another inside the child through `hallmark.cli.main`, so a
@@ -98,33 +108,42 @@ PI_GROUPS = ("a5", "s4", "psl2_7", "frob21")
 # `check` commands whose --table is refused: (theorem, group, table)
 REFUSED_TABLES = (("C", "a4", "a5"), ("C", "s3", "c6"), ("B", "a5", "a5"))
 
-# name: (declared exponent, the trivial character's value at class 1) of
-# each copy of the a5 table
+# name: (declared exponent, (irreducible, class), the value written there)
+# of each copy of the a5 table
 A5_VARIANTS = {
-    "a5_exponent_30270": (30270, 1),
-    "a5_one_in_zeta_1009": (30270, {"n": 1009, "terms": [[1, 0]]}),
-    "a5_one_in_zeta_1048575": (30 * 1048575, {"n": 1048575, "terms": [[1, 0]]}),
+    "a5_exponent_30270": (30270, (0, 1), 1),
+    "a5_one_in_zeta_1009": (30270, (0, 1), {"n": 1009, "terms": [[1, 0]]}),
+    "a5_one_in_zeta_1048575": (30 * 1048575, (0, 1), {"n": 1048575, "terms": [[1, 0]]}),
+    "a5_not_orthogonal": (30, (4, 2), 0),
+    "a5_long_value": (30 * 65537, (0, 1),
+                      {"n": 65537, "terms": [[1, e] for e in range(1, 4001)]}),
 }
 
+# file name of the copy of the shipped grid manifest with max_rank 0
+RANK_0_GRID = "lie_grid_max_rank_0.json"
 
-def _write_tables(tree: str, directory: str) -> list:
-    """Write the A5_VARIANTS copies of tree's a5 table; return their paths."""
-    with open(os.path.join(_src_dir(tree), "hallmark", "data", "tables", "a5.json")) as fh:
-        doc = json.load(fh)
-    paths = []
-    for name, (exponent, value) in A5_VARIANTS.items():
+
+def _write_inputs(tree: str, directory: str) -> None:
+    """Write the A5_VARIANTS copies of tree's a5 table and the RANK_0_GRID
+    copy of its grid manifest into directory."""
+    data = os.path.join(_src_dir(tree), "hallmark", "data")
+    for name, (exponent, (chi, k), value) in A5_VARIANTS.items():
+        with open(os.path.join(data, "tables", "a5.json")) as fh:
+            doc = json.load(fh)
         doc["exponent"] = exponent
-        doc["irreducibles"][0][1] = value
-        path = os.path.join(directory, name + ".json")
-        with open(path, "w") as fh:
+        doc["irreducibles"][chi][k] = value
+        with open(os.path.join(directory, name + ".json"), "w") as fh:
             json.dump(doc, fh)
-        paths.append(path)
-    return paths
+    with open(os.path.join(data, "lie_grid.json")) as fh:
+        manifest = json.load(fh)
+    manifest["max_rank"] = 0
+    with open(os.path.join(directory, RANK_0_GRID), "w") as fh:
+        json.dump(manifest, fh)
 
 
-def _commands(tables):
-    """(environment setting or None, argv) for every report; tables are
-    the paths of the table copies."""
+def _commands(directory: str):
+    """(environment setting or None, argv) for every report; directory
+    holds the inputs that _write_inputs writes."""
     from hallmark import catalog, cli, criteria, lieorders
     from hallmark.arith import is_prime, prime_factors
 
@@ -155,6 +174,7 @@ def _commands(tables):
     out += [["check", "--theorem", theorem, "--group", "catalog:" + group,
              "--table", "catalog:" + table] for theorem, group, table in REFUSED_TABLES]
     out.append(["lie-grid"])
+    out.append(["lie-grid", os.path.join(directory, RANK_0_GRID)])
     for name in cli.TABLE_BACKED:
         primes = prime_factors(catalog.get_entry(name).order)
         for k in range(1, len(primes) + 1):
@@ -168,10 +188,11 @@ def _commands(tables):
            for n in range(1, 9)
            for q in (2, 3, 4, 5, 7, 8, 9)
            for r, s in combinations([p for p in (3, 5, 7, 11, 13) if q % p], 2)]
-    for family, n, q, r, s in box + list(MIXED_POINTS):
+    for family, n, q, r, s in box + list(MIXED_POINTS) + [("GL", 0, 2, 3, 5)]:
         out.append(["lie-verify", "--family", family, "--n", str(n),
                     "--q", str(q), "--r", str(r), "--s", str(s)])
-    for path in tables:
+    for name in A5_VARIANTS:
+        path = os.path.join(directory, name + ".json")
         out.append(["ct-blocks", path, "-p", "2"])
         out.append(["ct-analyze", path, "--theorem", "C", "--pi", "3,5"])
     budgeted = [(("HALL_CANDIDATE_CAP", budget), ["hall", "catalog:" + name, "--pi", "2,3"])
@@ -193,13 +214,13 @@ def _applied(setting):
     return mock.patch.object(subgroups, name, value)
 
 
-def _collect(tables) -> None:
+def _collect(directory: str) -> None:
     """Child side: run every command in this interpreter and print one
     JSON object {command line: [exit, stdout, stderr]}."""
     from hallmark import cli
 
     reports = {}
-    for setting, argv in _commands(tables):
+    for setting, argv in _commands(directory):
         key = " ".join(argv)
         if setting is not None:
             key = "%s=%s %s" % (setting[0], setting[1], key)
@@ -221,10 +242,10 @@ def _src_dir(tree: str) -> str:
     return os.path.abspath(path)
 
 
-def _reports(tree: str, tables) -> dict:
+def _reports(tree: str, directory: str) -> dict:
     env = dict(os.environ, PYTHONPATH=_src_dir(tree))
     done = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--collect", *tables],
+        [sys.executable, os.path.abspath(__file__), "--collect", directory],
         env=env, capture_output=True, text=True, check=False,
     )
     if done.returncode:
@@ -234,13 +255,13 @@ def _reports(tree: str, tables) -> dict:
 
 def main(argv) -> int:
     if argv[:1] == ["--collect"]:
-        _collect(argv[1:])
+        _collect(argv[1])
         return 0
     if len(argv) != 2:
         sys.exit(__doc__.split("\n\n")[1])
     with tempfile.TemporaryDirectory() as directory:
-        tables = _write_tables(argv[0], directory)
-        old, new = (_reports(tree, tables) for tree in argv)
+        _write_inputs(argv[0], directory)
+        old, new = (_reports(tree, directory) for tree in argv)
     differ = [cmd for cmd in sorted(set(old) | set(new)) if old.get(cmd) != new.get(cmd)]
     for cmd in differ:
         if cmd not in old or cmd not in new:

@@ -7,10 +7,11 @@ TREE is a checkout (a directory holding src/hallmark) or a src
 directory.  One child process puts TREE's src on PYTHONPATH, installs a
 line tracer with sys.settrace before it imports hallmark, and then runs
 every report_diff command through `hallmark.cli.main`, as report_diff's
-own child does, on report_diff's copies of the a5 table, with the same
-settings: the capped environment and the lowered Hall budgets.  A line counts
-as executable when some code object of its module, compiled from TREE's
-source, maps an instruction to it (`co_lines()`).
+own child does, on report_diff's copies of the a5 table and of the grid
+manifest, with the same settings: the capped environment and the
+lowered Hall budgets.  A line counts as executable when some code
+object of its module, compiled from TREE's source, maps an instruction
+to it (`co_lines()`).
 
 Prints, for each module under hallmark, the number of executable lines
 that no report ran, then each such line with its number and text, and
@@ -29,7 +30,7 @@ import tempfile
 import report_diff
 
 
-def _trace(package: str, tables) -> dict:
+def _trace(package: str, directory: str) -> dict:
     """Child side: run every report under a line tracer; return
     {file name: set of line numbers run} for the files under package."""
     hits = {}
@@ -51,7 +52,7 @@ def _trace(package: str, tables) -> dict:
     sys.settrace(tracer)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            report_diff._collect(tables)
+            report_diff._collect(directory)
     finally:
         sys.settrace(None)
     return hits
@@ -71,17 +72,17 @@ def _executable(path: str) -> set:
 
 def main(argv) -> int:
     if argv[:1] == ["--collect"]:
-        hits = _trace(argv[1], argv[2:])
+        hits = _trace(argv[1], argv[2])
         sys.stdout.write(json.dumps({f: sorted(lines) for f, lines in hits.items()}))
         return 0
     if len(argv) != 1:
         sys.exit(__doc__.split("\n\n")[1])
     package = os.path.join(report_diff._src_dir(argv[0]), "hallmark")
     with tempfile.TemporaryDirectory() as directory:
-        tables = report_diff._write_tables(argv[0], directory)
+        report_diff._write_inputs(argv[0], directory)
         done = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--collect",
-             package + os.sep, *tables],
+             package + os.sep, directory],
             env=dict(os.environ, PYTHONPATH=os.path.dirname(package)),
             capture_output=True, text=True, check=False,
         )
