@@ -16,7 +16,7 @@ object {"n": ..., "terms": [[coeff, exponent], ...]} denoting
 sum coeff * zeta_n^exponent; coefficients are nonzero integers (never
 rationals: character values are algebraic integers, and the division
 inside central characters happens in-tool, where integrality can be
-asserted).  parseTable rejects bad shape, bad size sums, and inexact
+asserted).  parse_table rejects bad shape, bad size sums, and inexact
 orthogonality with distinct error kinds, so a corrupted file never gets
 as far as a verdict.  Orthogonality is most of the cost of a parse: for
 k classes it takes k(k+1)/2 sums of k columns, each summed by
@@ -115,24 +115,11 @@ class CharacterTable:
         self.identity_index = identity_index
         self.trivial_index = trivial_index
 
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "name": self.name,
-            "order": self.order,
-            "exponent": self.exponent,
-            "classes": [
-                {"label": c.label, "size": c.size, "element_order": c.element_order}
-                for c in self.classes
-            ],
-            "irreducibles": [[encode_value(v) for v in row] for row in self.rows],
-        }
-
-
 def encode_value(v: Cyc):
     """Smallest schema form of a value: plain int when rational."""
-    if v.is_rational_integer():
-        return v.as_integer()
+    value = v.as_integer()
+    if value is not None:
+        return value
     terms = sorted(v.canonical().items())
     return {"n": v.n, "terms": [[c, e] for e, c in terms]}
 
@@ -257,27 +244,25 @@ def parse_table(data) -> CharacterTable:
         )
 
     for i, row in enumerate(rows):
-        deg = row[identity_index]
-        if not deg.is_rational_integer() or deg.as_integer() < 1:
+        deg = row[identity_index].as_integer()
+        if deg is None or deg < 1:
             raise TableCorruptError("irreducibles[%d] has a non-positive or irrational degree" % i)
-        if order % deg.as_integer():
+        if order % deg:
             raise TableCorruptError(
-                "irreducibles[%d] degree %d does not divide the order %d"
-                % (i, deg.as_integer(), order)
+                "irreducibles[%d] degree %d does not divide the order %d" % (i, deg, order)
             )
 
     # exact first orthogonality, all pairs (the norm row is the i == j case)
     sizes = [col.size for col in classes]
     for i in range(len(rows)):
         for j in range(i, len(rows)):
-            s = inner(rows[i], rows[j], sizes)
-            expected_sum = order if i == j else 0
-            if not (s - expected_sum).is_zero():
+            expected = {0: order} if i == j else {}
+            if inner(rows[i], rows[j], sizes).canonical() != expected:
                 raise TableOrthogonalityError(
                     "irreducibles %d and %d fail first orthogonality" % (i, j)
                 )
 
-    trivial = [i for i, row in enumerate(rows) if all((v - 1).is_zero() for v in row)]
+    trivial = [i for i, row in enumerate(rows) if all(v.as_integer() == 1 for v in row)]
     if len(trivial) != 1:
         raise TableCorruptError("expected exactly one trivial character, found %d" % len(trivial))
 

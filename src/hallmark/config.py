@@ -36,9 +36,9 @@ FACTOR_CAP = 2**20
 # value can ask for gigabytes.  The cap admits every full form of
 # Q(zeta_n) with phi(n) <= 2^16, such as all prime conductors up to
 # 65537, and filling it takes about 0.03 s; values of the shipped tables
-# need at most 16 coordinates.  A product of two values (Cyc.__mul__), and
-# one column of an inner product of two rows (cyclotomic.inner), makes at
-# most this many term products, checked before the first.
+# need at most 16 coordinates.  One column of an inner product of two
+# rows (cyclotomic.inner) makes at most this many term products, checked
+# before the first.
 CYCLOTOMIC_FORM_CAP = 2**16
 
 # lieorders checks no classical group of rank above this (a grid's

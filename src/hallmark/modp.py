@@ -18,28 +18,24 @@ from all of them at once as here, are the same.
 
 from __future__ import annotations
 
-from .arith import require_prime
 from .cyclotomic import Cyc
-from .errors import PreconditionError
 
 __all__ = ["CycReducer"]
 
 
 class CycReducer:
-    """Ring map Z[zeta_N] -> Z[zeta_m]/p fixed by the conductor and the prime.
+    """Ring map Z[zeta_N] -> Z[zeta_m]/p fixed by the conductor N and the
+    prime p, which the caller has checked.
 
-    reduce() accepts plain ints and Cyc values whose conductor divides N;
-    an image is the sorted tuple of (exponent, coefficient mod p) pairs of
-    its nonzero tensor-basis coordinates in Q(zeta_m), so images hash and
-    compare directly and zero maps to ().
+    reduce() takes a Cyc value whose conductor divides N; an image is the
+    sorted tuple of (exponent, coefficient mod p) pairs of its nonzero
+    tensor-basis coordinates in Q(zeta_m), so images hash and compare
+    directly and zero maps to ().
     """
 
     __slots__ = ("conductor", "p", "m")
 
     def __init__(self, conductor: int, p: int):
-        if conductor < 1:
-            raise PreconditionError("conductor must be positive")
-        require_prime(p)
         self.conductor = conductor
         self.p = p
         m = conductor
@@ -47,15 +43,7 @@ class CycReducer:
             m //= p
         self.m = m
 
-    def reduce(self, value) -> tuple:
-        if isinstance(value, int):
-            value = Cyc.integer(value)
-        elif not isinstance(value, Cyc):
-            raise PreconditionError("reduce expects an int or a Cyc value")
-        if self.conductor % value.n != 0:
-            raise PreconditionError(
-                "value conductor %d does not divide %d" % (value.n, self.conductor)
-            )
+    def reduce(self, value: Cyc) -> tuple:
         stride, m, p = self.conductor // value.n, self.m, self.p
         image: dict = {}
         for e, c in value.coeffs.items():

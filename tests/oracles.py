@@ -2,10 +2,13 @@
 
 Everything here recomputes group-theoretic facts from first principles
 with plain tuples, dicts, and sets, sharing no arithmetic with the
-package.  Slow on purpose; use only at desk scale.
+package.  Cyclotomic integers are integer polynomials (PolyCyc), read in
+Z[zeta_N] by division by the N-th cyclotomic polynomial.  Slow on
+purpose; use only at desk scale.
 """
 
 from itertools import combinations, combinations_with_replacement, product
+from math import gcd, lcm
 
 
 def compose(a, b):
@@ -167,10 +170,17 @@ def osima_blocks(table, p):
     chi and psi are linked when the sum over the p-regular classes K of
     |K| * chi(g_K) * conj(psi(g_K)) is not zero; the blocks are the
     connected components of that relation (Navarro, Characters and Blocks
-    of Finite Groups, ch. 3).  The sums are exact cyclotomic values (the
-    table's own Cyc arithmetic, the one thing shared with the package):
-    no central character is formed and nothing is reduced mod p.  Blocks
-    are listed by least member, each in increasing order.
+    of Finite Groups, ch. 3).  No central character is formed and nothing
+    is reduced mod p.  The sums are exact and in PolyCyc: each column's
+    term is taken at the lcm of its two values' root orders, and the
+    terms are added up per root order.  Cyclotomic fields of pairwise
+    coprime conductors are linearly disjoint over Q, so when the orders
+    other than 1 are pairwise coprime, as in every shipped table (the
+    assertion checks it), a sum is zero exactly when each order's part is
+    a rational integer and these integers cancel.  Each part is reduced
+    in a field of degree at most 30, where psl2_31's sums taken whole
+    would lie in Q(zeta_7440), of degree 1920.  Blocks are listed by
+    least member, each in increasing order.
     """
     regular = [k for k, c in enumerate(table.classes) if c.element_order % p]
     rows = table.rows
@@ -182,14 +192,138 @@ def osima_blocks(table, p):
             i = owner[i]
         return i
 
+    def linked(i, j):
+        parts = {}
+        for k in regular:
+            x, y = rows[i][k], rows[j][k]
+            n = lcm(x.n, y.n)
+            term = from_cyc(x, n) * from_cyc(y, n, -1) * table.classes[k].size
+            parts[n] = parts[n] + term if n in parts else term
+        orders = [n for n in parts if n > 1]
+        assert all(gcd(a, b) == 1 for a, b in combinations(orders, 2)), orders
+        constant = 0
+        for part in parts.values():
+            reduced = part.reduced()
+            if any(reduced[1:]):
+                return True
+            constant += reduced[0]
+        return constant != 0
+
     for i, j in combinations(range(count), 2):
-        total = sum(rows[i][k] * rows[j][k].conjugate() * table.classes[k].size for k in regular)
-        if not total.is_zero():
+        if linked(i, j):
             owner[max(root(i), root(j))] = min(root(i), root(j))
     blocks = {}
     for i in range(count):
         blocks.setdefault(root(i), []).append(i)
     return [blocks[r] for r in sorted(blocks)]
+
+
+# -- cyclotomic integers as polynomials ---------------------------------------
+
+_CYCLO_CACHE = {}
+
+
+def poly_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1 or 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return poly_trim(out)
+
+
+def poly_divmod_exact(a, b):
+    """Divide integer polynomials; b must be monic."""
+    a = poly_trim(list(a))
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        shift = len(a) - len(b)
+        coeff = a[-1]
+        q[shift] = coeff
+        for i, x in enumerate(b):
+            a[i + shift] -= coeff * x
+        poly_trim(a)
+    return q, a
+
+
+def cyclotomic_poly(n):
+    """Phi_n, low degree first: X^n - 1 divided by every Phi_d, d | n, d < n."""
+    if n not in _CYCLO_CACHE:
+        poly = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                poly, rem = poly_divmod_exact(poly, cyclotomic_poly(d))
+                assert not rem
+        _CYCLO_CACHE[n] = poly
+    return _CYCLO_CACHE[n]
+
+
+def poly_reduce(a, n):
+    """a mod Phi_n, low degree first, padded to deg Phi_n coefficients."""
+    _, rem = poly_divmod_exact(a, cyclotomic_poly(n))
+    return rem + [0] * (len(cyclotomic_poly(n)) - 1 - len(rem))
+
+
+class PolyCyc:
+    """An element of Z[zeta_N] as an integer polynomial in X = zeta_N.
+
+    The polynomial is kept mod X^N - 1 as {exponent: coefficient}, which
+    stays sparse at any N; only the zero test, by division by Phi_N, writes
+    it out densely.
+    """
+
+    def __init__(self, n, terms=()):
+        """sum of c * X^e over the (e, c) pairs of terms, mod X^n - 1."""
+        self.n = n
+        out = {}
+        for e, c in terms:
+            out[e % n] = out.get(e % n, 0) + c
+        self.terms = {e: c for e, c in out.items() if c}
+
+    def __add__(self, other):
+        assert self.n == other.n
+        return PolyCyc(self.n, [*self.terms.items(), *other.terms.items()])
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return PolyCyc(self.n, [(e, c * other) for e, c in self.terms.items()])
+        assert self.n == other.n
+        return PolyCyc(self.n, [
+            (e1 + e2, c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        ])
+
+    def substitute(self, m, k):
+        """f(X^k) mod X^m - 1.  For k = m / n it is the same value of
+        Z[zeta_m]; for m = n and k = -1 its complex conjugate; for k a unit
+        mod n its image under zeta_n -> zeta_n^k."""
+        return PolyCyc(m, [(e * k, c) for e, c in self.terms.items()])
+
+    def reduced(self):
+        """The remainder mod Phi_n: its deg Phi_n coefficients, low first."""
+        dense = [0] * self.n
+        for e, c in self.terms.items():
+            dense[e] = c
+        return poly_reduce(dense, self.n)
+
+    def is_zero(self):
+        return not any(self.reduced())
+
+    def equals(self, other):
+        return (self + other * -1).is_zero()
+
+
+def from_cyc(value, n, k=1):
+    """A package value of root order dividing n as a PolyCyc of Z[zeta_n],
+    with zeta -> zeta^k applied (k = -1: its complex conjugate).  Only the
+    value's exponents and coefficients are read."""
+    return PolyCyc(value.n, value.coeffs.items()).substitute(n, k * (n // value.n))
 
 
 def poly_mul_mod(a, b, f, p):

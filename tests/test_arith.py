@@ -1,7 +1,9 @@
 """Integer helpers: prime factors under the factor cap, p-parts, orders."""
 
+from math import gcd
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hallmark.arith import (
@@ -117,3 +119,20 @@ class TestFactorCap:
         assert order_dividing(3, 7, 6) == 6
         assert order_dividing(2, 7, 6) == 3
         assert order_dividing(1, 7, 6) == 1
+
+
+class TestMultiplicativeOrder:
+    @given(st.integers(1, 60), st.integers(-120, 120))
+    @settings(max_examples=200, deadline=None)
+    def test_defining_property(self, n, a):
+        if n > 1 and gcd(a, n) != 1:
+            with pytest.raises(PreconditionError):
+                multiplicative_order(a, n)
+            return
+        order = multiplicative_order(a, n)
+        assert pow(a, order, n) % n == 1 % n
+        assert all(pow(a, j, n) != 1 for j in range(1, order)) or n == 1
+
+    def test_rejects_bad_modulus(self):
+        with pytest.raises(PreconditionError):
+            multiplicative_order(2, 0)

@@ -10,6 +10,7 @@ Osima's criterion (tests/oracles.py), which reduces nothing mod p, checks
 every partition of every shipped table.
 """
 
+import copy
 import json
 import random
 from math import gcd, lcm
@@ -84,19 +85,32 @@ def parse(doc):
     return chartab.parse_table(json.dumps(doc))
 
 
-def galois_twist(t, k):
-    """The table with zeta -> zeta^k applied to every value."""
-    doc = t.to_json()
-    doc["irreducibles"] = [[chartab.encode_value(v.galois(k)) for v in row] for row in t.rows]
-    return parse(doc)
+def shipped_doc(name):
+    return json.loads((TABLES_DIR / ("%s.json" % name)).read_text())
 
 
-def shuffled(t, seed):
-    """The table with its rows and its classes in a seeded random order."""
+def twisted_doc(doc, k):
+    """The document with zeta_n -> zeta_n^k applied to every value object;
+    k is a unit mod the exponent, so the exponents stay distinct."""
+    doc = copy.deepcopy(doc)
+    for row in doc["irreducibles"]:
+        for j, v in enumerate(row):
+            if isinstance(v, dict):
+                row[j] = {"n": v["n"], "terms": [[c, e * k % v["n"]] for c, e in v["terms"]]}
+    return doc
+
+
+def galois_twist(name, k):
+    """The shipped table with zeta -> zeta^k applied to every value."""
+    return parse(twisted_doc(shipped_doc(name), k))
+
+
+def shuffled(name, seed):
+    """The shipped table with its rows and its classes in a seeded random order."""
     rng = random.Random(seed)
-    doc = t.to_json()
-    rows = list(range(len(t.rows)))
-    cols = list(range(len(t.classes)))
+    doc = shipped_doc(name)
+    rows = list(range(len(doc["irreducibles"])))
+    cols = list(range(len(doc["classes"])))
     rng.shuffle(rows)
     rng.shuffle(cols)
     doc["classes"] = [doc["classes"][c] for c in cols]
@@ -115,15 +129,12 @@ class TestParsing:
             assert t.exponent == lcm(*[c.element_order for c in t.classes])
 
     def test_round_trip(self):
+        # the shipped files are written by encode_value, so encoding the
+        # parsed values gives each file's values back
         for name in SHIPPED:
             t = table(name)
-            again = parse(t.to_json())
-            assert again.degrees == t.degrees
-            assert [(c.label, c.size, c.element_order) for c in again.classes] == [
-                (c.label, c.size, c.element_order) for c in t.classes
-            ]
-            for row_a, row_b in zip(again.rows, t.rows):
-                assert all(a == b for a, b in zip(row_a, row_b))
+            encoded = [[chartab.encode_value(v) for v in row] for row in t.rows]
+            assert encoded == shipped_doc(name)["irreducibles"]
 
     def test_inline_docs_parse(self):
         assert parse(c2_doc()).degrees == [1, 1]
@@ -286,7 +297,10 @@ class TestCentralCharacters:
             for chi, row in enumerate(t.rows):
                 for k, c in enumerate(t.classes):
                     omega = chartab.central_character(t, chi, k)
-                    assert omega * t.degrees[chi] == row[k] * c.size
+                    assert omega.n == row[k].n
+                    assert (oracles.from_cyc(omega, omega.n) * t.degrees[chi]).equals(
+                        oracles.from_cyc(row[k], omega.n) * c.size
+                    )
 
 
 class TestBlockPartitions:
@@ -357,7 +371,7 @@ class TestBlockPartitions:
             t = table(name)
             for k in ks:
                 assert gcd(k, t.exponent) == 1
-                twisted = galois_twist(t, k)
+                twisted = galois_twist(name, k)
                 for p in prime_factors(t.order):
                     assert (
                         chartab.block_partition(twisted, p).blocks
@@ -371,7 +385,7 @@ class TestBlockPartitions:
         for name in SHIPPED:
             t = table(name)
             k = next(k for k in range(2, t.exponent + 2) if gcd(k, t.exponent) == 1)
-            for variant in (t, shuffled(t, 19), galois_twist(t, k)):
+            for variant in (t, shuffled(name, 19), galois_twist(name, k)):
                 for p in prime_factors(t.order):
                     assert (
                         chartab.block_partition(variant, p).blocks

@@ -4,7 +4,7 @@ Expected values come from three independent sources: order products
 multiplied out by hand, permutation-group class tables from the catalog
 (SL(3,2) and PSL(2,7) are the same group, as are SL(2,4) and A5, so the
 matrix-side formulas must reproduce sizes the enumeration side already
-computed), and the integer cyclotomic oracle in test_cyclotomic.  Grid
+computed), and the integer cyclotomic oracle in tests/oracles.py.  Grid
 counts were frozen from a run of the shipped manifest that finished
 with zero failures.
 """
@@ -21,7 +21,7 @@ from hallmark.classdata import ClassTable
 from hallmark.errors import MalformedInputError, PreconditionError
 from hallmark.lieorders import FAMILIES, load_grid_manifest, run_grid, verify_pair
 
-from test_cyclotomic import cyclotomic_poly
+from oracles import cyclotomic_poly
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -29,6 +29,7 @@ OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "hallmark", "data
 
 
 def table_doc(name, order, exponent, classes, rows):
+    """A schema document; each value is a plain int or a Cyc."""
     return {
         "schema": "hallmark-ct/1",
         "name": name,
@@ -37,73 +38,75 @@ def table_doc(name, order, exponent, classes, rows):
         "classes": [
             {"label": lab, "size": size, "element_order": o} for lab, size, o in classes
         ],
-        "irreducibles": [[encode_value(v) for v in row] for row in rows],
+        "irreducibles": [
+            [v if isinstance(v, int) else encode_value(v) for v in row] for row in rows
+        ],
     }
 
 
-def as_cyc(rows):
-    return [[Cyc.integer(v) if isinstance(v, int) else v for v in row] for row in rows]
+def root_sum(n, *terms):
+    """sum of c * zeta_n^e over the (e, c) pairs, as one Cyc; the
+    coefficients of exponents equal mod n add up."""
+    coeffs = {}
+    for e, c in terms:
+        coeffs[e % n] = coeffs.get(e % n, 0) + c
+    return Cyc(n, coeffs)
 
 
 def build_c6():
-    z = Cyc.root(6)
     # column k of the sorted table is the power g^e with e as listed
     exps = [0, 3, 2, 4, 1, 5]
     labels = ["1a", "2a", "3a", "3b", "6a", "6b"]
     orders = [1, 2, 3, 3, 6, 6]
     classes = [(labels[i], 1, orders[i]) for i in range(6)]
-    rows = [[Cyc.root(6, j * e) for e in exps] for j in range(6)]
+    rows = [[root_sum(6, (j * e, 1)) for e in exps] for j in range(6)]
     return table_doc("c6", 6, 6, classes, rows), "c6"
 
 
 def build_d4():
     classes = [("1a", 1, 1), ("2a", 1, 2), ("2b", 2, 2), ("2c", 2, 2), ("4a", 2, 4)]
-    rows = as_cyc(
-        [
-            [1, 1, 1, 1, 1],
-            [1, 1, 1, -1, -1],
-            [1, 1, -1, 1, -1],
-            [1, 1, -1, -1, 1],
-            [2, -2, 0, 0, 0],
-        ]
-    )
+    rows = [
+        [1, 1, 1, 1, 1],
+        [1, 1, 1, -1, -1],
+        [1, 1, -1, 1, -1],
+        [1, 1, -1, -1, 1],
+        [2, -2, 0, 0, 0],
+    ]
     return table_doc("d4", 8, 4, classes, rows), "d4"
 
 
 def build_s4():
     classes = [("1a", 1, 1), ("2a", 3, 2), ("2b", 6, 2), ("3a", 8, 3), ("4a", 6, 4)]
-    rows = as_cyc(
-        [
-            [1, 1, 1, 1, 1],
-            [1, 1, -1, 1, -1],
-            [2, 2, 0, -1, 0],
-            [3, -1, 1, 0, -1],
-            [3, -1, -1, 0, 1],
-        ]
-    )
+    rows = [
+        [1, 1, 1, 1, 1],
+        [1, 1, -1, 1, -1],
+        [2, 2, 0, -1, 0],
+        [3, -1, 1, 0, -1],
+        [3, -1, -1, 0, 1],
+    ]
     return table_doc("s4", 24, 12, classes, rows), "s4"
 
 
 def build_a5():
     # golden values: phi = (1+sqrt5)/2 = -(z5^2+z5^3), psi = (1-sqrt5)/2
-    phi = -(Cyc.root(5, 2) + Cyc.root(5, 3))
-    psi = -(Cyc.root(5, 1) + Cyc.root(5, 4))
+    phi = root_sum(5, (2, -1), (3, -1))
+    psi = root_sum(5, (1, -1), (4, -1))
     classes = [("1a", 1, 1), ("2a", 15, 2), ("3a", 20, 3), ("5a", 12, 5), ("5b", 12, 5)]
-    one = Cyc.integer(1)
     rows = [
-        [one, one, one, one, one],
-        as_cyc([[3, -1, 0]])[0] + [phi, psi],
-        as_cyc([[3, -1, 0]])[0] + [psi, phi],
-        as_cyc([[4, 0, 1, -1, -1]])[0],
-        as_cyc([[5, 1, -1, 0, 0]])[0],
+        [1, 1, 1, 1, 1],
+        [3, -1, 0, phi, psi],
+        [3, -1, 0, psi, phi],
+        [4, 0, 1, -1, -1],
+        [5, 1, -1, 0, 0],
     ]
     return table_doc("a5", 60, 30, classes, rows), "a5"
 
 
 def build_psl2_7():
-    # alpha = (-1+sqrt(-7))/2 = sum of zeta_7 over the squares mod 7
-    alpha = Cyc(7, {1: 1, 2: 1, 4: 1})
-    beta = alpha.conjugate()
+    # alpha = (-1+sqrt(-7))/2 = sum of zeta_7 over the squares mod 7, and
+    # beta its complex conjugate, over the non-squares
+    alpha = root_sum(7, (1, 1), (2, 1), (4, 1))
+    beta = root_sum(7, (-1, 1), (-2, 1), (-4, 1))
     classes = [
         ("1a", 1, 1),
         ("2a", 21, 2),
@@ -113,12 +116,12 @@ def build_psl2_7():
         ("7b", 24, 7),
     ]
     rows = [
-        as_cyc([[1, 1, 1, 1, 1, 1]])[0],
-        as_cyc([[3, -1, 0, 1]])[0] + [alpha, beta],
-        as_cyc([[3, -1, 0, 1]])[0] + [beta, alpha],
-        as_cyc([[6, 2, 0, 0, -1, -1]])[0],
-        as_cyc([[7, -1, 1, -1, 0, 0]])[0],
-        as_cyc([[8, 0, -1, 0, 1, 1]])[0],
+        [1, 1, 1, 1, 1, 1],
+        [3, -1, 0, 1, alpha, beta],
+        [3, -1, 0, 1, beta, alpha],
+        [6, 2, 0, 0, -1, -1],
+        [7, -1, 1, -1, 0, 0],
+        [8, 0, -1, 0, 1, 1],
     ]
     return table_doc("psl2_7", 168, 84, classes, rows), "psl2_7"
 
@@ -146,44 +149,39 @@ def build_psl2_31():
     columns.append(("31b", (q * q - 1) // 2, q, "u", 1))
     assert sum(c[1] for c in columns) == order
 
-    gauss = Cyc(q, {x * x % q: 1 for x in range(1, q)})  # (-1+sqrt(-31))/2
-    gauss_bar = gauss.conjugate()
-
-    def eps(e):
-        return Cyc.root(15, e)
-
-    def eta(e):
-        return Cyc.root(16, e)
+    # (-1+sqrt(-31))/2 over the nonzero squares mod q, and its conjugate
+    squares = {x * x % q for x in range(1, q)}
+    gauss = root_sum(q, *((s, 1) for s in squares))
+    gauss_bar = root_sum(q, *((-s, 1) for s in squares))
 
     def value(row_kind, j, kind, param):
-        one = Cyc.integer(1)
         if row_kind == "triv":
-            return one
+            return 1
         if row_kind == "st":
-            return {"id": Cyc.integer(q), "s": one, "ns": -one, "u": Cyc.zero()}[kind]
+            return {"id": q, "s": 1, "ns": -1, "u": 0}[kind]
         if row_kind == "principal":  # degree q+1, indexed by eps^j on the split torus
             if kind == "id":
-                return Cyc.integer(q + 1)
+                return q + 1
             if kind == "s":
-                return eps(j * param) + eps(-j * param)
+                return root_sum(15, (j * param, 1), (-j * param, 1))
             if kind == "ns":
-                return Cyc.zero()
-            return one
+                return 0
+            return 1
         if row_kind == "discrete":  # degree q-1, indexed by eta^j on the nonsplit torus
             if kind == "id":
-                return Cyc.integer(q - 1)
+                return q - 1
             if kind == "s":
-                return Cyc.zero()
+                return 0
             if kind == "ns":
-                return -(eta(j * param) + eta(-j * param))
-            return -one
+                return root_sum(16, (j * param, -1), (-j * param, -1))
+            return -1
         # the two halves of degree (q-1)/2; j picks the Gauss-sum pairing
         if kind == "id":
-            return Cyc.integer((q - 1) // 2)
+            return (q - 1) // 2
         if kind == "s":
-            return Cyc.zero()
+            return 0
         if kind == "ns":
-            return Cyc.integer((-1) ** (param + 1))
+            return (-1) ** (param + 1)
         return (gauss, gauss_bar)[(param + j) % 2]
 
     rows = []
@@ -212,19 +210,23 @@ def cross_check(doc, group_name):
         raise SystemExit("%s: order mismatch" % group_name)
 
 
-def main():
-    os.makedirs(OUT_DIR, exist_ok=True)
+def documents():
+    """(name, document, file text) of each shipped table, in file order."""
     for builder in (build_c6, build_d4, build_s4, build_a5, build_psl2_7, build_psl2_31):
         doc, name = builder()
-        text = json.dumps(doc, indent=1)
+        yield name, doc, json.dumps(doc, indent=1) + "\n"
+
+
+def main():
+    os.makedirs(OUT_DIR, exist_ok=True)
+    for name, doc, text in documents():
         parsed = parse_table(text)  # full strict validation, orthogonality included
         assert parsed.name == name
         cross_check(doc, name)
         path = os.path.join(OUT_DIR, name + ".json")
         with open(path, "w") as handle:
-            handle.write(text + "\n")
+            handle.write(text)
         print("wrote %s (%d classes, degrees %s)" % (path, len(parsed.classes), parsed.degrees))
-
 
 if __name__ == "__main__":
     main()

@@ -29,7 +29,8 @@ hallmark and runs, with --no-timings:
     character table and every nonempty set of the primes dividing its
     order;
   - `ct-blocks -p P` for every shipped character table and every prime
-    P dividing its order;
+    P dividing its order, and `ct-blocks catalog:a5 -p 7`, where 7 does
+    not divide the order and the partition is vacuous;
   - `lie-verify --family F --n N --q Q --r R --s S` for every family, N
     in 1..8, Q in {2, 3, 4, 5, 7, 8, 9} and every pair R < S from
     {3, 5, 7, 11, 13} of primes not dividing Q, so that the value of each
@@ -37,19 +38,31 @@ hallmark and runs, with --no-timings:
     MIXED_POINTS, where the mixed torus's stacked witness is not coprime
     to the odd-order prime and so sets the premise false; and once as
     `--family GL --n 0 --q 2 --r 3 --s 5`, which exits 2;
-  - `ct-blocks -p 2` and `ct-analyze --theorem C --pi 3,5` on the five
-    copies of the shipped a5 table in A5_VARIANTS.  Three ask for large
-    root orders: one declares the exponent 30270 = 30 * 1009, and two
-    write the trivial character's value 1 at its second class in
-    Q(zeta_1009) and in Q(zeta_n), n = 2^20 - 1.  One writes 0 for the
-    value -1 of the degree-5 character at class 3a, so that first
-    orthogonality fails (exit 2) at the pair (0, 4), after the pairs
-    (0, 1) to (0, 3) pass and before the later failing pairs.  One
-    writes the trivial character's value at its second class as 4000
-    distinct powers of zeta_65537, so that orthogonality's product of
-    that value by itself meets the cyclotomic form cap (exit 3).  No
-    copy holds a value whose canonical form is large, since a tree
-    without a bound on canonical forms would then run out of memory;
+  - `ct-blocks -p 2` and `ct-analyze --theorem C --pi 3,5` on each of the
+    A5_VARIANTS, copies of the shipped a5 table with a few places
+    rewritten.  Three ask for large root orders: one declares the
+    exponent 30270 = 30 * 1009, and two write the trivial character's
+    value 1 at its second class in Q(zeta_1009) and in Q(zeta_n),
+    n = 2^20 - 1.  One writes 0 for the value -1 of the degree-5
+    character at class 3a, so that first orthogonality fails (exit 2) at
+    the pair (0, 4), after the pairs (0, 1) to (0, 3) pass and before the
+    later failing pairs.  One writes the trivial character's value at its
+    second class as 4000 distinct powers of zeta_65537, so that
+    orthogonality's product of that value by itself meets the cyclotomic
+    form cap (exit 3).  One writes that value as zeta_65539^52431: the
+    sum of the pair (0, 1) lifts it to Q(zeta_(5 * 65539)), where its
+    exponent lies on the layer that the canonical form drops for the
+    prime 65539, so that the sum's form would need 65538 coordinates,
+    over the cap (exit 3).  No copy holds a value whose canonical form is much larger, since
+    a tree without a bound on canonical forms would then run out of
+    memory.  Each of the others is refused (exit 2) by one check
+    of the table reader, one copy per refusal: a file that is not UTF-8,
+    not JSON, or no object; each top-level key and each class field made
+    wrong; class sizes that do not sum to the order; no identity class of
+    size 1; too few rows or values; each way a value object can be
+    malformed; a degree 0, an irrational degree and one not dividing the
+    order; and a column times -1, which keeps orthogonality but leaves no
+    trivial character;
   - the `classes`, `hall` and `check` commands again with
     HALLMARK_CAP_ELEMENTS=700, which puts every class table above 700
     elements out of reach: `classes` and `hall` then exit 3 with the
@@ -108,15 +121,63 @@ PI_GROUPS = ("a5", "s4", "psl2_7", "frob21")
 # `check` commands whose --table is refused: (theorem, group, table)
 REFUSED_TABLES = (("C", "a4", "a5"), ("C", "s3", "c6"), ("B", "a5", "a5"))
 
-# name: (declared exponent, (irreducible, class), the value written there)
-# of each copy of the a5 table
+# the value of an edit that deletes the key or list entry at its path
+DROP = object()
+
+# name: the edits that make each copy of the a5 table, each a (path,
+# value) pair whose path is the keys and indexes that reach the place
+# written; or the bytes of a file that is no table document at all
 A5_VARIANTS = {
-    "a5_exponent_30270": (30270, (0, 1), 1),
-    "a5_one_in_zeta_1009": (30270, (0, 1), {"n": 1009, "terms": [[1, 0]]}),
-    "a5_one_in_zeta_1048575": (30 * 1048575, (0, 1), {"n": 1048575, "terms": [[1, 0]]}),
-    "a5_not_orthogonal": (30, (4, 2), 0),
-    "a5_long_value": (30 * 65537, (0, 1),
-                      {"n": 65537, "terms": [[1, e] for e in range(1, 4001)]}),
+    "a5_exponent_30270": ((("exponent",), 30270), (("irreducibles", 0, 1), 1)),
+    "a5_one_in_zeta_1009": ((("exponent",), 30270),
+                            (("irreducibles", 0, 1), {"n": 1009, "terms": [[1, 0]]})),
+    "a5_one_in_zeta_1048575": ((("exponent",), 30 * 1048575),
+                               (("irreducibles", 0, 1), {"n": 1048575, "terms": [[1, 0]]})),
+    "a5_not_orthogonal": ((("irreducibles", 4, 2), 0),),
+    "a5_long_value": ((("exponent",), 30 * 65537),
+                      (("irreducibles", 0, 1),
+                       {"n": 65537, "terms": [[1, e] for e in range(1, 4001)]})),
+    "a5_form_over_cap": ((("exponent",), 30 * 65539),
+                         (("irreducibles", 0, 1), {"n": 65539, "terms": [[1, 52431]]})),
+    "a5_not_utf8": b"\xff\xfe{}",
+    "a5_not_json": b"{nope",
+    "a5_not_an_object": b"[]",
+    "a5_no_order": ((("order",), DROP),),
+    "a5_unknown_key": ((("comment",), "x"),),
+    "a5_schema_2": ((("schema",), "hallmark-ct/2"),),
+    "a5_name_empty": ((("name",), ""),),
+    "a5_order_0": ((("order",), 0),),
+    "a5_exponent_0": ((("exponent",), 0),),
+    "a5_classes_empty": ((("classes",), []),),
+    "a5_class_without_size": ((("classes", 1, "size"), DROP),),
+    "a5_label_empty": ((("classes", 1, "label"), ""),),
+    "a5_label_repeated": ((("classes", 1, "label"), "1a"),),
+    "a5_size_0": ((("classes", 1, "size"), 0),),
+    "a5_element_order_0": ((("classes", 1, "element_order"), 0),),
+    "a5_element_order_7": ((("classes", 1, "element_order"), 7),),
+    "a5_size_16": ((("classes", 1, "size"), 16),),
+    "a5_two_identity_classes": ((("classes", 1, "element_order"), 1),),
+    "a5_identity_size_2": ((("classes", 0, "size"), 2), (("classes", 1, "size"), 14)),
+    "a5_irreducibles_empty": ((("irreducibles",), []),),
+    "a5_four_irreducibles": ((("irreducibles", 4), DROP),),
+    "a5_short_row": ((("irreducibles", 4, 4), DROP),),
+    "a5_value_float": ((("irreducibles", 1, 3), 1.5),),
+    "a5_value_without_terms": ((("irreducibles", 1, 3), {"n": 5}),),
+    "a5_value_n_0": ((("irreducibles", 1, 3), {"n": 0, "terms": [[1, 0]]}),),
+    "a5_value_n_7": ((("irreducibles", 1, 3), {"n": 7, "terms": [[1, 0]]}),),
+    "a5_value_terms_empty": ((("irreducibles", 1, 3), {"n": 5, "terms": []}),),
+    "a5_value_term_triple": ((("irreducibles", 1, 3), {"n": 5, "terms": [[1, 2, 3]]}),),
+    "a5_value_coefficient_0": ((("irreducibles", 1, 3), {"n": 5, "terms": [[0, 1]]}),),
+    "a5_value_exponent_5": ((("irreducibles", 1, 3), {"n": 5, "terms": [[1, 5]]}),),
+    "a5_value_exponent_repeated": ((("irreducibles", 1, 3),
+                                    {"n": 5, "terms": [[1, 2], [1, 2]]}),),
+    "a5_degree_0": ((("irreducibles", 1, 0), 0),),
+    "a5_degree_irrational": ((("irreducibles", 1, 0), {"n": 5, "terms": [[1, 1]]}),),
+    "a5_degree_7": ((("irreducibles", 4, 0), 7),),
+    # the class 2a's column times -1 keeps orthogonality, but no row is all 1
+    "a5_column_2a_negated": tuple(
+        (("irreducibles", i, 1), v) for i, v in enumerate([-1, 1, 1, 0, -1])
+    ),
 }
 
 # file name of the copy of the shipped grid manifest with max_rank 0
@@ -127,13 +188,23 @@ def _write_inputs(tree: str, directory: str) -> None:
     """Write the A5_VARIANTS copies of tree's a5 table and the RANK_0_GRID
     copy of its grid manifest into directory."""
     data = os.path.join(_src_dir(tree), "hallmark", "data")
-    for name, (exponent, (chi, k), value) in A5_VARIANTS.items():
-        with open(os.path.join(data, "tables", "a5.json")) as fh:
-            doc = json.load(fh)
-        doc["exponent"] = exponent
-        doc["irreducibles"][chi][k] = value
-        with open(os.path.join(directory, name + ".json"), "w") as fh:
-            json.dump(doc, fh)
+    for name, edits in A5_VARIANTS.items():
+        if isinstance(edits, bytes):
+            text = edits
+        else:
+            with open(os.path.join(data, "tables", "a5.json")) as fh:
+                doc = json.load(fh)
+            for (*keys, last), value in edits:
+                place = doc
+                for key in keys:
+                    place = place[key]
+                if value is DROP:
+                    del place[last]
+                else:
+                    place[last] = value
+            text = json.dumps(doc).encode("utf-8")
+        with open(os.path.join(directory, name + ".json"), "wb") as fh:
+            fh.write(text)
     with open(os.path.join(data, "lie_grid.json")) as fh:
         manifest = json.load(fh)
     manifest["max_rank"] = 0
@@ -183,6 +254,7 @@ def _commands(directory: str):
                     out.append(["ct-analyze", "catalog:" + name, "--theorem", theorem,
                                 "--pi", ",".join(map(str, pi))])
         out += [["ct-blocks", "catalog:" + name, "-p", str(p)] for p in primes]
+    out.append(["ct-blocks", "catalog:a5", "-p", "7"])  # 7 does not divide 60
     box = [(family, n, q, r, s)
            for family in lieorders.FAMILIES
            for n in range(1, 9)
