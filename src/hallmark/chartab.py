@@ -315,8 +315,10 @@ def block_partition(table: CharacterTable, p: int) -> BlockPartition:
     """Group irreducibles by congruence of all central characters mod p,
     read as equal images in Z[zeta_m]/p under CycReducer.
 
-    For p not dividing the order the notion is vacuous and everything
-    lands in one flagged block.
+    Central characters repeat across the table (psl2_31 has 324 and 29
+    distinct ones), so each distinct one is reduced once.  For p not
+    dividing the order the notion is vacuous and everything lands in one
+    flagged block.
     """
     require_prime(p)
     k = len(table.rows)
@@ -325,11 +327,19 @@ def block_partition(table: CharacterTable, p: int) -> BlockPartition:
     # The values' root orders all divide the declared exponent, and their lcm
     # may be far smaller: it alone decides the ring the reducer maps into.
     reducer = CycReducer(lcm(*(v.n for row in table.rows for v in row)), p)
+    images: Dict[tuple, tuple] = {}
+
+    def image(omega: Cyc) -> tuple:
+        key = (omega.n, frozenset(omega.coeffs.items()))
+        if key not in images:
+            images[key] = reducer.reduce(omega)
+        return images[key]
+
     signature_to_block: Dict[tuple, int] = {}
     blocks: List[List[int]] = []
     for chi in range(k):
         sig = tuple(
-            reducer.reduce(central_character(table, chi, col)) for col in range(len(table.classes))
+            image(central_character(table, chi, col)) for col in range(len(table.classes))
         )
         b = signature_to_block.get(sig)
         if b is None:

@@ -23,8 +23,13 @@ order of q (of -q for GU) modulo the prime, and hands it to one of two
 witness builders, _linear (GL, GU) and _orthogonal (SO, and Sp read as
 SO_2n+1), which build the one block witness of that prime.  A builder
 checks only that the block fits in rank n; it factors no number, so the
-grid's many witnesses cost no primality or order test each.  The torus
-chain and the mixed torus read one torus rule, _torus and _hall_parts.
+grid's many witnesses cost no primality or order test each.  A witness
+holds only the numbers its checks read, and its report fields are built
+when a report reads them; the group orders and the divisor products,
+which many witnesses share, are each computed once.  The premise of the
+implication is one test, _premise, which run_grid reads before it asks
+_verdict for a point's verdict.  The torus chain and the mixed torus
+read one torus rule, _torus and _hall_parts.
 """
 
 import json
@@ -133,17 +138,49 @@ def _block_exponent(base: int, r: int, n: int) -> int:
 
 
 class ClassSize:
-    """One block-witness class size together with its guaranteed divisor."""
+    """One block-witness class size together with its guaranteed divisor.
 
-    __slots__ = ("family", "case", "params", "value", "divisor", "ambient")
+    A builder sets the numbers that the checks read: the value, the
+    divisor and the ambient group order.  The report fields, the family
+    label and the params with the ambient group's name (Sp_2n(q),
+    SO^eps_d(q), GL_n(q) or GU_n(q)), are built from `point`, the
+    (family, n, q, r, k, m) the witness was built at, only when `params`
+    or to_json() reads them, which run_grid never does.
+    """
 
-    def __init__(self, family, case, params, value, divisor, ambient):
-        self.family = family
+    __slots__ = ("case", "point", "value", "divisor", "ambient")
+
+    def __init__(self, case, point, value, divisor, ambient):
         self.case = case
-        self.params = params
+        self.point = point
         self.value = value
         self.divisor = divisor
         self.ambient = ambient
+
+    @property
+    def family(self) -> str:
+        group = self.point[0]
+        return "SO" if group.startswith("SO") else group
+
+    @property
+    def params(self) -> dict:
+        group, n, q, r, k, m = self.point
+        if group in ("GL", "GU"):
+            top = k * r ** m
+            # An even k for GU means GL_1(q^(2*kappa)) on 2*kappa dimensions.
+            kappa = top // 2 if group == "GU" and k % 2 == 0 else top
+            return {"n": n, "q": q, "r": r, "k": k, "m": m, "kappa": kappa,
+                    "ambient": "%s_%d(%d)" % (group, n, q)}
+        kappa = (k if k % 2 else k // 2) * r ** m
+        block = {"m": m, "kappa": kappa}
+        if self.case.endswith("-drop"):
+            block["kappa1"] = kappa // r
+        if group == "Sp":
+            return {"n": n, "q": q, "r": r, "k": k, **block,
+                    "ambient": "Sp_%d(%d)" % (2 * n, q)}
+        d, eps = _form(group, n)
+        label = "SO^%s_%d(%d)" % ({1: "+", -1: "-", 0: ""}[eps], d, q)
+        return {"d": d, "eps": eps, "q": q, "r": r, "k": k, "ambient": label, **block}
 
     @property
     def divisor_holds(self) -> bool:
@@ -157,7 +194,7 @@ class ClassSize:
         return {
             "family": self.family,
             "case": self.case,
-            "params": dict(self.params),
+            "params": self.params,
             "value": self.value,
             "divisor": self.divisor,
             "ambient": self.ambient,
@@ -169,33 +206,42 @@ class ClassSize:
         return "ClassSize(%s/%s, value=%d)" % (self.family, self.case, self.value)
 
 
+def _tor(q: int, j: int, unitary: bool) -> int:
+    # tor(j) = q^j - 1, or q^j - (-1)^j for GU
+    return q ** j - (-1) ** j if unitary else q ** j - 1
+
+
+@lru_cache(maxsize=4096)
+def _linear_divisor(q: int, top: int, unitary: bool) -> int:
+    # prod(tor(j), j < top): every rank, family and prime with the same
+    # block size over the same q asks for the same product.
+    return prod(_tor(q, j, unitary) for j in range(1, top))
+
+
+@lru_cache(maxsize=4096)
+def _orthogonal_divisor(q: int, size: int) -> int:
+    # prod(q^(2j) - 1, j < size), shared as _linear_divisor's product is.
+    return prod(q ** (2 * j) - 1 for j in range(1, size))
+
+
 def _linear(family: str, n: int, q: int, r: int, k: int) -> ClassSize:
     """Witness of GL_n(q) or GU_n(q); k is the order of q (of -q for GU) mod r.
 
     The block GL_1(q^top) or GU_1(q^top) sits on top = k * r^m dimensions,
     m maximal with top <= n; its divisor is prod(tor(j), j < top) with
-    tor(j) = q^j - (+-1)^j.
+    tor(j) = q^j - (+-1)^j, computed once per (q, top, family kind).
     """
-    unitary = family == "GU"
-
-    def tor(j):
-        # q^j - 1 for GL, q^j - (-1)^j for GU
-        return q ** j - (-1) ** j if unitary else q ** j - 1
-
     if k > n:
         raise PreconditionError(
             "r = %d does not divide the group order in rank %d (k = %d > n)" % (r, n, k)
         )
+    unitary = family == "GU"
     ambient = _order(family, n, q)
     m = _block_exponent(k, r, n)
     top = k * r ** m
-    value = _exact_div(ambient, tor(top) * _order(family, n - top, q))
-    # An even k for GU means GL_1(q^(2*kappa)) on 2*kappa dimensions.
-    kappa = top // 2 if unitary and k % 2 == 0 else top
-    params = {"n": n, "q": q, "r": r, "k": k, "m": m, "kappa": kappa,
-              "ambient": "%s_%d(%d)" % (family, n, q)}
-    divisor = prod(tor(j) for j in range(1, top))
-    return ClassSize(family, "block", params, value, divisor, ambient)
+    value = _exact_div(ambient, _tor(q, top, unitary) * _order(family, n - top, q))
+    return ClassSize("block", (family, n, q, r, k, m), value,
+                     _linear_divisor(q, top, unitary), ambient)
 
 
 def _stacked(d: int, eps: int, q: int, big_k: int, a: int):
@@ -221,7 +267,8 @@ def _orthogonal(family: str, n: int, q: int, r: int, k: int) -> ClassSize:
     plus-type block keeps eps, removing a minus-type block flips it.  The
     group can be the one form with no room for that block (SO^- of
     dimension 2*kappa for split, SO^+ for twisted); its "-drop" witness
-    then steps the block down by one power of r.
+    then steps the block down by one power of r.  A one-block divisor
+    prod(q^(2j) - 1, j < size) is computed once per (q, size).
     """
     d, eps = _form(family, n)
     case, sign, big_k = ("split", 1, k) if k % 2 else ("twisted", -1, k // 2)
@@ -232,14 +279,12 @@ def _orthogonal(family: str, n: int, q: int, r: int, k: int) -> ClassSize:
         )
     ambient = _so_order(d, eps, q)
     m = _block_exponent(big_k, r, n)
-    kappa = big_k * r ** m
-    block = {"m": m, "kappa": kappa}
-    size = kappa
-    if d == 2 * kappa and eps == -sign:
+    size = big_k * r ** m
+    if d == 2 * size and eps == -sign:
         case += "-drop"
         if m < 1:
             raise PreconditionError("case %r needs m >= 1, got m = 0" % (case,))
-        size = block["kappa1"] = kappa // r
+        size //= r
     if case == "twisted-drop":
         # r - 1 twisted blocks one power of r down fill the form exactly.
         value, divisor = _stacked(d, eps, q, size, r - 1)
@@ -248,14 +293,8 @@ def _orthogonal(family: str, n: int, q: int, r: int, k: int) -> ClassSize:
         value = _exact_div(
             ambient, (q ** size - sign) * _so_order(d - 2 * size, eps * sign, q)
         )
-        divisor = prod(q ** (2 * j) - 1 for j in range(1, size))
-    if family == "Sp":
-        params = {"n": n, "q": q, "r": r, "k": k, **block,
-                  "ambient": "Sp_%d(%d)" % (2 * n, q)}
-        return ClassSize("Sp", case, params, value, divisor, ambient)
-    label = "SO^%s_%d(%d)" % ({1: "+", -1: "-", 0: ""}[eps], d, q)
-    params = {"d": d, "eps": eps, "q": q, "r": r, "k": k, "ambient": label, **block}
-    return ClassSize("SO", case, params, value, divisor, ambient)
+        divisor = _orthogonal_divisor(q, size)
+    return ClassSize(case, (family, n, q, r, k, m), value, divisor, ambient)
 
 
 def _torus(family: str, q: int, k: int) -> tuple:
@@ -399,6 +438,11 @@ def verify_pair(family: str, n: int, q: int, r: int, s: int) -> dict:
     return report
 
 
+def _premise(r: int, s: int, r_value: int, s_value: int) -> bool:
+    # Each block witness's class size is coprime to the other prime.
+    return r_value % s != 0 and s_value % r != 0
+
+
 def _verdict(family: str, n: int, q: int, r: int, s: int, order: int, k: int,
              l: int, r_value: int, s_value: int) -> tuple:
     """The implication at a point where r and s both divide the group order,
@@ -409,10 +453,11 @@ def _verdict(family: str, n: int, q: int, r: int, s: int, order: int, k: int,
     Returns (premise, orders_equal, chain, mixed_torus, consistent), the
     verdict fields of verify_pair's report.  The chain is computed whenever
     k == l, premise or not; the mixed torus only where the premise holds
-    with k != l outside GL and GU.  verify_pair and run_grid both read
-    their verdict here.
+    with k != l outside GL and GU.  verify_pair reads its verdict here,
+    and run_grid at each point where _premise holds: where it fails, the
+    verdict is consistent.
     """
-    premise = r_value % s != 0 and s_value % r != 0
+    premise = _premise(r, s, r_value, s_value)
     orders_equal = k == l
     chain = _chain_report(family, n, q, order, k, r, s) if orders_equal else None
     mixed = None
@@ -517,11 +562,14 @@ def run_grid(manifest: dict) -> dict:
     a pair r < s of listed primes; 2 and primes dividing q are skipped.  A
     point where r or s does not divide the group order is vacuous: it is
     counted but not visited, and it cannot fail.  Every other point gets
-    its verdict from _verdict, as in verify_pair, but no report.  Each
-    fact is computed once for the coordinates it depends on: the group
-    order per (family, q, n), the order of q or -q modulo each prime per
-    (family, q), and each block witness, with its asserted divisor and its
-    division of the ambient order checked, per (family, q, n, prime).  A
+    its verdict as in verify_pair, but no report: a point where _premise
+    fails is consistent, and only a point where it holds is handed to
+    _verdict.  Each fact is computed once for the coordinates it depends
+    on: the group order per (family, q, n), the order of q or -q modulo
+    each prime per (family, q), and each block witness, with its asserted
+    divisor and its division of the ambient order checked, per (family,
+    q, n, prime).  A witness's divisor product is computed once per q and
+    block size, and its report fields are never built.  A
     point gets one failure entry per check that fails there, in
     verify_pair's order: the implication, then r's divisor and ambient
     checks, then s's.
@@ -552,7 +600,7 @@ def run_grid(manifest: dict) -> dict:
                         ) if not holds
                     ]
                 for r, s in combinations(active, 2):
-                    consistent = _verdict(
+                    consistent = not _premise(r, s, values[r], values[s]) or _verdict(
                         family, n, q, r, s, order, ords[r], ords[s], values[r], values[s]
                     )[-1]
                     if consistent and not faults[r] and not faults[s]:

@@ -20,7 +20,7 @@ import pytest
 
 import hallmark
 import oracles
-from hallmark import catalog, chartab, criteria, subgroups
+from hallmark import catalog, chartab, criteria, modp, subgroups
 from hallmark.arith import p_part, prime_factors
 from hallmark.classdata import ClassTable
 from hallmark.errors import (
@@ -343,6 +343,22 @@ class TestBlockPartitions:
                     for chi in b:
                         alone = len(b) == 1
                         assert (p_part(t.degrees[chi], p) == full) == alone
+
+    def test_each_distinct_central_character_is_reduced_once(self, monkeypatch):
+        # psl2_31's 18 x 18 central characters take 29 distinct values
+        reduce = modp.CycReducer.reduce
+        reduced = []
+
+        def counting(reducer, value):
+            reduced.append(value)
+            return reduce(reducer, value)
+
+        monkeypatch.setattr(modp.CycReducer, "reduce", counting)
+        t = table("psl2_31")
+        for p in prime_factors(t.order):
+            reduced.clear()
+            chartab.block_partition(t, p)
+            assert len(reduced) <= 29, p
 
     def test_vacuous_partition(self):
         part = chartab.block_partition(table("a5"), 7)

@@ -14,7 +14,7 @@ import os
 import time
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hallmark import arith, catalog, chartab, lieorders
 from hallmark.classdata import ClassTable
@@ -328,6 +328,20 @@ class TestWitnessBuilders:
                  own_prime_divides=False),
         ]
 
+    def test_drop_params_frozen(self):
+        # A "-drop" witness reports the stepped-down block as kappa1, after
+        # the orthogonal params in their report order.
+        split = witness("SOminus", 3, 4, 3)
+        twisted = witness("SOplus", 3, 2, 3)
+        assert (split.family, split.case, list(split.params.items())) == ("SO", "split-drop", [
+            ("d", 6), ("eps", -1), ("q", 4), ("r", 3), ("k", 1),
+            ("ambient", "SO^-_6(4)"), ("m", 1), ("kappa", 3), ("kappa1", 1),
+        ])
+        assert (twisted.case, list(twisted.params.items())) == ("twisted-drop", [
+            ("d", 6), ("eps", 1), ("q", 2), ("r", 3), ("k", 2),
+            ("ambient", "SO^+_6(2)"), ("m", 1), ("kappa", 3), ("kappa1", 1),
+        ])
+
     def test_sp_is_odd_dimensional_so(self):
         # Sp_2n(q) and SO_2n+1(q) have the same order, so each witness of
         # one is a witness of the other: same case, value, divisor and
@@ -607,6 +621,60 @@ class TestGrid:
         failures = counts[3]
         assert {f["reason"] for f in failures} == {"implication", "divisor", "ambient"}
         assert self._counts(run_grid(self.REPLAYED)) == counts
+
+    def test_verdict_only_where_the_premise_holds(self, monkeypatch):
+        # A point where some witness's class size is divisible by the other
+        # prime is consistent, so the grid asks _verdict only at the points
+        # where neither is, in the replay's order.  Those are the reports
+        # with a true premise, and the points where the mixed torus's
+        # stacked witness turns the premise false (SO^-_8(16) at 5 and 17).
+        _, reports = self._replay(self.REPLAYED)
+        asked = []
+        verdict = lieorders._verdict
+
+        def counting(*args):
+            asked.append(args[:5])
+            return verdict(*args)
+
+        monkeypatch.setattr(lieorders, "_verdict", counting)
+        assert run_grid(self.REPLAYED)["ok"] is True
+        premised = [tuple(rep[key] for key in ("family", "n", "q", "r", "s"))
+                    for rep in reports
+                    if not any(w["other_prime_divides"] for w in rep["witnesses"])]
+        assert sum(rep["premise"] for rep in reports) == len(premised) - 1
+        assert asked == premised
+
+    # A drawn manifest on which the corrupted builders of
+    # test_failures_match_the_replay reach all three failure reasons.
+    CORRUPTIBLE = {
+        "schema": "hallmark-lie-grid/1",
+        "families": ["GL", "SOminus"],
+        "prime_powers": [8, 9],
+        "max_rank": 5,
+        "primes": [2, 3, 5, 7, 13],
+    }
+
+    @given(manifest=st.fixed_dictionaries({
+        "schema": st.just("hallmark-lie-grid/1"),
+        "families": st.lists(st.sampled_from(FAMILIES), min_size=1, max_size=3,
+                             unique=True),
+        "prime_powers": st.lists(
+            st.sampled_from([q for q in range(2, 33) if arith.prime_power(q)]),
+            min_size=1, max_size=2, unique=True),
+        "max_rank": st.integers(min_value=1, max_value=6),
+        # 2 and the primes of some q are drawn too; the grid skips them
+        "primes": st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 17, 31)),
+                           min_size=2, max_size=5, unique=True),
+    }))
+    @example(manifest=CORRUPTIBLE)
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    def test_drawn_manifests_match_the_replay(self, manifest):
+        assert self._counts(run_grid(manifest)) == self._replay(manifest)[0]
+        if manifest == self.CORRUPTIBLE:
+            grid = TestGrid()
+            grid.REPLAYED = manifest
+            with pytest.MonkeyPatch.context() as patch:
+                grid.test_failures_match_the_replay(patch)
 
     def test_manifest_validation(self, tmp_path):
         good = {

@@ -23,8 +23,13 @@ hallmark and runs, with --no-timings:
     three that `check` refuses with exit 2: a table of another order, a
     table of the same order with other class sizes, and `--table` with
     a theorem other than C;
-  - `lie-grid` on the shipped manifest, and on a copy of it with
-    `max_rank: 0`, which exits 2;
+  - `lie-grid` on the shipped manifest, on GRID_VARIANTS, copies of it
+    that the manifest checks refuse, one copy per refusal (a wrong
+    schema, a missing key, a field that is not a list, an unknown
+    family, a q that is not a prime power, a primes entry that is not
+    prime, a repeated prime and `max_rank: 0`, which exit 2, and a
+    `max_rank` above the rank cap, which exits 3), and on a path that
+    names no file (exit 2);
   - `ct-analyze --theorem B` and `--theorem C` for every shipped
     character table and every nonempty set of the primes dividing its
     order;
@@ -36,8 +41,8 @@ hallmark and runs, with --no-timings:
     {3, 5, 7, 11, 13} of primes not dividing Q, so that the value of each
     block witness is compared, not only the grid's counts, and at
     MIXED_POINTS, where the mixed torus's stacked witness is not coprime
-    to the odd-order prime and so sets the premise false; and once as
-    `--family GL --n 0 --q 2 --r 3 --s 5`, which exits 2;
+    to the odd-order prime and so sets the premise false; and at
+    REFUSED_POINTS, which exit 2: n = 0, r = 2, r dividing q and r = s;
   - `ct-blocks -p 2` and `ct-analyze --theorem C --pi 3,5` on each of the
     A5_VARIANTS, copies of the shipped a5 table with a few places
     rewritten.  Three ask for large root orders: one declares the
@@ -80,8 +85,8 @@ hallmark and runs, with --no-timings:
     as the tests do, and restores it after.  These reports are keyed
     "HALL_CANDIDATE_CAP=N hall ...".
 
-The parent process writes the table copies and the `max_rank: 0`
-manifest into one temporary directory, and both children read them
+The parent process writes the table copies and the manifest copies into
+one temporary directory, and both children read them
 there, so the path in each report is the same on both sides.
 
 Each command's stdout, stderr and exit code is its report.  The commands
@@ -114,6 +119,11 @@ BUDGET_GROUPS = {"a5": 9, "psl2_7": 85, "psl3_3": 406}
 # (family, n, q, r, s) of the `lie-verify` points outside the box whose
 # mixed torus has a stacked witness divisible by the odd-order prime
 MIXED_POINTS = (("SOminus", 4, 16, 5, 17), ("SOminus", 12, 3, 7, 13))
+
+# (family, n, q, r, s) of the `lie-verify` points that verify_pair refuses:
+# n = 0, r = 2, r dividing q, r = s
+REFUSED_POINTS = (("GL", 0, 2, 3, 5), ("GL", 2, 3, 2, 5), ("GL", 2, 9, 3, 5),
+                  ("GL", 2, 2, 3, 3))
 
 # catalog groups that `check --pi` runs on
 PI_GROUPS = ("a5", "s4", "psl2_7", "frob21")
@@ -180,36 +190,52 @@ A5_VARIANTS = {
     ),
 }
 
-# file name of the copy of the shipped grid manifest with max_rank 0
-RANK_0_GRID = "lie_grid_max_rank_0.json"
+# name: the edits that make each copy of the shipped grid manifest, as
+# in A5_VARIANTS
+GRID_VARIANTS = {
+    "grid_schema_2": ((("schema",), "hallmark-lie-grid/2"),),
+    "grid_no_primes": ((("primes",), DROP),),
+    "grid_families_not_a_list": ((("families",), "GL"),),
+    "grid_family_su": ((("families", 0), "SU"),),
+    "grid_q_6": ((("prime_powers", 0), 6),),
+    "grid_prime_9": ((("primes", 0), 9),),
+    "grid_prime_repeated": ((("primes", 1), 3),),
+    "grid_max_rank_0": ((("max_rank",), 0),),
+    "grid_max_rank_33": ((("max_rank",), 33),),
+}
+
+# file name in the inputs directory that no input is written to
+ABSENT_GRID = "grid_absent.json"
+
+
+def _edited(source: str, edits) -> bytes:
+    """The JSON document in the file source with edits applied, each a
+    (path, value) pair as in A5_VARIANTS."""
+    with open(source) as fh:
+        doc = json.load(fh)
+    for (*keys, last), value in edits:
+        place = doc
+        for key in keys:
+            place = place[key]
+        if value is DROP:
+            del place[last]
+        else:
+            place[last] = value
+    return json.dumps(doc).encode("utf-8")
 
 
 def _write_inputs(tree: str, directory: str) -> None:
-    """Write the A5_VARIANTS copies of tree's a5 table and the RANK_0_GRID
-    copy of its grid manifest into directory."""
+    """Write the A5_VARIANTS copies of tree's a5 table and the
+    GRID_VARIANTS copies of its grid manifest into directory."""
     data = os.path.join(_src_dir(tree), "hallmark", "data")
-    for name, edits in A5_VARIANTS.items():
-        if isinstance(edits, bytes):
-            text = edits
-        else:
-            with open(os.path.join(data, "tables", "a5.json")) as fh:
-                doc = json.load(fh)
-            for (*keys, last), value in edits:
-                place = doc
-                for key in keys:
-                    place = place[key]
-                if value is DROP:
-                    del place[last]
-                else:
-                    place[last] = value
-            text = json.dumps(doc).encode("utf-8")
+    variants = [(name, edits, os.path.join(data, "tables", "a5.json"))
+                for name, edits in A5_VARIANTS.items()]
+    variants += [(name, edits, os.path.join(data, "lie_grid.json"))
+                 for name, edits in GRID_VARIANTS.items()]
+    for name, edits, source in variants:
+        text = edits if isinstance(edits, bytes) else _edited(source, edits)
         with open(os.path.join(directory, name + ".json"), "wb") as fh:
             fh.write(text)
-    with open(os.path.join(data, "lie_grid.json")) as fh:
-        manifest = json.load(fh)
-    manifest["max_rank"] = 0
-    with open(os.path.join(directory, RANK_0_GRID), "w") as fh:
-        json.dump(manifest, fh)
 
 
 def _commands(directory: str):
@@ -245,7 +271,8 @@ def _commands(directory: str):
     out += [["check", "--theorem", theorem, "--group", "catalog:" + group,
              "--table", "catalog:" + table] for theorem, group, table in REFUSED_TABLES]
     out.append(["lie-grid"])
-    out.append(["lie-grid", os.path.join(directory, RANK_0_GRID)])
+    out += [["lie-grid", os.path.join(directory, name + ".json")] for name in GRID_VARIANTS]
+    out.append(["lie-grid", os.path.join(directory, ABSENT_GRID)])
     for name in cli.TABLE_BACKED:
         primes = prime_factors(catalog.get_entry(name).order)
         for k in range(1, len(primes) + 1):
@@ -260,7 +287,7 @@ def _commands(directory: str):
            for n in range(1, 9)
            for q in (2, 3, 4, 5, 7, 8, 9)
            for r, s in combinations([p for p in (3, 5, 7, 11, 13) if q % p], 2)]
-    for family, n, q, r, s in box + list(MIXED_POINTS) + [("GL", 0, 2, 3, 5)]:
+    for family, n, q, r, s in box + list(MIXED_POINTS) + list(REFUSED_POINTS):
         out.append(["lie-verify", "--family", family, "--n", str(n),
                     "--q", str(q), "--r", str(r), "--s", str(s)])
     for name in A5_VARIANTS:
