@@ -47,6 +47,13 @@ CYCLOTOMIC_FORM_CAP = 2**16
 # max_rank^2.
 RANK_CAP = 32
 
+# lieorders checks no classical group whose order has more than this many
+# bits, read as dim(G) * log2(q) before any order is multiplied out.  Each
+# report integer is at most the order or q, so it stays below the 4,300
+# digits up to which Python prints an int.  The cap admits Sp_64(19), 8,836 bits, the
+# largest group the tests build; near it a lie-verify point takes 0.05 s.
+ORDER_BITS_CAP = 10_000
+
 # A stabilizer chain makes at most this many Schreier-generator sifts over
 # its group's life (its build and every normal-closure extension).  J1's
 # chain needs 369 and no group of a suite run more than 114; S_40 from two

@@ -18,25 +18,26 @@ convention gives the same divisibility facts.
 The entry points are verify_pair, one point, and run_grid, every point
 of a manifest grid.  Arguments are checked once, where they enter:
 verify_pair checks the family, rank, q and primes (the primes odd and
-prime to q), and run_grid checks its manifest.  Each then computes k, the
-order of q (of -q for GU) modulo the prime, and hands it to one of two
-witness builders, _linear (GL, GU) and _orthogonal (SO, and Sp read as
-SO_2n+1), which build the one block witness of that prime.  A builder
-checks only that the block fits in rank n; it factors no number, so the
-grid's many witnesses cost no primality or order test each.  A witness
-holds only the numbers its checks read, and its report fields are built
-when a report reads them; the group orders and the divisor products,
-which many witnesses share, are each computed once.  The premise of the
-implication is one test, _premise, which run_grid reads before it asks
-_verdict for a point's verdict.  The torus chain and the mixed torus
-read one torus rule, _torus and _hall_parts.
+prime to q), and run_grid checks its manifest, and both refuse a group
+over the order bits cap before any order is multiplied out.  Each then
+computes k, the order of q (of -q for GU) modulo the prime, and hands it
+to one of two witness builders, _linear (GL, GU) and _orthogonal (SO,
+and Sp read as SO_2n+1), which build the one block witness of that
+prime.  A builder checks only that the block fits in rank n; it factors
+no number, so the grid's many witnesses cost no primality or order test
+each.  A witness holds only the numbers its checks read, and its report
+fields are built when a report reads them; the group orders and the
+divisor products, which many witnesses share, are each computed once.
+The premise of the implication is one test, _premise, which run_grid
+reads before it asks _verdict for a point's verdict.  The torus chain
+and the mixed torus read one torus rule, _torus and _hall_parts.
 """
 
 import json
 import os
 from functools import lru_cache
 from itertools import combinations
-from math import prod
+from math import comb, log2, prod
 
 from .arith import (
     is_int,
@@ -47,7 +48,7 @@ from .arith import (
     require_prime,
     require_prime_power,
 )
-from .config import RANK_CAP
+from .config import ORDER_BITS_CAP, RANK_CAP
 from .errors import CapacityError, MalformedInputError, PreconditionError
 
 __all__ = [
@@ -73,27 +74,25 @@ def _exact_div(num: int, den: int) -> int:
     return quo
 
 
+def _tor(x: int, j: int, unitary: bool) -> int:
+    # tor(j) = x^j - 1, or x^j - (-1)^j for GU
+    return x ** j - (-1) ** j if unitary else x ** j - 1
+
+
 @lru_cache(maxsize=4096)
+def _tor_product(x: int, top: int, unitary: bool = False) -> int:
+    # prod(tor(j), 1 <= j < top) over x, q or q^2 (Carter, Finite Groups of
+    # Lie Type, 2.9): every group order and witness divisor is built from
+    # these, and the same few are asked for again and again.
+    return prod(_tor(x, j, unitary) for j in range(1, top))
+
+
 def _order(family: str, n: int, q: int) -> int:
     # Generic order of the classical group of rank parameter n over F_q, on
-    # checked arguments; n = 0 means the empty group in a quotient formula.
-    # The witness builders ask for the same few orders again and again.
-    if n == 0:
-        return 1
-    if family == "GL":
-        return q ** (n * (n - 1) // 2) * prod(q ** j - 1 for j in range(1, n + 1))
-    if family == "GU":
-        return q ** (n * (n - 1) // 2) * prod(
-            q ** j - (-1) ** j for j in range(1, n + 1)
-        )
-    if family in ("Sp", "SOodd"):
-        return q ** (n * n) * prod(q ** (2 * j) - 1 for j in range(1, n + 1))
-    sign = 1 if family == "SOplus" else -1
-    return (
-        q ** (n * (n - 1))
-        * (q ** n - sign)
-        * prod(q ** (2 * j) - 1 for j in range(1, n))
-    )
+    # checked arguments; n = 0 gives 1, the empty group of a quotient formula.
+    if family in ("GL", "GU"):
+        return q ** (n * (n - 1) // 2) * _tor_product(q, n + 1, family == "GU")
+    return _so_order(*_form(family, n), q)
 
 
 def _check_prime(p, role: str, q: int) -> None:
@@ -113,13 +112,16 @@ def _form(family: str, n: int):
     return 2 * n, 1 if family == "SOplus" else -1
 
 
+@lru_cache(maxsize=4096)
 def _so_order(d: int, eps: int, q: int) -> int:
-    # Orthogonal order addressed by dimension; odd d ignores the sign.
-    if d == 0:
-        return 1
+    # Order of SO^eps_d(q), addressed by dimension: odd d ignores the sign.
+    # The witness builders ask for the same few orders again and again.
+    n = d // 2
     if d % 2:
-        return _order("SOodd", d // 2, q)
-    return _order("SOplus" if eps == 1 else "SOminus", d // 2, q)
+        return q ** (n * n) * _tor_product(q * q, n + 1)
+    if n == 0:
+        return 1
+    return q ** (n * (n - 1)) * (q ** n - eps) * _tor_product(q * q, n)
 
 
 def _family_order_of_q(family: str, r: int, q: int) -> int:
@@ -171,7 +173,7 @@ class ClassSize:
             kappa = top // 2 if group == "GU" and k % 2 == 0 else top
             return {"n": n, "q": q, "r": r, "k": k, "m": m, "kappa": kappa,
                     "ambient": "%s_%d(%d)" % (group, n, q)}
-        kappa = (k if k % 2 else k // 2) * r ** m
+        kappa = _torus(group, q, k)[0] * r ** m
         block = {"m": m, "kappa": kappa}
         if self.case.endswith("-drop"):
             block["kappa1"] = kappa // r
@@ -202,27 +204,6 @@ class ClassSize:
             "divides_ambient": self.divides_ambient,
         }
 
-    def __repr__(self):
-        return "ClassSize(%s/%s, value=%d)" % (self.family, self.case, self.value)
-
-
-def _tor(q: int, j: int, unitary: bool) -> int:
-    # tor(j) = q^j - 1, or q^j - (-1)^j for GU
-    return q ** j - (-1) ** j if unitary else q ** j - 1
-
-
-@lru_cache(maxsize=4096)
-def _linear_divisor(q: int, top: int, unitary: bool) -> int:
-    # prod(tor(j), j < top): every rank, family and prime with the same
-    # block size over the same q asks for the same product.
-    return prod(_tor(q, j, unitary) for j in range(1, top))
-
-
-@lru_cache(maxsize=4096)
-def _orthogonal_divisor(q: int, size: int) -> int:
-    # prod(q^(2j) - 1, j < size), shared as _linear_divisor's product is.
-    return prod(q ** (2 * j) - 1 for j in range(1, size))
-
 
 def _linear(family: str, n: int, q: int, r: int, k: int) -> ClassSize:
     """Witness of GL_n(q) or GU_n(q); k is the order of q (of -q for GU) mod r.
@@ -241,7 +222,7 @@ def _linear(family: str, n: int, q: int, r: int, k: int) -> ClassSize:
     top = k * r ** m
     value = _exact_div(ambient, _tor(q, top, unitary) * _order(family, n - top, q))
     return ClassSize("block", (family, n, q, r, k, m), value,
-                     _linear_divisor(q, top, unitary), ambient)
+                     _tor_product(q, top, unitary), ambient)
 
 
 def _stacked(d: int, eps: int, q: int, big_k: int, a: int):
@@ -249,11 +230,9 @@ def _stacked(d: int, eps: int, q: int, big_k: int, a: int):
     into GU_a(q^K) inside SO^eps_d(q)."""
     rest = _so_order(d - 2 * a * big_k, eps * (-1) ** a, q)
     value = _exact_div(_so_order(d, eps, q), _order("GU", a, q ** big_k) * rest)
-    # prod(q^(2j) - 1, j < aK, K does not divide j)
-    #   * prod(q^(iK) + (-1)^i, 1 <= i < a)
-    divisor = prod(q ** (2 * j) - 1 for j in range(1, a * big_k) if j % big_k)
-    divisor *= prod(q ** (i * big_k) + (-1) ** i for i in range(1, a))
-    return value, divisor
+    # The divisor prod(q^(2j) - 1, j < aK, K does not divide j) times
+    # prod(q^(iK) + (-1)^i, i < a), as q^(2iK) - 1 = (q^(iK) - (-1)^i)(q^(iK) + (-1)^i).
+    return value, _tor_product(q * q, a * big_k) // _tor_product(q ** big_k, a, True)
 
 
 def _orthogonal(family: str, n: int, q: int, r: int, k: int) -> ClassSize:
@@ -267,11 +246,12 @@ def _orthogonal(family: str, n: int, q: int, r: int, k: int) -> ClassSize:
     plus-type block keeps eps, removing a minus-type block flips it.  The
     group can be the one form with no room for that block (SO^- of
     dimension 2*kappa for split, SO^+ for twisted); its "-drop" witness
-    then steps the block down by one power of r.  A one-block divisor
-    prod(q^(2j) - 1, j < size) is computed once per (q, size).
+    then steps the block down by one power of r.  A one-block divisor is
+    prod(q^(2j) - 1, j < size), the torus product over q^2.
     """
     d, eps = _form(family, n)
-    case, sign, big_k = ("split", 1, k) if k % 2 else ("twisted", -1, k // 2)
+    big_k = _torus(family, q, k)[0]
+    case, sign = ("split", 1) if big_k == k else ("twisted", -1)
     if big_k > n:
         what = "k" if sign == 1 else "k/2"
         raise PreconditionError(
@@ -293,7 +273,7 @@ def _orthogonal(family: str, n: int, q: int, r: int, k: int) -> ClassSize:
         value = _exact_div(
             ambient, (q ** size - sign) * _so_order(d - 2 * size, eps * sign, q)
         )
-        divisor = _orthogonal_divisor(q, size)
+        divisor = _tor_product(q * q, size)
     return ClassSize(case, (family, n, q, r, k, m), value, divisor, ambient)
 
 
@@ -302,10 +282,8 @@ def _torus(family: str, q: int, k: int) -> tuple:
     has order k: GL_1(q^k) or GU_1(q^k) in GL and GU; in the orthogonal
     families the split GL_1(q^k) for odd k, the twisted GU_1(q^(k/2)) for
     even k.  The chain and the mixed torus both read their tori here."""
-    if family == "GU":
-        return k, (q ** k + 1 if k % 2 else q ** k - 1)
-    if family == "GL" or k % 2:
-        return k, q ** k - 1
+    if family in ("GL", "GU") or k % 2:
+        return k, _tor(q, k, family == "GU")
     return k // 2, q ** (k // 2) + 1
 
 
@@ -338,11 +316,10 @@ def _chain_report(family: str, n: int, q: int, ambient: int, k: int, r: int,
     """
     rank, factor = _torus(family, q, k)
     if family in ("SOplus", "SOminus"):
-        eps = 1 if family == "SOplus" else -1
         copies = (n - 1) // rank
         if n % rank == 0:
             joined = 1 if k % 2 else (-1) ** (n // rank)
-            if eps == joined:
+            if _form(family, n)[1] == joined:
                 copies += 1
     else:
         copies = n // rank
@@ -398,19 +375,11 @@ def verify_pair(family: str, n: int, q: int, r: int, s: int) -> dict:
     _check_prime(s, "s", q)
     if r == s:
         raise PreconditionError("r and s must be distinct, both are %d" % r)
+    _check_order_bits(family, n, q)
     k = _family_order_of_q(family, r, q)
     l = _family_order_of_q(family, s, q)
     order = _order(family, n, q)
-    report = {
-        "family": family,
-        "n": n,
-        "q": q,
-        "r": r,
-        "s": s,
-        "order": order,
-        "k": k,
-        "l": l,
-    }
+    report = dict(family=family, n=n, q=q, r=r, s=s, order=order, k=k, l=l)
     inactive = [p for p in (r, s) if order % p]
     if inactive:
         report.update(
@@ -496,7 +465,8 @@ def _verdict(family: str, n: int, q: int, r: int, s: int, order: int, k: int,
 
 def _check_grid(manifest, source: str = "grid manifest") -> None:
     """Raise MalformedInputError unless `manifest` is a valid grid manifest,
-    and CapacityError if its max_rank exceeds config.RANK_CAP.
+    and CapacityError if its max_rank exceeds config.RANK_CAP or a group
+    of that rank is over config.ORDER_BITS_CAP.
 
     `source` names the manifest in the messages.
     """
@@ -527,6 +497,9 @@ def _check_grid(manifest, source: str = "grid manifest") -> None:
     if len(set(primes)) != len(primes):
         raise MalformedInputError("%s lists a prime twice: %r" % (source, primes))
     _check_rank(manifest["max_rank"], "%s: max_rank" % source)
+    for family in manifest["families"]:
+        for q in manifest["prime_powers"]:
+            _check_order_bits(family, manifest["max_rank"], q)
 
 
 def _check_rank(rank, what: str) -> None:
@@ -539,6 +512,20 @@ def _check_rank(rank, what: str) -> None:
             "%s %d exceeds the rank cap %d" % (what, rank, RANK_CAP),
             cap_name="rank",
             cap_value=RANK_CAP,
+        )
+
+
+def _check_order_bits(family: str, n: int, q: int) -> None:
+    """Refuse, before any product is formed, a group whose order has more
+    than config.ORDER_BITS_CAP bits, read as dim(G) * log2(q)."""
+    dim = n * n if family in ("GL", "GU") else comb(_form(family, n)[0], 2)
+    bits = dim * log2(q)
+    if bits > ORDER_BITS_CAP:
+        raise CapacityError(
+            "%s in rank %d over q = %d has an order of about %d bits, above the "
+            "order bits cap %d" % (family, n, q, bits, ORDER_BITS_CAP),
+            cap_name="order_bits",
+            cap_value=ORDER_BITS_CAP,
         )
 
 

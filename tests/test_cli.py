@@ -15,7 +15,7 @@ import time
 import pytest
 
 from hallmark import catalog, cli, config, lieorders, subgroups
-from hallmark.config import RANK_CAP, SIFT_CAP
+from hallmark.config import ORDER_BITS_CAP, RANK_CAP, SIFT_CAP
 from hallmark.errors import CapacityError
 
 
@@ -387,12 +387,12 @@ class TestBounds:
         assert "capacity:" in err and "cyclotomic form cap" in err
 
     @staticmethod
-    def _grid(tmp_path, max_rank):
+    def _grid(tmp_path, max_rank, q=19):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({
             "schema": "hallmark-lie-grid/1",
             "families": ["Sp"],
-            "prime_powers": [19],
+            "prime_powers": [q],
             "max_rank": max_rank,
             "primes": [3, 5],
         }))
@@ -464,6 +464,31 @@ class TestBounds:
         code, _, _ = run(capsys, "lie-verify", "--family", "Sp", "--n", str(RANK_CAP),
                          "--q", "19", "--r", "3", "--s", "5", "--no-timings")
         assert code == 0
+
+    def test_huge_verify_order_hits_the_order_bits_cap(self, capsys):
+        # the order of Sp_64(127) has 14,537 bits, more digits than an int prints
+        started = time.monotonic()
+        code, rep, err = run(capsys, "lie-verify", "--family", "Sp", "--n", str(RANK_CAP),
+                             "--q", "127", "--r", "3", "--s", "7", "--no-timings")
+        assert time.monotonic() - started < 1
+        assert code == 3
+        assert rep is None
+        assert "capacity:" in err and "order bits cap %d" % ORDER_BITS_CAP in err
+        assert "Traceback" not in err
+        with pytest.raises(CapacityError) as info:
+            lieorders.verify_pair("Sp", RANK_CAP, 127, 3, 7)
+        assert (info.value.cap_name, info.value.cap_value) == ("order_bits", ORDER_BITS_CAP)
+
+    def test_huge_grid_prime_power_hits_the_order_bits_cap(self, capsys, tmp_path):
+        started = time.monotonic()
+        code, rep, err = run(capsys, "lie-grid", self._grid(tmp_path, RANK_CAP, 2**500))
+        assert time.monotonic() - started < 1
+        assert code == 3
+        assert rep is None
+        assert "capacity:" in err and "order bits cap %d" % ORDER_BITS_CAP in err
+        with pytest.raises(CapacityError) as info:
+            lieorders.load_grid_manifest(self._grid(tmp_path, RANK_CAP, 2**500))
+        assert (info.value.cap_name, info.value.cap_value) == ("order_bits", ORDER_BITS_CAP)
 
     @pytest.mark.parametrize("value", ["abc", "-5"])
     def test_bad_element_cap_variable_is_usage_error(self, capsys, monkeypatch, value):

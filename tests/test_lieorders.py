@@ -85,6 +85,23 @@ class TestGroupOrder:
                     expect *= q**j - (-1) ** j
                 assert group_order("GU", n, q) == expect
 
+    def test_sp_and_odd_so_product_form(self):
+        for n in range(1, 6):
+            for q in (2, 3, 4, 5):
+                expect = q ** (n * n)
+                for j in range(1, n + 1):
+                    expect *= q ** (2 * j) - 1
+                assert group_order("Sp", n, q) == group_order("SOodd", n, q) == expect
+
+    @pytest.mark.parametrize("family, eps", [("SOplus", 1), ("SOminus", -1)])
+    def test_even_so_carries_the_discriminant_factor(self, family, eps):
+        for n in range(1, 6):
+            for q in (2, 3, 4, 5):
+                expect = q ** (n * (n - 1)) * (q**n - eps)
+                for j in range(1, n):
+                    expect *= q ** (2 * j) - 1
+                assert group_order(family, n, q) == expect
+
     def test_input_validation(self):
         # verify_pair checks the family, rank and q before any order
         with pytest.raises(MalformedInputError, match="unknown family"):
@@ -287,6 +304,22 @@ class TestSymplecticAndOrthogonalCases:
         # The split-drop step needs m >= 1: ord_7(2) = 3 fills SO^-_6(2).
         with pytest.raises(PreconditionError, match="m >= 1"):
             witness("SOminus", 3, 2, 7)
+
+    def test_stacked_divisor_is_the_filtered_product(self):
+        # a blocks GU_1(q^K) stacked in SO_(2aK+1)(q): the divisor is
+        # prod(q^(2j) - 1, j < aK, K does not divide j)
+        #   * prod(q^(iK) + (-1)^i, 1 <= i < a)
+        for q in (2, 3, 4):
+            for big_k in (1, 2, 3):
+                for a in (1, 2, 3, 4):
+                    expect = 1
+                    for j in range(1, a * big_k):
+                        if j % big_k:
+                            expect *= q ** (2 * j) - 1
+                    for i in range(1, a):
+                        expect *= q ** (i * big_k) + (-1) ** i
+                    _, divisor = lieorders._stacked(2 * a * big_k + 1, 0, q, big_k, a)
+                    assert divisor == expect
 
     def test_so_odd_split(self):
         cs = witness("SOodd", 4, 2, 7)

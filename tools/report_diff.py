@@ -28,8 +28,9 @@ hallmark and runs, with --no-timings:
     schema, a missing key, a field that is not a list, an unknown
     family, a q that is not a prime power, a primes entry that is not
     prime, a repeated prime and `max_rank: 0`, which exit 2, and a
-    `max_rank` above the rank cap, which exits 3), and on a path that
-    names no file (exit 2);
+    `max_rank` above the rank cap and the prime power 127 at `max_rank`
+    32, whose Sp_64(127) is above the order bits cap, which exit 3), and
+    on a path that names no file (exit 2);
   - `ct-analyze --theorem B` and `--theorem C` for every shipped
     character table and every nonempty set of the primes dividing its
     order;
@@ -42,7 +43,24 @@ hallmark and runs, with --no-timings:
     block witness is compared, not only the grid's counts, and at
     MIXED_POINTS, where the mixed torus's stacked witness is not coprime
     to the odd-order prime and so sets the premise false; and at
-    REFUSED_POINTS, which exit 2: n = 0, r = 2, r dividing q and r = s;
+    REFUSED_POINTS: n = 0, q = 6, r = 2, r dividing q and r = s, which
+    exit 2, and Sp_64(127), above the order bits cap, which exits 3;
+  - `classes` on GROUP_VARIANTS, copies of the shipped psl3_3 group
+    file: one copy per refusal of the group reader (a file that is not
+    UTF-8, not JSON, or no object; an unknown key; an empty name; a
+    negative degree; generators that are not a list; a generator that
+    is not a list, too short, with an image 0 or with an image
+    repeated), a degree-0 group with one generator (exit 2), a
+    degree-1025 group (exit 3), the trivial group of degree 1, and
+    S_44 from a transposition and a 44-cycle, whose chain reaches the
+    sift cap (exit 3); and `classes` and `ct-analyze` on a path that
+    names no file;
+  - RARE_COMMANDS, commands that the CLI refuses or that reach a rare
+    branch: unknown and gated catalog names, each malformed `--pi` (an
+    empty list, no integer, a repeated prime, a composite, and a prime
+    above the factor cap's reach), an unknown table for `ct-analyze`,
+    `check` with a prime set that a theorem refuses or that misses the
+    group order, and an argparse usage error;
   - `ct-blocks -p 2` and `ct-analyze --theorem C --pi 3,5` on each of the
     A5_VARIANTS, copies of the shipped a5 table with a few places
     rewritten.  Three ask for large root orders: one declares the
@@ -76,7 +94,8 @@ hallmark and runs, with --no-timings:
     sift cap reaches).  The variable is set in the child's environment
     around each such call and removed after it, and these reports are
     keyed "HALLMARK_CAP_ELEMENTS=700 classes ...", "... hall ..." and
-    "... check ...";
+    "... check ..."; and `classes catalog:a5` with
+    HALLMARK_CAP_ELEMENTS=abc, which is refused (exit 2);
   - `hall --pi 2,3` on each of BUDGET_GROUPS, with
     hallmark.subgroups.HALL_CANDIDATE_CAP set to the least budget under
     which the search completes, and once more to one below it, where
@@ -121,9 +140,10 @@ BUDGET_GROUPS = {"a5": 9, "psl2_7": 85, "psl3_3": 406}
 MIXED_POINTS = (("SOminus", 4, 16, 5, 17), ("SOminus", 12, 3, 7, 13))
 
 # (family, n, q, r, s) of the `lie-verify` points that verify_pair refuses:
-# n = 0, r = 2, r dividing q, r = s
-REFUSED_POINTS = (("GL", 0, 2, 3, 5), ("GL", 2, 3, 2, 5), ("GL", 2, 9, 3, 5),
-                  ("GL", 2, 2, 3, 3))
+# n = 0, q = 6, r = 2, r dividing q, r = s, and Sp_64(127), whose order
+# of 14,537 bits is above the order bits cap
+REFUSED_POINTS = (("GL", 0, 2, 3, 5), ("GL", 2, 6, 5, 7), ("GL", 2, 3, 2, 5),
+                  ("GL", 2, 9, 3, 5), ("GL", 2, 2, 3, 3), ("Sp", 32, 127, 3, 7))
 
 # catalog groups that `check --pi` runs on
 PI_GROUPS = ("a5", "s4", "psl2_7", "frob21")
@@ -202,10 +222,59 @@ GRID_VARIANTS = {
     "grid_prime_repeated": ((("primes", 1), 3),),
     "grid_max_rank_0": ((("max_rank",), 0),),
     "grid_max_rank_33": ((("max_rank",), 33),),
+    "grid_q_127_rank_32": ((("prime_powers", 0), 127), (("max_rank",), 32)),
 }
 
-# file name in the inputs directory that no input is written to
+# name: the edits that make each copy of the shipped psl3_3 group file, or
+# its bytes, as in A5_VARIANTS
+GROUP_VARIANTS = {
+    "group_not_utf8": b"\xff\xfe{}",
+    "group_not_json": b"{nope",
+    "group_not_an_object": b"[]",
+    "group_unknown_key": ((("comment",), "x"),),
+    "group_name_empty": ((("name",), ""),),
+    "group_degree_negative": ((("degree",), -1),),
+    "group_generators_not_a_list": ((("generators",), "x"),),
+    "group_generator_not_a_list": ((("generators", 0), 1),),
+    "group_generator_short": ((("generators", 0, 12), DROP),),
+    "group_image_0": ((("generators", 0, 0), 0),),
+    "group_image_repeated": ((("generators", 0, 0), 2), (("generators", 0, 1), 2)),
+    "group_degree_0_one_generator": ((("degree",), 0), (("generators",), [[]])),
+    "group_degree_1025": ((("degree",), 1025), (("generators",), [])),
+    "group_trivial_degree_1": ((("degree",), 1), (("generators",), [[1]])),
+    # a transposition and a 44-cycle, images 1-based
+    "group_s44": ((("degree",), 44), (("generators",), [
+        [2, 1] + list(range(3, 45)), list(range(2, 45)) + [1]])),
+}
+
+# file names in the inputs directory that no input is written to
 ABSENT_GRID = "grid_absent.json"
+ABSENT = "absent.json"
+
+# 2^61 - 1: a prime whose primality test needs trial divisors above the
+# factor cap
+BIG_PRIME = "2305843009213693951"
+
+# commands that the CLI refuses, or that reach a branch no other report
+# reaches; each is run as it stands, with --no-timings appended
+RARE_COMMANDS = (
+    ["classes", "catalog:nosuch"],
+    ["classes", "catalog:j1"],  # gated behind --extended
+    ["hall", "catalog:a5", "--pi", ","],
+    ["hall", "catalog:a5", "--pi", "x"],
+    ["hall", "catalog:a5", "--pi", "3,3"],
+    ["hall", "catalog:a5", "--pi", "4"],
+    ["hall", "catalog:a5", "--pi", BIG_PRIME],
+    ["ct-analyze", "catalog:nosuch", "--pi", "3"],
+    ["check", "--theorem", "t4.3", "--group", "catalog:a5", "--pi", "2"],
+    ["check", "--theorem", "B", "--group", "catalog:a5", "--pi", "7"],
+    ["check", "--theorem", "C", "--group", "catalog:d4", "--pi", "2"],
+    ["check", "--theorem", "t4.1", "--group", "catalog:a5", "--pi", "7,11"],
+    ["hall", "catalog:a5"],  # no --pi: argparse's usage error
+)
+
+# the environment setting under which `classes catalog:a5` is refused
+BAD_CAP = ("HALLMARK_CAP_ELEMENTS", "abc")
 
 
 def _edited(source: str, edits) -> bytes:
@@ -225,13 +294,16 @@ def _edited(source: str, edits) -> bytes:
 
 
 def _write_inputs(tree: str, directory: str) -> None:
-    """Write the A5_VARIANTS copies of tree's a5 table and the
-    GRID_VARIANTS copies of its grid manifest into directory."""
+    """Write the A5_VARIANTS copies of tree's a5 table, the GRID_VARIANTS
+    copies of its grid manifest and the GROUP_VARIANTS copies of its
+    psl3_3 group file into directory."""
     data = os.path.join(_src_dir(tree), "hallmark", "data")
     variants = [(name, edits, os.path.join(data, "tables", "a5.json"))
                 for name, edits in A5_VARIANTS.items()]
     variants += [(name, edits, os.path.join(data, "lie_grid.json"))
                  for name, edits in GRID_VARIANTS.items()]
+    variants += [(name, edits, os.path.join(data, "groups", "psl3_3.json"))
+                 for name, edits in GROUP_VARIANTS.items()]
     for name, edits, source in variants:
         text = edits if isinstance(edits, bytes) else _edited(source, edits)
         with open(os.path.join(directory, name + ".json"), "wb") as fh:
@@ -294,9 +366,14 @@ def _commands(directory: str):
         path = os.path.join(directory, name + ".json")
         out.append(["ct-blocks", path, "-p", "2"])
         out.append(["ct-analyze", path, "--theorem", "C", "--pi", "3,5"])
+    groups = [name + ".json" for name in GROUP_VARIANTS] + [ABSENT]
+    out += [["classes", os.path.join(directory, name)] for name in groups]
+    out += [list(argv) for argv in RARE_COMMANDS]
+    out.append(["ct-analyze", os.path.join(directory, ABSENT), "--pi", "3"])
     budgeted = [(("HALL_CANDIDATE_CAP", budget), ["hall", "catalog:" + name, "--pi", "2,3"])
                 for name, least in BUDGET_GROUPS.items() for budget in (least, least - 1)]
-    return [(None, argv) for argv in out] + [(CAPPED, argv) for argv in capped] + budgeted
+    return ([(None, argv) for argv in out] + [(CAPPED, argv) for argv in capped]
+            + budgeted + [(BAD_CAP, ["classes", "catalog:a5"])])
 
 
 def _applied(setting):
