@@ -51,6 +51,7 @@ from .errors import (
 )
 from .modp import CycReducer
 from .verdicts import (
+    ClassRecord,
     Verdict,
     blocks_criterion,
     pairwise_criterion,
@@ -74,23 +75,11 @@ __all__ = [
 ]
 
 
-class _Column:
-    """One conjugacy class as seen by the size criteria."""
-
-    __slots__ = ("index", "label", "size", "element_order")
-
-    def __init__(self, index: int, label: str, size: int, element_order: int):
-        self.index = index
-        self.label = label
-        self.size = size
-        self.element_order = element_order
-
-
 class CharacterTable:
     """A parsed, fully validated table.
 
-    Immutable after parse.  Its classes carry the index, size and
-    element_order that ClassTable's do, so the size criteria in
+    Immutable after parse.  Its classes are verdicts.ClassRecord, as a
+    ClassTable's are, with no representative, so the size criteria in
     `verdicts` run unchanged on either source.
     """
 
@@ -101,19 +90,18 @@ class CharacterTable:
         "classes",
         "rows",
         "degrees",
-        "identity_index",
         "trivial_index",
     )
 
-    def __init__(self, name, order, exponent, classes, rows, identity_index, trivial_index):
+    def __init__(self, name, order, exponent, classes, rows, degrees, trivial_index):
         self.name = name
         self.order = order
         self.exponent = exponent
         self.classes = classes
         self.rows = rows
-        self.degrees = [row[identity_index].as_integer() for row in rows]
-        self.identity_index = identity_index
+        self.degrees = degrees
         self.trivial_index = trivial_index
+
 
 def encode_value(v: Cyc):
     """Smallest schema form of a value: plain int when rational."""
@@ -192,7 +180,7 @@ def parse_table(data) -> CharacterTable:
     raw_classes = doc["classes"]
     if not isinstance(raw_classes, list) or not raw_classes:
         raise TableSchemaError("classes must be a nonempty list")
-    classes: List[_Column] = []
+    classes: List[ClassRecord] = []
     labels = set()
     for i, obj in enumerate(raw_classes):
         where = "classes[%d]" % i
@@ -212,7 +200,7 @@ def parse_table(data) -> CharacterTable:
             raise TableSchemaError("%s: element_order must be a positive integer" % where)
         if exponent % o:
             raise TableCorruptError("%s: element order %d does not divide the exponent %d" % (where, o, exponent))
-        classes.append(_Column(i, label, size, o))
+        classes.append(ClassRecord(i, size, o))
 
     if sum(c.size for c in classes) != order:
         raise TableSumError(
@@ -243,8 +231,8 @@ def parse_table(data) -> CharacterTable:
             )
         )
 
-    for i, row in enumerate(rows):
-        deg = row[identity_index].as_integer()
+    degrees = [row[identity_index].as_integer() for row in rows]
+    for i, deg in enumerate(degrees):
         if deg is None or deg < 1:
             raise TableCorruptError("irreducibles[%d] has a non-positive or irrational degree" % i)
         if order % deg:
@@ -266,7 +254,7 @@ def parse_table(data) -> CharacterTable:
     if len(trivial) != 1:
         raise TableCorruptError("expected exactly one trivial character, found %d" % len(trivial))
 
-    return CharacterTable(name, order, exponent, classes, rows, identity_index, trivial[0])
+    return CharacterTable(name, order, exponent, classes, rows, degrees, trivial[0])
 
 
 def load_table(path) -> CharacterTable:

@@ -20,6 +20,7 @@ from .arith import require_prime
 from .classdata import class_table
 from .config import DEGREE_CAP, default_caps
 from .errors import CapacityError, MalformedInputError, PreconditionError
+from .perms import Permutation
 
 REPORT_SCHEMA = "hallmark-report/1"
 
@@ -154,10 +155,10 @@ def _cmd_classes(args) -> int:
     table = class_table(group, caps)
     classes = [
         {
-            "rep": ci.representative().cycle_string(),
+            "rep": Permutation(ci.rep).cycle_string(),
             "size": ci.size,
             "element_order": ci.element_order,
-            "centralizer_order": ci.centralizer_order,
+            "centralizer_order": table.order // ci.size,
         }
         for ci in table.classes
     ]
@@ -304,7 +305,7 @@ def _cmd_suite(args) -> int:
         key=lambda e: (e.order, e.name),
     )
     groups_payload = []
-    totals = {"checks": 0, "agree": 0, "disagree": 0, "skipped": 0, "undetermined": 0}
+    all_checks = []
     for entry in entries:
         group_started = time.monotonic()
         group = entry.build()
@@ -316,9 +317,8 @@ def _cmd_suite(args) -> int:
                 checks.extend(
                     criteria.check_group(group, theorem, caps, principal_block_clear=hook)
                 )
+        all_checks.extend(checks)
         tally = _tally(checks)
-        for key in totals:
-            totals[key] += tally[key]
         item = {
             "name": entry.name,
             "order": entry.order,
@@ -332,6 +332,7 @@ def _cmd_suite(args) -> int:
     grid = lieorders.run_grid(lieorders.load_grid_manifest())
     if not args.no_timings:
         grid["elapsed_s"] = round(time.monotonic() - grid_started, 3)
+    totals = _tally(all_checks)
     payload = {
         "groups": groups_payload,
         "grid": grid,

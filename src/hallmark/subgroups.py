@@ -288,10 +288,9 @@ def _chief_series(group: PermutationGroup, table: ClassTable) -> Tuple[Permutati
         for ci in table.classes:
             if best is not None and best.order <= below.order + ci.size:
                 continue
-            rep = kernel.unpack(ci.rep_row)
-            if below.contains(rep):
+            if below.contains(ci.rep):
                 continue
-            closure = group.normal_closure(list(below.generators) + [rep])
+            closure = group.normal_closure(list(below.generators) + [ci.rep])
             if best is None or closure.order < best.order:
                 best = closure
         series.append(best)
@@ -379,10 +378,9 @@ def _op_prime_core(group: PermutationGroup, p: int, table: ClassTable) -> Permut
     for ci in table.classes:
         if ci.element_order == 1 or ci.element_order % p == 0:
             continue
-        rep = kernel.unpack(ci.rep_row)
-        if core.contains(rep):
+        if core.contains(ci.rep):
             continue
-        candidate = group.normal_closure(list(core.generators) + [rep])
+        candidate = group.normal_closure(list(core.generators) + [ci.rep])
         if candidate.order % p:
             core = candidate
     return core

@@ -5,13 +5,14 @@ criterion needs was unavailable, typically blocked by a capacity cap).
 Failing verdicts carry enough detail to point at the offending class or
 prime, and witnesses are JSON-safe for the CLI report.
 
-The paper's criteria that read a table alone live here too: the size
-criteria take any table with `classes` (a classdata.ClassTable or a
-chartab.CharacterTable) and read its p-element classes through
-`p_element_classes`, and `blocks_criterion` is theorem C's
-principal-block rule.  `criteria` pairs them with the group-side
-searches, and `chartab` runs them on a character table without
-importing any permutation-group module.
+The paper's criteria that read a table alone live here too.  A table is
+anything whose `classes` is a sequence of ClassRecord, the one class
+record both classdata.ClassTable and chartab.parse_table build; the
+size criteria read a record's index, size and element order, and find
+the p-element classes through `p_element_classes`.  `blocks_criterion`
+is theorem C's principal-block rule.  `criteria` pairs them with the
+group-side searches, and `chartab` runs them on a character table
+without importing any permutation-group module.
 """
 
 from __future__ import annotations
@@ -46,16 +47,19 @@ class Verdict:
     def is_undetermined(self) -> bool:
         return self.holds is None
 
+    @property
+    def word(self) -> str:
+        """The verdict as reports print it: holds, fails or undetermined."""
+        return "undetermined" if self.holds is None else ("holds" if self.holds else "fails")
+
     def to_json(self) -> dict:
-        word = "undetermined" if self.holds is None else ("holds" if self.holds else "fails")
-        out = {"verdict": word, "detail": self.detail}
+        out = {"verdict": self.word, "detail": self.detail}
         if self.witnesses:
             out["witnesses"] = self.witnesses
         return out
 
     def __repr__(self) -> str:
-        word = "undetermined" if self.holds is None else ("holds" if self.holds else "fails")
-        return "Verdict(%s: %s)" % (word, self.detail)
+        return "Verdict(%s: %s)" % (self.word, self.detail)
 
 
 def agreement(lhs: Verdict, rhs: Verdict) -> Optional[bool]:
@@ -63,6 +67,20 @@ def agreement(lhs: Verdict, rhs: Verdict) -> Optional[bool]:
     if lhs.holds is None or rhs.holds is None:
         return None
     return lhs.holds == rhs.holds
+
+
+class ClassRecord:
+    """One conjugacy class: its index in its table, its size, the order
+    of its elements, and a representative as an image tuple (None when
+    the class comes from a character table, which names no element)."""
+
+    __slots__ = ("index", "size", "element_order", "rep")
+
+    def __init__(self, index: int, size: int, element_order: int, rep: Optional[tuple] = None):
+        self.index = index
+        self.size = size
+        self.element_order = element_order
+        self.rep = rep
 
 
 def p_element_classes(table, p: int) -> tuple:

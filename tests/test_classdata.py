@@ -5,11 +5,15 @@ import gc
 import pytest
 
 import oracles
-from hallmark import catalog, config
+from hallmark import catalog, chartab, cli, config
+from hallmark.arith import prime_factors
 from hallmark.classdata import ClassTable, class_table
 from hallmark.errors import CapacityError, PreconditionError
 from hallmark.kernels import kernel
-from hallmark.verdicts import p_element_classes
+from hallmark.perms import conjugate
+from hallmark.verdicts import ClassRecord, p_element_classes
+
+NAMES = [e.name for e in catalog.entries(include_stretch=False)]
 
 def naive_class_data(group):
     elems = oracles.close([p.images for p in group.generators], group.degree)
@@ -34,9 +38,8 @@ class TestClassTable:
         assert sum(ci.size for ci in table.classes) == group.order
         for ci in table.classes:
             assert group.order % ci.size == 0
-            assert ci.centralizer_order * ci.size == group.order
-            rep = ci.representative()
-            assert oracles.element_order(rep.images) == ci.element_order
+            assert type(ci.rep) is tuple and group.contains(ci.rep)
+            assert oracles.element_order(ci.rep) == ci.element_order
 
     def test_semi_affine_profile(self):
         # the one-sided counterexample group: a lone involution class of
@@ -56,6 +59,40 @@ class TestClassTable:
         assert sum(ci.size for ci in twos) == 15  # 9 involutions + 6 elements of order 4
         with pytest.raises(PreconditionError):
             p_element_classes(table, 6)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_p_element_orders_are_the_p_element_classes(self, name):
+        # The rows p_element_orders lists for p are the members of the
+        # classes p_element_classes picks, each with its class's order.
+        # Each class is read as the orbit of its representative under
+        # conjugation by the generators, apart from the kernel partition.
+        group = catalog.build(name)
+        table = class_table(group)
+        gens = [g.images for g in group.generators]
+        for p in prime_factors(group.order):
+            got = {kernel.unpack(row): o for row, o in table.p_element_orders(p).items()}
+            want = {}
+            for ci in p_element_classes(table, p):
+                orbit, frontier = {ci.rep}, [ci.rep]
+                while frontier:
+                    x = frontier.pop()
+                    for g in gens:
+                        y = conjugate(x, g)
+                        if y not in orbit:
+                            orbit.add(y)
+                            frontier.append(y)
+                assert len(orbit) == ci.size
+                want.update(dict.fromkeys(orbit, ci.element_order))
+            assert len(got) == sum(ci.size for ci in p_element_classes(table, p))
+            assert got == want
+
+    @pytest.mark.parametrize("name", cli.TABLE_BACKED)
+    def test_both_tables_use_one_class_record(self, name):
+        table = chartab.load_table(cli._shipped_table_path(name))
+        classes = class_table(catalog.build(name)).classes
+        assert {type(c) for c in table.classes} == {type(c) for c in classes} == {ClassRecord}
+        assert all(c.rep is None for c in table.classes)
+        assert all(type(c.rep) is tuple for c in classes)
 
     def test_element_order_set(self):
         table = ClassTable(catalog.build("a5"))

@@ -56,9 +56,9 @@ def test_closures_and_solvability_agree_with_sympy(name):
     for ci in ClassTable(group).classes:
         if ci.element_order == 1:
             continue
-        rep = ci.representative()
-        theirs = other.normal_closure(sympy_comb.PermutationGroup([_sympy_perm(rep)]))
-        assert group.normal_closure([rep]).order == theirs.order(), ci
+        rep = sympy_comb.Permutation(list(ci.rep))
+        theirs = other.normal_closure(sympy_comb.PermutationGroup([rep]))
+        assert group.normal_closure([ci.rep]).order == theirs.order(), ci.index
     assert subgroups.is_solvable(group) == other.is_solvable
     assert subgroups.derived_subgroup(group).order == other.derived_subgroup().order()
 
